@@ -14,6 +14,7 @@ import copy
 import dataclasses
 import json
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,12 +23,12 @@ import numpy as np
 from .core import (CompartmentState, ConstantHistory, HistoryFunction,
                    PseirsParams, SirParams, SirState, Trajectory, _require)
 from .dde import reconstruct_trajectory, simulate_pseirs
-from .errors import PseirsError
+from .errors import InvalidParameter, PseirsError
 from .integro import verify_integral_equivalence
 from .netgen import (degree_histogram, edge_list_text, gamma_from_graph,
                      generate_ba, graph_to_dict, mean_degree, powerlaw_slope)
 from .sir import simulate_sir, sir_derivatives, sir_r0
-from .stats import compartment_stats, phase_plane
+from .stats import compartment_stats, csv_row_blocks, phase_plane
 from .threshold import classify_equilibrium, r0_linearized, r0_nominal, stability_probe
 
 SCHEMA_VERSION = 1
@@ -71,11 +72,11 @@ class ScenarioConfig:
                  raw.get("schema"), f"schema == {SCHEMA_VERSION}")
         model = raw.get("model")
         _require(model in ("sir", "pseirs"), "model", model, "'sir' or 'pseirs'")
-        horizon = _number(raw, "horizon")
+        horizon = _number(raw.get("horizon"), "horizon")
         _require(horizon > 0, "horizon", horizon, "horizon > 0")
         step = None
         if raw.get("step") is not None:
-            step = _number(raw, "step")
+            step = _number(raw["step"], "step")
             _require(step > 0, "step", step, "step > 0")
 
         sir_params = sir_init = pseirs_params = history = None
@@ -100,8 +101,7 @@ class ScenarioConfig:
             extra = set(hist) - {"kind", "s", "e", "i", "r"}
             _require(not extra, "history", sorted(extra), "unknown keys")
             history = ConstantHistory(CompartmentState(
-                float(hist.get("s", 0.0)), float(hist.get("e", 0.0)),
-                float(hist.get("i", 0.0)), float(hist.get("r", 0.0))))
+                *(_number(hist.get(k, 0.0), f"history.{k}") for k in "seir")))
             _require("init" not in raw, "init", None,
                      "init only valid for the sir model")
 
@@ -109,9 +109,8 @@ class ScenarioConfig:
         network = None
         if raw.get("network") is not None:
             net = _block(raw, "network", {"n", "m0", "m", "seed", "per_contact_prob"})
-            network = {"n": int(net["n"]), "m0": int(net["m0"]),
-                       "m": int(net["m"]), "seed": int(net["seed"]),
-                       "per_contact_prob": float(net["per_contact_prob"])}
+            network = {k: _integer(net[k], f"network.{k}") for k in ("n", "m0", "m", "seed")}
+            network["per_contact_prob"] = float(net["per_contact_prob"])
         out_dir = raw.get("out_dir")
         return ScenarioConfig(raw=raw, model=model, horizon=horizon, step=step,
                               sir_params=sir_params, sir_init=sir_init,
@@ -119,11 +118,18 @@ class ScenarioConfig:
                               analyses=analyses, network=network, out_dir=out_dir)
 
 
-def _number(raw: dict, key: str) -> float:
-    val = raw.get(key)
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             key, val, "a number")
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _number(val, name: str) -> float:
+    _require(_is_number(val), name, val, "a number")
     return float(val)
+
+
+def _integer(val, name: str) -> int:
+    _require(_is_number(val) and float(val).is_integer(), name, val, "an integer")
+    return int(val)
 
 
 def _block(raw: dict, key: str, fields: set) -> dict:
@@ -134,9 +140,40 @@ def _block(raw: dict, key: str, fields: set) -> dict:
     extra = set(block) - fields
     _require(not extra, key, sorted(extra), "unknown fields")
     for f in fields:
-        _require(isinstance(block[f], (int, float)) and not isinstance(block[f], bool),
-                 f"{key}.{f}", block[f], "a number")
+        _require(_is_number(block[f]), f"{key}.{f}", block[f], "a number")
     return block
+
+
+def _entry(entry, name: str, fields: set) -> dict:
+    """An analysis entry: ``true`` for the defaults, or an object with
+    some of ``fields``."""
+    if entry is True:
+        return {}
+    _require(isinstance(entry, dict), name, entry, "true or a JSON object")
+    extra = set(entry) - fields
+    _require(not extra, name, sorted(extra), "unknown fields")
+    return entry
+
+
+def _window(entry: dict, name: str):
+    window = entry.get("window")
+    _require(window is None or (isinstance(window, list) and len(window) == 2
+                                and all(map(_is_number, window))),
+             f"{name}.window", window, "null or [start, end]")
+    return window
+
+
+def _plane(entry) -> dict:
+    name = "analyses.phase_plane"
+    entry = _entry(entry, name, {"axes", "proportions", "window"})
+    axes = entry.get("axes")
+    _require(isinstance(axes, list) and all(isinstance(a, str) for a in axes),
+             f"{name}.axes", axes, "a list of compartment labels")
+    proportions = entry.get("proportions", False)
+    _require(isinstance(proportions, bool), f"{name}.proportions", proportions,
+             "true or false")
+    return {"axes": tuple(axes), "proportions": proportions,
+            "window": _window(entry, name)}
 
 
 def _parse_analyses(block, model: str) -> dict:
@@ -145,29 +182,27 @@ def _parse_analyses(block, model: str) -> dict:
     _require(not unknown, "analyses", sorted(unknown), "unknown analyses")
     out = {}
     if block.get("stats"):
-        entry = block["stats"]
-        out["stats"] = {"window": None if entry is True else entry.get("window")}
+        entry = _entry(block["stats"], "analyses.stats", {"window"})
+        out["stats"] = {"window": _window(entry, "analyses.stats")}
     if block.get("phase_plane"):
         planes = block["phase_plane"]
         _require(isinstance(planes, list), "analyses.phase_plane", planes, "a list")
-        out["phase_plane"] = [
-            {"axes": tuple(p["axes"]),
-             "proportions": bool(p.get("proportions", False)),
-             "window": p.get("window")}
-            for p in planes]
+        out["phase_plane"] = [_plane(p) for p in planes]
     if block.get("integral_equivalence"):
-        _require(model == "pseirs", "analyses.integral_equivalence", model,
+        name = "analyses.integral_equivalence"
+        _require(model == "pseirs", name, model,
                  "integral_equivalence only valid for the pseirs model")
-        entry = block["integral_equivalence"]
-        cp = 20 if entry is True else int(entry.get("checkpoints", 20))
-        _require(cp >= 1, "analyses.integral_equivalence.checkpoints", cp, ">= 1")
+        cp = _entry(block["integral_equivalence"], name, {"checkpoints"}).get("checkpoints", 20)
+        cp = _integer(cp, f"{name}.checkpoints")
+        _require(cp >= 1, f"{name}.checkpoints", cp, ">= 1")
         out["integral_equivalence"] = {"checkpoints": cp}
     if block.get("threshold"):
+        _entry(block["threshold"], "analyses.threshold", set())
         out["threshold"] = True
     if block.get("classify"):
-        entry = block["classify"]
-        tail = 0.1 if entry is True else float(entry.get("tail_fraction", 0.1))
-        out["classify"] = {"tail_fraction": tail}
+        name = "analyses.classify"
+        tail = _entry(block["classify"], name, {"tail_fraction"}).get("tail_fraction", 0.1)
+        out["classify"] = {"tail_fraction": _number(tail, f"{name}.tail_fraction")}
     return out
 
 
@@ -200,35 +235,33 @@ class RunSummary:
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    with_n = len(traj.labels) == 4
-    header = "t," + ",".join(traj.labels) + (",N" if with_n else "")
-    lines = [header]
-    for k in range(len(traj.times)):
-        row = traj.states[k]
-        vals = [repr(float(traj.times[k]))]
-        vals.extend(repr(float(x)) for x in row)
-        if with_n:
-            vals.append(repr(float(row[0] + row[1] + row[2] + row[3])))
-        lines.append(",".join(vals))
-    path.write_text("\n".join(lines) + "\n")
+    """``t``, the states and, for four compartments, ``N = ((S+E)+I)+R``."""
+    header = ["t", *traj.labels]
+    columns = [traj.times, *traj.states.T]
+    if len(traj.labels) == 4:
+        header.append("N")
+        columns.append(columns[1] + columns[2] + columns[3] + columns[4])
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(csv_row_blocks(np.column_stack(columns)))
 
 
 def read_trajectory_csv(path: Path):
-    """(times, states, labels); a trailing N column is dropped (recomputed)."""
-    lines = Path(path).read_text().splitlines()
-    _require(len(lines) >= 3, "trajectory", path, "header plus >= 2 samples")
-    header = lines[0].split(",")
+    """(times, states, labels); a trailing N column is dropped (recomputed).
+    Every row must hold one number per header column."""
+    try:
+        with open(path) as f, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: checked below
+            header = f.readline().rstrip("\n").split(",")
+            body = np.loadtxt(f, delimiter=",", ndmin=2)
+    except ValueError as exc:  # ragged or non-numeric rows, undecodable bytes
+        raise InvalidParameter("trajectory", str(path), f"numeric CSV rows ({exc})") from None
     _require(header[0] == "t", "trajectory", header, "first column must be t")
-    labels = tuple(header[1:])
-    if labels and labels[-1] == "N":
-        labels = labels[:-1]
-    times = []
-    states = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        times.append(float(parts[0]))
-        states.append([float(x) for x in parts[1:1 + len(labels)]])
-    return np.asarray(times), np.asarray(states), labels
+    _require(len(body) >= 2, "trajectory", str(path), "header plus >= 2 samples")
+    _require(body.shape[1] == len(header), "trajectory", header,
+             f"one header name per column ({body.shape[1]} in each row)")
+    labels = tuple(header[1:-1] if header[-1] == "N" else header[1:])
+    return body[:, 0].copy(), body[:, 1:1 + len(labels)].copy(), labels
 
 
 def _json_text(obj) -> str:
@@ -252,33 +285,39 @@ def _prepare_network(config: ScenarioConfig):
 
 
 def _run_analyses(config: ScenarioConfig, traj: Trajectory,
-                  params: PseirsParams | None, out: Path):
+                  params: PseirsParams | None, network_info: dict | None,
+                  outputs: dict):
+    """Run the requested analyses and the r0 block without writing a file.
+
+    Returns the summary, its duration still unset, and the phase-plane
+    CSV texts as (file name, text) pairs."""
     analyses = config.analyses
-    stats_dict = classification = integral_equivalence_dict = None
-    outputs = {}
+    fields = {"stats": None, "classification": None, "integral_equivalence": None}
+    planes = []
     if "stats" in analyses:
         window = analyses["stats"]["window"]
         if window is None:
             window = (0.0, traj.horizon)
-        stats_dict = compartment_stats(traj, tuple(window)).to_dict()
+        fields["stats"] = compartment_stats(traj, tuple(window)).to_dict()
     if "phase_plane" in analyses:
-        files = []
         for plane in analyses["phase_plane"]:
             series = phase_plane(traj, plane["axes"],
                                  window=plane["window"],
                                  proportions=plane["proportions"])
             name = "phase_" + "_".join(series.labels) + ".csv"
-            (out / name).write_text(series.to_csv_text())
-            files.append(name)
-        outputs["phase_planes"] = files
+            planes.append((name, series.to_csv_text()))
+        outputs["phase_planes"] = [name for name, _ in planes]
     if "integral_equivalence" in analyses:
         report = verify_integral_equivalence(traj, params,
                                  n_checkpoints=analyses["integral_equivalence"]["checkpoints"])
-        integral_equivalence_dict = report.to_dict()
+        fields["integral_equivalence"] = report.to_dict()
     if "classify" in analyses:
         result = classify_equilibrium(traj, analyses["classify"]["tail_fraction"])
-        classification = result.to_dict()
-    return stats_dict, classification, integral_equivalence_dict, outputs
+        fields["classification"] = result.to_dict()
+    summary = RunSummary(model=config.model, config=config.raw,
+                         r0=_r0_block(config, params), network=network_info,
+                         outputs=outputs, duration_seconds=0.0, **fields)
+    return summary, planes
 
 
 def _r0_block(config: ScenarioConfig, params: PseirsParams | None) -> dict:
@@ -291,19 +330,30 @@ def _r0_block(config: ScenarioConfig, params: PseirsParams | None) -> dict:
     return block
 
 
+def _write_run(out: Path, summary: RunSummary, planes: list, start: float) -> RunSummary:
+    """Write the phase-plane CSVs and, last, summary.json into ``out``."""
+    for name, text in planes:
+        (out / name).write_text(text)
+    summary.duration_seconds = time.perf_counter() - start
+    (out / "summary.json").write_text(_json_text(summary.to_json_dict()))
+    return summary
+
+
 def run_scenario(config: ScenarioConfig, out_dir) -> RunSummary:
     """Simulate one scenario and write trajectory, summary and phase files.
 
-    All validation happens before anything touches the filesystem, so an
-    invalid config produces no files.
+    The solve and every analysis finish before anything touches the
+    filesystem, so a config that fails writes no files.
     """
     start = time.perf_counter()
     graph = None
     network_info = None
     params = config.pseirs_params
+    outputs = {"trajectory": "trajectory.csv"}
     if config.network is not None:
         graph, gamma, network_info = _prepare_network(config)
         params = dataclasses.replace(params, gamma=gamma)
+        outputs["network"] = ["edges.txt", "graph.json"]
 
     if config.model == "sir":
         step = config.step if config.step is not None else 0.01
@@ -312,27 +362,15 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunSummary:
     else:
         traj = simulate_pseirs(params, config.history, config.horizon,
                                config.step)
+    summary, planes = _run_analyses(config, traj, params, network_info, outputs)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "trajectory.csv")
-    outputs = {"trajectory": "trajectory.csv"}
     if graph is not None:
         (out / "edges.txt").write_text(edge_list_text(graph))
         (out / "graph.json").write_text(_json_text(graph_to_dict(graph)))
-        outputs["network"] = ["edges.txt", "graph.json"]
-
-    stats_dict, classification, integral_equivalence_dict, extra = _run_analyses(
-        config, traj, params, out)
-    outputs.update(extra)
-    summary = RunSummary(model=config.model, config=config.raw,
-                         r0=_r0_block(config, params), stats=stats_dict,
-                         classification=classification,
-                         integral_equivalence=integral_equivalence_dict, network=network_info,
-                         outputs=outputs,
-                         duration_seconds=time.perf_counter() - start)
-    (out / "summary.json").write_text(_json_text(summary.to_json_dict()))
-    return summary
+    return _write_run(out, summary, planes, start)
 
 
 def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> RunSummary:
@@ -341,6 +379,7 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> RunSummar
     The config supplies the parameters and history needed to resolve
     delayed lookups; derivative samples are recomputed, so interpolating
     analyses (integral_equivalence among them) match the original run.
+    Nothing is written unless the trajectory and every analysis are valid.
     """
     start = time.perf_counter()
     times, states, labels = read_trajectory_csv(trajectory_csv)
@@ -361,21 +400,12 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> RunSummar
         _require(labels == ("S", "E", "I", "R"), "trajectory", labels,
                  "S, E, I, R columns for a pseirs config")
         traj = reconstruct_trajectory(params, config.history, times, states)
+    summary, planes = _run_analyses(config, traj, params, network_info,
+                                    {"trajectory": str(trajectory_csv)})
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stats_dict, classification, integral_equivalence_dict, extra = _run_analyses(
-        config, traj, params, out)
-    outputs = {"trajectory": str(trajectory_csv)}
-    outputs.update(extra)
-    summary = RunSummary(model=config.model, config=config.raw,
-                         r0=_r0_block(config, params), stats=stats_dict,
-                         classification=classification,
-                         integral_equivalence=integral_equivalence_dict, network=network_info,
-                         outputs=outputs,
-                         duration_seconds=time.perf_counter() - start)
-    (out / "summary.json").write_text(_json_text(summary.to_json_dict()))
-    return summary
+    return _write_run(out, summary, planes, start)
 
 
 def _resolve_path(raw: dict, dotted: str):

@@ -15,6 +15,20 @@ from .core import Trajectory, _require
 from .errors import EmptyWindow, GridMismatch
 
 
+# rows per formatted block: bounds the temporary floats and strings
+CSV_BLOCK_ROWS = 1024
+
+
+def csv_row_blocks(table):
+    """The CSV lines of a 2-D table, in blocks of CSV_BLOCK_ROWS rows; each
+    value is ``repr(float(v))``, its shortest round-trip text."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        block = table[start:start + CSV_BLOCK_ROWS]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
 @dataclass(frozen=True)
 class StatsTable:
     window: tuple[float, float]
@@ -35,10 +49,7 @@ class PhasePlaneSeries:
     points: np.ndarray
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.labels)]
-        for row in self.points:
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        return ",".join(self.labels) + "\n" + "".join(csv_row_blocks(self.points))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pseirs.cli import main
-from pseirs.errors import InvalidParameter
+from pseirs.errors import InvalidParameter, TrajectoryTooShort
 from pseirs.scenario import (ScenarioConfig, read_trajectory_csv, run_scenario,
                              sweep_scenario, write_trajectory_csv)
 
@@ -14,6 +14,15 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def load_config(name):
     return json.loads((CONFIG_DIR / name).read_text())
+
+
+def set_path(raw, dotted, value):
+    """Set a dotted config path; integer parts index lists."""
+    *parents, leaf = [int(k) if k.isdigit() else k for k in dotted.split(".")]
+    node = raw
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
 
 
 def test_shipped_configs_parse():
@@ -67,16 +76,40 @@ def test_network_scenario(tmp_path):
 
 
 def test_invalid_config_writes_nothing(tmp_path):
-    raw = load_config("seirs_baseline.json")
-    raw["params"]["p"] = 2.0
-    with pytest.raises(InvalidParameter):
-        run_scenario(ScenarioConfig.from_dict(raw), tmp_path / "run")
-    assert not (tmp_path / "run").exists()
+    # the first fails to parse; the second solves, then fails in the analyses
+    for path, value, error in [("params.p", 2.0, InvalidParameter),
+                               ("horizon", 20, TrajectoryTooShort)]:
+        raw = load_config("seirs_baseline.json")
+        set_path(raw, path, value)
+        with pytest.raises(error):
+            run_scenario(ScenarioConfig.from_dict(raw), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
 
 def test_unknown_keys_rejected():
     raw = load_config("seirs_baseline.json")
     raw["extra"] = 1
+    with pytest.raises(InvalidParameter):
+        ScenarioConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("analyses.stats", 5),
+    ("analyses.stats", {"window": "ab"}),
+    ("analyses.classify.tail_fraction", "x"),
+    ("analyses.classify.tail", 0.1),
+    ("analyses.integral_equivalence.checkpoints", "many"),
+    ("analyses.integral_equivalence.checkpoints", 2.5),
+    ("history.s", "abc"),
+    ("analyses.phase_plane.0.axes", "SI"),
+    ("analyses.phase_plane.0.proportions", "no"),
+    ("analyses.phase_plane.0", ["S", "I"]),
+    ("analyses.threshold", "no"),
+    ("network", {"n": 50.5, "m0": 3, "m": 2, "seed": 7, "per_contact_prob": 0.077}),
+])
+def test_config_types_checked_at_parse(path, value):
+    raw = load_config("seirs_baseline.json")
+    set_path(raw, path, value)
     with pytest.raises(InvalidParameter):
         ScenarioConfig.from_dict(raw)
 
@@ -188,6 +221,23 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["type"] == "InvalidParameter"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("rows", [
+        ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,0.0,7.0"],
+        ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,x,7.0,0.0,70.0"],
+        ["0.0,63.0,0.0,7.0,0.0", "0.0075,63.0,0.0,7.0,0.0"],
+        [],
+    ], ids=["ragged_row", "non_numeric_cell", "too_few_columns", "no_samples"])
+    def test_analyze_malformed_trajectory(self, tmp_path, capsys, rows):
+        csv = tmp_path / "trajectory.csv"
+        csv.write_text("\n".join(["t,S,E,I,R,N", *rows]) + "\n")
+        code = main(["analyze", "--config",
+                     str(CONFIG_DIR / "seirs_baseline.json"),
+                     "--trajectory", str(csv), "--out", str(tmp_path / "re")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["type"] == "InvalidParameter"
+        assert not (tmp_path / "re").exists()
 
     def test_sweep_cli(self, tmp_path):
         code = main(["sweep", "--config",
