@@ -78,23 +78,16 @@ def pseirs_derivatives(now: CompartmentState, at_lag_omega: CompartmentState,
         params.p, decay_w, decay_t))
 
 
-def consistent_initial_exposed(history: HistoryFunction, params: PseirsParams,
-                               normalize_by_population: bool = True) -> float:
-    """E(0) integral of the history over [-omega, 0].
-
-    ``normalize_by_population=False`` drops the /N(x) factor; that variant
-    exists only so the cross-check module can demonstrate the mismatch of
-    the unnormalized restatement.
-    """
+def consistent_initial_exposed(history: HistoryFunction,
+                               params: PseirsParams) -> float:
+    """E(0) integral of the history over [-omega, 0]."""
     gamma, mu = params.gamma, params.mu
 
     def f(x):
         s, e, i, r = history.raw_at(x)
         if s == 0.0 or i == 0.0 or gamma == 0.0:
             return 0.0
-        if normalize_by_population:
-            return gamma * (s / (s + e + i + r)) * i * math.exp(mu * x)
-        return gamma * s * i * math.exp(mu * x)
+        return gamma * (s / (s + e + i + r)) * i * math.exp(mu * x)
 
     return adaptive_simpson(f, -params.omega, 0.0)
 
@@ -164,6 +157,62 @@ def default_step(params: PseirsParams) -> float:
     return min(params.omega, params.tau, 1.0) / 20.0
 
 
+def _delayed_rows(params: PseirsParams, history: HistoryFunction, h: float,
+                  Ss: list, Es: list, Is: list, Rs: list):
+    """Lookup-and-derivative core of the solver and of reconstruction, over
+    state columns sampled every ``h`` from t=0 (the solver appends to them).
+
+    Returns ``(rates, past, past_left, derivative_at, derivs)``: the rate
+    constants in ``_pseirs_rhs`` order, the lagged-state lookups, a
+    ``derivative_at(k, s, e, i, r)`` that evaluates the rows at t = k*h and
+    appends them to ``derivs``, and those four derivative columns.
+    """
+    beta, mu, eps = params.beta, params.mu, params.epsilon
+    alpha, gamma, p = params.alpha, params.gamma, params.p
+    om, tau = params.omega, params.tau
+    decay_w = math.exp(-mu * om)
+    decay_t = math.exp(-mu * tau)
+
+    hist_raw = history.raw_at
+    if isinstance(history, ConstantHistory):
+        const_row = hist_raw(0.0)
+        hist_raw = lambda x: const_row  # noqa: E731 - hot path
+
+    dSs, dEs, dIs, dRs = [], [], [], []
+    snap = 1e-9 * h  # stage times t-lag can miss the t=0 boundary by ~1 ulp
+
+    def past(x):
+        if x < snap:
+            if x < -snap:
+                return hist_raw(x)
+            x = 0.0
+        # both callers keep every lag >= 4 steps, so rows j and j+1 and
+        # their derivatives are already computed: no clamp is needed
+        j = int(x / h)
+        return _interp4(j, (x - j * h) / h, h, Ss, Es, Is, Rs,
+                        dSs, dEs, dIs, dRs)
+
+    def past_left(x):
+        # Right-endpoint stages integrate the branch left of any breaking
+        # point, so a lookup landing on t=0 must see the history (E and R
+        # may jump there under consistent initialization).
+        if x <= snap:
+            return hist_raw(min(x, 0.0))
+        return past(x)
+
+    def derivative_at(k, s, e, i, r):
+        t = k * h
+        lw = past(t - om)
+        lt = past(t - tau)
+        d = _pseirs_rhs(s, e, i, r, lw[0], lw[1], lw[2], lw[3], lt[2],
+                        beta, mu, eps, alpha, gamma, p, decay_w, decay_t)
+        dSs.append(d[0]); dEs.append(d[1]); dIs.append(d[2]); dRs.append(d[3])
+        return d
+
+    rates = (beta, mu, eps, alpha, gamma, p, decay_w, decay_t)
+    return rates, past, past_left, derivative_at, (dSs, dEs, dIs, dRs)
+
+
 def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
                     horizon: float, step: float | None = None, *,
                     e0: float | None = None,
@@ -193,59 +242,24 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     e_init = consistent_initial_exposed(history, params) if e0 is None else float(e0)
     r_init = consistent_initial_recovered(history, params) if r0 is None else float(r0)
     s0_t = history.raw_at(0.0)
-    s_cur, i_cur = s0_t[0], s0_t[2]
-    n0 = s_cur + e_init + i_cur + r_init
+    s, e, i, r = s0_t[0], e_init, s0_t[2], r_init
+    n0 = s + e + i + r
     if n0 <= 0.0:
         raise ZeroPopulation("initial population is zero")
     floor = -1e-9 * n0
 
-    beta, mu, eps = params.beta, params.mu, params.epsilon
-    alpha, gamma, p = params.alpha, params.gamma, params.p
+    Ss, Es, Is, Rs = [s], [e], [i], [r]
+    rates, past, past_left, derivative_at, derivs = _delayed_rows(
+        params, history, h, Ss, Es, Is, Rs)
+    beta, mu, eps, alpha, gamma, p, decay_w, decay_t = rates
     om, tau = params.omega, params.tau
-    decay_w = math.exp(-mu * om)
-    decay_t = math.exp(-mu * tau)
-
-    hist_raw = history.raw_at
-    if isinstance(history, ConstantHistory):
-        const_row = hist_raw(0.0)
-        hist_raw = lambda x: const_row  # noqa: E731 - hot path
-
-    Ss, Es, Is, Rs = [s_cur], [e_init], [i_cur], [r_init]
-    dSs, dEs, dIs, dRs = [], [], [], []
-    snap = 1e-9 * h  # stage times t-lag can miss the t=0 boundary by ~1 ulp
-
-    def past(x):
-        if x < snap:
-            if x < -snap:
-                return hist_raw(x)
-            x = 0.0
-        j = int(x / h)
-        jm = len(Ss) - 2
-        if j > jm:
-            j = jm
-        return _interp4(j, (x - j * h) / h, h, Ss, Es, Is, Rs,
-                        dSs, dEs, dIs, dRs)
-
-    def past_left(x):
-        # Right-endpoint stages integrate the branch left of any breaking
-        # point, so a lookup landing on t=0 must see the history (E and R
-        # may jump there under consistent initialization).
-        if x <= snap:
-            return hist_raw(min(x, 0.0))
-        return past(x)
-
     rhs = _pseirs_rhs
     n_steps = int(math.ceil(horizon / h - 1e-12))
-    s, e, i, r = s_cur, e_init, i_cur, r_init
     hh = 0.5 * h
     h6 = h / 6.0
     for k in range(n_steps):
         t = k * h
-        lw = past(t - om)
-        lt = past(t - tau)
-        d1 = rhs(s, e, i, r, lw[0], lw[1], lw[2], lw[3], lt[2],
-                 beta, mu, eps, alpha, gamma, p, decay_w, decay_t)
-        dSs.append(d1[0]); dEs.append(d1[1]); dIs.append(d1[2]); dRs.append(d1[3])
+        d1 = derivative_at(k, s, e, i, r)
         tm = t + hh
         lw2 = past(tm - om)
         lt2 = past(tm - tau)
@@ -269,17 +283,12 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
             raise StepTooLarge(
                 f"compartment below {floor} at t={(k + 1) * h}; reduce the step")
         Ss.append(s); Es.append(e); Is.append(i); Rs.append(r)
-    tn = n_steps * h
-    lw = past(tn - om)
-    lt = past(tn - tau)
-    dlast = rhs(s, e, i, r, lw[0], lw[1], lw[2], lw[3], lt[2],
-                beta, mu, eps, alpha, gamma, p, decay_w, decay_t)
-    dSs.append(dlast[0]); dEs.append(dlast[1]); dIs.append(dlast[2]); dRs.append(dlast[3])
+    derivative_at(n_steps, s, e, i, r)
 
     times = np.arange(n_steps + 1, dtype=float) * h
     return Trajectory(times=times,
                       states=np.column_stack([Ss, Es, Is, Rs]),
-                      derivs=np.column_stack([dSs, dEs, dIs, dRs]),
+                      derivs=np.column_stack(derivs),
                       step=h, labels=PSEIRS_LABELS, history=history,
                       kappa=kap, init_override=override)
 
@@ -304,49 +313,15 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     _require(h > 0 and h <= min(params.omega, params.tau) / 4.0, "step", h,
              "0 < step <= min(omega, tau)/4")
 
-    beta, mu, eps = params.beta, params.mu, params.epsilon
-    alpha, gamma, p = params.alpha, params.gamma, params.p
-    om, tau = params.omega, params.tau
-    decay_w = math.exp(-mu * om)
-    decay_t = math.exp(-mu * tau)
-    hist_raw = history.raw_at
-    if isinstance(history, ConstantHistory):
-        const_row = hist_raw(0.0)
-        hist_raw = lambda x: const_row  # noqa: E731
-
-    Ss = states[:, 0].tolist()
-    Es = states[:, 1].tolist()
-    Is = states[:, 2].tolist()
-    Rs = states[:, 3].tolist()
-    dSs, dEs, dIs, dRs = [], [], [], []
-    snap = 1e-9 * h  # same boundary snapping as the solver's lookups
-
-    def past(x):
-        if x < snap:
-            if x < -snap:
-                return hist_raw(x)
-            x = 0.0
-        j = int(x / h)
-        jm = len(dSs) - 2
-        if j > jm:
-            j = jm
-        return _interp4(j, (x - j * h) / h, h, Ss, Es, Is, Rs,
-                        dSs, dEs, dIs, dRs)
-
-    for k in range(len(times)):
-        t = k * h
-        lw = past(t - om)
-        lt = past(t - tau)
-        d = _pseirs_rhs(Ss[k], Es[k], Is[k], Rs[k],
-                    lw[0], lw[1], lw[2], lw[3], lt[2],
-                    beta, mu, eps, alpha, gamma, p, decay_w, decay_t)
-        dSs.append(d[0]); dEs.append(d[1]); dIs.append(d[2]); dRs.append(d[3])
+    Ss, Es, Is, Rs = states.T.tolist()
+    *_, derivative_at, derivs = _delayed_rows(params, history, h, Ss, Es, Is, Rs)
+    for k in range(len(Ss)):
+        derivative_at(k, Ss[k], Es[k], Is[k], Rs[k])
 
     e_consistent = consistent_initial_exposed(history, params)
     r_consistent = consistent_initial_recovered(history, params)
     override = not (Es[0] == e_consistent and Rs[0] == r_consistent)
-
     return Trajectory(times=times, states=states,
-                      derivs=np.column_stack([dSs, dEs, dIs, dRs]),
+                      derivs=np.column_stack(derivs),
                       step=h, labels=PSEIRS_LABELS, history=history,
                       kappa=kappa(params), init_override=override)

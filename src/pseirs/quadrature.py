@@ -9,8 +9,8 @@ from .errors import InvalidParameter
 # Doubling stops once two successive estimates agree to this relative
 # tolerance, keeping quadrature error well below the 1e-4 acceptance
 # thresholds of the equivalence checks.
-DEFAULT_REL_TOL = 1e-6
-DEFAULT_INITIAL_PANELS = 128
+REL_TOL = 1e-6
+INITIAL_PANELS = 128
 MAX_PANELS = 1 << 21
 
 
@@ -34,23 +34,20 @@ def composite_simpson(f: Callable[[float], float], a: float, b: float,
     return (total + 4.0 * odd + 2.0 * even) * (h / 3.0)
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     initial_panels: int = DEFAULT_INITIAL_PANELS,
-                     rel_tol: float = DEFAULT_REL_TOL,
-                     max_panels: int = MAX_PANELS) -> float:
-    """Composite Simpson, doubling the panel count until two successive
-    estimates differ by less than ``rel_tol`` relative (identically-zero
-    integrands converge immediately to exactly 0.0)."""
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
+    """Composite Simpson from INITIAL_PANELS panels, doubling the count until
+    two successive estimates differ by at most REL_TOL relative or it reaches
+    MAX_PANELS (identically-zero integrands converge immediately to 0.0)."""
     if a == b:
         return 0.0
-    prev = composite_simpson(f, a, b, initial_panels)
-    n = initial_panels
-    while n < max_panels:
+    prev = composite_simpson(f, a, b, INITIAL_PANELS)
+    n = INITIAL_PANELS
+    while n < MAX_PANELS:
         n *= 2
         cur = composite_simpson(f, a, b, n)
         if cur == 0.0 and prev == 0.0:
             return 0.0
-        if abs(cur - prev) <= rel_tol * abs(cur):
+        if abs(cur - prev) <= REL_TOL * abs(cur):
             return cur
         prev = cur
     return prev

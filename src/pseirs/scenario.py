@@ -248,7 +248,7 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 def read_trajectory_csv(path: Path):
     """(times, states, labels); a trailing N column is dropped (recomputed).
-    Every row must hold one number per header column."""
+    Every row must hold one finite number per header column."""
     try:
         with open(path) as f, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows: checked below
@@ -260,6 +260,8 @@ def read_trajectory_csv(path: Path):
     _require(len(body) >= 2, "trajectory", str(path), "header plus >= 2 samples")
     _require(body.shape[1] == len(header), "trajectory", header,
              f"one header name per column ({body.shape[1]} in each row)")
+    _require(bool(np.isfinite(body).all()), "trajectory", str(path),
+             "finite numbers only (no nan or inf)")
     labels = tuple(header[1:-1] if header[-1] == "N" else header[1:])
     return body[:, 0].copy(), body[:, 1:1 + len(labels)].copy(), labels
 
@@ -401,7 +403,7 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> RunSummar
                  "S, E, I, R columns for a pseirs config")
         traj = reconstruct_trajectory(params, config.history, times, states)
     summary, planes = _run_analyses(config, traj, params, network_info,
-                                    {"trajectory": str(trajectory_csv)})
+                                    {"trajectory": Path(trajectory_csv).name})
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -50,32 +50,25 @@ class StabilityClass(Enum):
     MARGINAL = "marginal"
 
 
-def stability_probe(params: PseirsParams, horizon: float | None = None,
-                    step: float | None = None) -> StabilityClass:
+def stability_probe(params: PseirsParams) -> StabilityClass:
     """Numerical oracle for the linearized threshold.
 
     Integrates the scalar linear delay equation
 
         dI/dt = gamma*exp(-mu*omega) * I(t-omega) - (mu+epsilon+alpha) * I(t)
 
-    from the constant history I = 1 and classifies by the sign of the
-    exponential rate fitted over the final half of the run.  Rates smaller
-    than 1e-3*(mu+epsilon+alpha) in magnitude count as marginal.
+    from the constant history I = 1 over 20*max(omega, 1/b), with step
+    min(omega, 1/b)/20 where b = mu+epsilon+alpha, and classifies by the
+    sign of the exponential rate fitted over the final half of the run.
+    Rates smaller than 1e-3*b in magnitude count as marginal.
     """
     validate_pseirs(params)
     a = params.gamma * math.exp(-params.mu * params.omega)
     b = params.mu + params.epsilon + params.alpha
     _require(b > 0, "mu+epsilon+alpha", b, "mu + epsilon + alpha > 0")
     om = params.omega
-    tscale = max(om, 1.0 / b)
-    if horizon is None:
-        horizon = 20.0 * tscale
-    _require(horizon >= 10.0 * tscale, "horizon", horizon,
-             "horizon >= 10*max(omega, 1/(mu+epsilon+alpha))")
-    if step is None:
-        step = min(om, 1.0 / b) / 20.0
-    h = float(step)
-    _require(0.0 < h <= om / 4.0, "step", h, "0 < step <= omega/4")
+    horizon = 20.0 * max(om, 1.0 / b)
+    h = min(om, 1.0 / b) / 20.0
 
     ys = [1.0]
     ds = []

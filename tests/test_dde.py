@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseirs import (CompartmentState, ConstantHistory, InvalidParameter,
-                    OutOfDomain, PseirsParams, StepTooLarge, Trajectory,
-                    ZeroPopulation, consistent_initial_exposed,
+                    OutOfDomain, PseirsParams, SampledHistory, StepTooLarge,
+                    Trajectory, ZeroPopulation, consistent_initial_exposed,
                     consistent_initial_recovered, history_eval,
                     pseirs_derivatives, reconstruct_trajectory, simulate_pseirs)
+from pseirs.dde import _interp4, _pseirs_rhs, default_step
 from pseirs.presets import baseline_history, baseline_pseirs
 
 # frozen hand evaluations of the derivative rows at the baseline point
@@ -270,3 +273,143 @@ class TestReconstruct:
         rebuilt = reconstruct_trajectory(canonical_params, canonical_history,
                                          traj.times, traj.states)
         assert rebuilt.init_override
+
+
+# The solver and reconstruction loops as they were written before they
+# shared one lookup-and-derivative core, kept as the reference: every state
+# and derivative bit of the library must match them.
+
+def _reference_lookups(params, history, h, Ss, Es, Is, Rs, dSs, dEs, dIs, dRs,
+                       clamp_to):
+    hist_raw = history.raw_at
+    if isinstance(history, ConstantHistory):
+        const_row = hist_raw(0.0)
+        hist_raw = lambda x: const_row  # noqa: E731
+    snap = 1e-9 * h
+
+    def past(x):
+        if x < snap:
+            if x < -snap:
+                return hist_raw(x)
+            x = 0.0
+        j = int(x / h)
+        jm = len(clamp_to) - 2
+        if j > jm:
+            j = jm
+        return _interp4(j, (x - j * h) / h, h, Ss, Es, Is, Rs,
+                        dSs, dEs, dIs, dRs)
+
+    def past_left(x):
+        if x <= snap:
+            return hist_raw(min(x, 0.0))
+        return past(x)
+
+    return past, past_left
+
+
+def _reference_rates(params):
+    return (params.beta, params.mu, params.epsilon, params.alpha, params.gamma,
+            params.p, math.exp(-params.mu * params.omega),
+            math.exp(-params.mu * params.tau))
+
+
+def reference_simulate(params, history, horizon, step=None, e0=None, r0=None):
+    h = float(step if step is not None else default_step(params))
+    e_init = consistent_initial_exposed(history, params) if e0 is None else float(e0)
+    r_init = consistent_initial_recovered(history, params) if r0 is None else float(r0)
+    s0_t = history.raw_at(0.0)
+    Ss, Es, Is, Rs = [s0_t[0]], [e_init], [s0_t[2]], [r_init]
+    dSs, dEs, dIs, dRs = [], [], [], []
+    past, past_left = _reference_lookups(params, history, h, Ss, Es, Is, Rs,
+                                         dSs, dEs, dIs, dRs, clamp_to=Ss)
+    rates = _reference_rates(params)
+    om, tau = params.omega, params.tau
+    n_steps = int(math.ceil(horizon / h - 1e-12))
+    s, e, i, r = Ss[0], Es[0], Is[0], Rs[0]
+    hh = 0.5 * h
+    h6 = h / 6.0
+    for k in range(n_steps):
+        t = k * h
+        lw = past(t - om)
+        lt = past(t - tau)
+        d1 = _pseirs_rhs(s, e, i, r, lw[0], lw[1], lw[2], lw[3], lt[2], *rates)
+        dSs.append(d1[0]); dEs.append(d1[1]); dIs.append(d1[2]); dRs.append(d1[3])
+        tm = t + hh
+        lw2 = past(tm - om)
+        lt2 = past(tm - tau)
+        d2 = _pseirs_rhs(s + hh * d1[0], e + hh * d1[1], i + hh * d1[2],
+                         r + hh * d1[3], lw2[0], lw2[1], lw2[2], lw2[3], lt2[2],
+                         *rates)
+        d3 = _pseirs_rhs(s + hh * d2[0], e + hh * d2[1], i + hh * d2[2],
+                         r + hh * d2[3], lw2[0], lw2[1], lw2[2], lw2[3], lt2[2],
+                         *rates)
+        te = t + h
+        lw4 = past_left(te - om)
+        lt4 = past_left(te - tau)
+        d4 = _pseirs_rhs(s + h * d3[0], e + h * d3[1], i + h * d3[2],
+                         r + h * d3[3], lw4[0], lw4[1], lw4[2], lw4[3], lt4[2],
+                         *rates)
+        s += h6 * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
+        e += h6 * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
+        i += h6 * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
+        r += h6 * (d1[3] + 2.0 * d2[3] + 2.0 * d3[3] + d4[3])
+        Ss.append(s); Es.append(e); Is.append(i); Rs.append(r)
+    tn = n_steps * h
+    lw = past(tn - om)
+    lt = past(tn - tau)
+    dlast = _pseirs_rhs(s, e, i, r, lw[0], lw[1], lw[2], lw[3], lt[2], *rates)
+    dSs.append(dlast[0]); dEs.append(dlast[1]); dIs.append(dlast[2]); dRs.append(dlast[3])
+    return (np.column_stack([Ss, Es, Is, Rs]),
+            np.column_stack([dSs, dEs, dIs, dRs]))
+
+
+def reference_reconstruct(params, history, times, states):
+    h = float(times[1] - times[0])
+    Ss, Es, Is, Rs = (states[:, c].tolist() for c in range(4))
+    dSs, dEs, dIs, dRs = [], [], [], []
+    past, _ = _reference_lookups(params, history, h, Ss, Es, Is, Rs,
+                                 dSs, dEs, dIs, dRs, clamp_to=dSs)
+    rates = _reference_rates(params)
+    om, tau = params.omega, params.tau
+    for k in range(len(times)):
+        t = k * h
+        lw = past(t - om)
+        lt = past(t - tau)
+        d = _pseirs_rhs(Ss[k], Es[k], Is[k], Rs[k],
+                        lw[0], lw[1], lw[2], lw[3], lt[2], *rates)
+        dSs.append(d[0]); dEs.append(d[1]); dIs.append(d[2]); dRs.append(d[3])
+    return np.column_stack([dSs, dEs, dIs, dRs])
+
+
+def _sampled_history():
+    times = np.linspace(-30.0, 0.0, 13)
+    wave = np.sin(times / 4.0)
+    states = np.column_stack([63.0 + 2.0 * wave, 0.5 + 0.25 * wave,
+                              7.0 - 1.5 * wave, 3.0 + np.cos(times / 7.0)])
+    return SampledHistory(times, states)
+
+
+# (params, history, step, e0/r0 overrides); every run goes past tau = 30,
+# so both lags read the solver's own samples
+PINNED_RUNS = {
+    "p_1": (baseline_pseirs(), baseline_history(), None, {}),
+    "p_0.4": (baseline_pseirs(p=0.4), baseline_history(), None, {}),
+    "omega_30": (baseline_pseirs(omega=30.0), baseline_history(), None, {}),
+    "e0_r0_override": (baseline_pseirs(), baseline_history(), None,
+                       {"e0": 0.0, "r0": 0.0}),
+    "sampled_history": (baseline_pseirs(), _sampled_history(), None, {}),
+    "off_grid_step": (baseline_pseirs(), baseline_history(), 0.0071, {}),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_solver_bits_match_reference_loops(name):
+    params, hist, step, init = PINNED_RUNS[name]
+    traj = simulate_pseirs(params, hist, 40.0, step, **init)
+    states, derivs = reference_simulate(params, hist, 40.0, step, **init)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.derivs, derivs)
+    rebuilt = reconstruct_trajectory(params, hist, traj.times, traj.states)
+    assert np.array_equal(rebuilt.derivs,
+                          reference_reconstruct(params, hist, traj.times, traj.states))
+    assert np.array_equal(rebuilt.derivs, traj.derivs)

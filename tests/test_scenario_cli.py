@@ -227,7 +227,10 @@ class TestCli:
         ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,x,7.0,0.0,70.0"],
         ["0.0,63.0,0.0,7.0,0.0", "0.0075,63.0,0.0,7.0,0.0"],
         [],
-    ], ids=["ragged_row", "non_numeric_cell", "too_few_columns", "no_samples"])
+        ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,nan,7.0,0.0,70.0"],
+        ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,0.0,inf,0.0,70.0"],
+    ], ids=["ragged_row", "non_numeric_cell", "too_few_columns", "no_samples",
+            "nan_cell", "inf_cell"])
     def test_analyze_malformed_trajectory(self, tmp_path, capsys, rows):
         csv = tmp_path / "trajectory.csv"
         csv.write_text("\n".join(["t,S,E,I,R,N", *rows]) + "\n")
@@ -238,6 +241,24 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["type"] == "InvalidParameter"
         assert not (tmp_path / "re").exists()
+
+    def test_analyze_summary_independent_of_path_spelling(self, tmp_path,
+                                                          monkeypatch):
+        config = str(CONFIG_DIR / "seirs_baseline.json")
+        assert main(["simulate", "--config", config, "--horizon", "40",
+                     "--out", str(tmp_path / "run")]) == 0
+        stored = (tmp_path / "run" / "trajectory.csv").read_bytes()
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "trajectory.csv").write_bytes(stored)
+        monkeypatch.chdir(tmp_path)
+        for name, trajectory in (("a", "a/trajectory.csv"),
+                                 ("b", str(tmp_path / "b" / "trajectory.csv"))):
+            assert main(["analyze", "--config", config, "--horizon", "40",
+                         "--trajectory", trajectory,
+                         "--out", str(tmp_path / name / "re")]) == 0
+        assert ((tmp_path / "a" / "re" / "summary.json").read_bytes()
+                == (tmp_path / "b" / "re" / "summary.json").read_bytes())
 
     def test_sweep_cli(self, tmp_path):
         code = main(["sweep", "--config",

@@ -74,10 +74,6 @@ class TestStabilityProbe:
                 want = StabilityClass.GROWING if r0 > 1 else StabilityClass.DECAYING
                 assert stability_probe(params) is want
 
-    def test_horizon_precondition(self):
-        with pytest.raises(InvalidParameter):
-            stability_probe(baseline_pseirs(), horizon=1.0)
-
 
 def _constant_proportion_trajectory(fractions, n=200.0, horizon=100.0,
                                     kappa=30.0):
