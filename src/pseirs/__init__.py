@@ -12,7 +12,8 @@ from .dde import (DerivativeSample, consistent_initial_exposed,
 from .errors import (EmptyWindow, GridMismatch, InconsistentInit,
                      InsufficientTail, InvalidGraphParams, InvalidParameter,
                      NoPeak, NotEndemic, OutOfDomain, PseirsError,
-                     StepTooLarge, TrajectoryTooShort, ZeroPopulation)
+                     QuadratureNotConverged, StepTooLarge, TrajectoryTooShort,
+                     ZeroPopulation)
 from .integro import EquivalenceReport, exposed_integral, recovered_integral, verify_integral_equivalence
 from .netgen import (DegreeHistogram, Graph, degree_histogram, edge_list_text,
                      gamma_from_graph, generate_ba, graph_to_dict, mean_degree,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .errors import InvalidParameter, PseirsError
@@ -24,6 +25,10 @@ from .scenario import (ScenarioConfig, _json_text, analyze_stored,
 def _load_config(path: str, args) -> dict:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise InvalidParameter("config", type(raw).__name__, "JSON object")
+    if not isinstance(raw.get("out_dir") or "", str):
+        raise InvalidParameter("out_dir", raw["out_dir"], "a directory path")
     if getattr(args, "step", None) is not None:
         raw["step"] = args.step
     if getattr(args, "horizon", None) is not None:
@@ -44,19 +49,24 @@ def _cmd_simulate(args) -> int:
     raw = _load_config(args.config, args)
     config = ScenarioConfig.from_dict(raw)
     out = _out_dir(args, raw)
+    start = time.perf_counter()
     summary = run_scenario(config, out)
-    print(f"wrote {out / 'summary.json'} in {summary.duration_seconds:.3f}s")
+    print(f"wrote {out / 'summary.json'} in {time.perf_counter() - start:.3f}s")
     if config.model == "pseirs":
-        print(f"r0_nominal={summary.r0['nominal']:.6g} "
-              f"r0_linearized={summary.r0['linearized']:.6g}")
-    if summary.classification is not None:
-        print(f"classification: {summary.classification['kind']}")
+        print(f"r0_nominal={summary['r0']['nominal']:.6g} "
+              f"r0_linearized={summary['r0']['linearized']:.6g}")
+    if "classification" in summary:
+        print(f"classification: {summary['classification']['kind']}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     raw = _load_config(args.config, args)
-    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    except ValueError:
+        raise InvalidParameter("values", args.values,
+                               "comma-separated numbers") from None
     out = _out_dir(args, raw)
     results = sweep_scenario(raw, args.param, values, out)
     failures = sum(1 for r in results if r["status"] != "ok")
@@ -85,8 +95,9 @@ def _cmd_analyze(args) -> int:
     raw = _load_config(args.config, args)
     config = ScenarioConfig.from_dict(raw)
     out = _out_dir(args, raw)
-    summary = analyze_stored(config, args.trajectory, out)
-    print(f"wrote {out / 'summary.json'} in {summary.duration_seconds:.3f}s")
+    start = time.perf_counter()
+    analyze_stored(config, args.trajectory, out)
+    print(f"wrote {out / 'summary.json'} in {time.perf_counter() - start:.3f}s")
     return 0
 
 

@@ -20,9 +20,9 @@ supplied history,
     R(0) = int_{-tau}^0   p*alpha*I(x) * exp(mu*x) dx
 
 which is what makes the solution agree with the integro-differential form
-(see the integro module).  Callers may override either value; the
-trajectory then carries an ``init_override`` flag that voids the
-equivalence guarantee.
+(see the integro module, which integrates the same two integrands).
+Callers may override either value; the trajectory then carries an
+``init_override`` flag that voids the equivalence guarantee.
 """
 
 from __future__ import annotations
@@ -78,30 +78,42 @@ def pseirs_derivatives(now: CompartmentState, at_lag_omega: CompartmentState,
         params.p, decay_w, decay_t))
 
 
-def consistent_initial_exposed(history: HistoryFunction,
-                               params: PseirsParams) -> float:
-    """E(0) integral of the history over [-omega, 0]."""
+def _exposed_integrand(at, t: float, params: PseirsParams):
+    """Integrand of E(t) over [t-omega, t], reading states through ``at``;
+    consistent init (t = 0) and the integro module share it."""
     gamma, mu = params.gamma, params.mu
 
     def f(x):
-        s, e, i, r = history.raw_at(x)
+        s, e, i, r = at(x)
         if s == 0.0 or i == 0.0 or gamma == 0.0:
             return 0.0
-        return gamma * (s / (s + e + i + r)) * i * math.exp(mu * x)
+        return gamma * (s / (s + e + i + r)) * i * math.exp(-mu * (t - x))
 
-    return adaptive_simpson(f, -params.omega, 0.0)
+    return f
+
+
+def _recovered_integrand(at, t: float, params: PseirsParams):
+    """Integrand of R(t) over [t-tau, t], shared like the one of E(t)."""
+    p, alpha, mu = params.p, params.alpha, params.mu
+
+    def f(x):
+        return p * alpha * at(x)[2] * math.exp(-mu * (t - x))
+
+    return f
+
+
+def consistent_initial_exposed(history: HistoryFunction,
+                               params: PseirsParams) -> float:
+    """E(0) integral of the history over [-omega, 0]."""
+    return adaptive_simpson(_exposed_integrand(history.raw_at, 0.0, params),
+                            -params.omega, 0.0)
 
 
 def consistent_initial_recovered(history: HistoryFunction,
                                  params: PseirsParams) -> float:
     """R(0) integral of the history over [-tau, 0]."""
-    p, alpha, mu = params.p, params.alpha, params.mu
-
-    def f(x):
-        i = history.raw_at(x)[2]
-        return p * alpha * i * math.exp(mu * x)
-
-    return adaptive_simpson(f, -params.tau, 0.0)
+    return adaptive_simpson(_recovered_integrand(history.raw_at, 0.0, params),
+                            -params.tau, 0.0)
 
 
 def _interp4(j, th, h, S, E, I, R, dS, dE, dI, dR):
@@ -123,7 +135,16 @@ def _interp4(j, th, h, S, E, I, R, dS, dE, dI, dR):
 
 def _eval_raw(traj: Trajectory, t: float) -> tuple[float, float, float, float]:
     """(S, E, I, R) anywhere in [-kappa, horizon]: history on the left,
-    Hermite interpolant (exact at grid points) on the right."""
+    Hermite interpolant of the stored samples on the right.
+
+    Not an exact lookup at grid points: ``int(t / h)`` can pick the cell to
+    the left of a grid time, and the interpolant then misses the stored row
+    by rounding (at 770 of the 40,001 grid points of the baseline run).
+    ``history_eval`` is the exact lookup.  This one does not snap to the
+    grid because the quadrature of the integro module calls it for every
+    integrand evaluation: snapping to the grid made
+    ``verify_integral_equivalence`` 12 to 22% slower (CPython 3.11, 2-core
+    Xeon)."""
     if t < 0.0:
         if traj.history is None or t < -traj.kappa:
             raise OutOfDomain(f"t={t} outside [-{traj.kappa}, {traj.horizon}]")

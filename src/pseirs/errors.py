@@ -44,6 +44,10 @@ class TrajectoryTooShort(PseirsError):
     """Trajectory horizon does not exceed the delay span kappa."""
 
 
+class QuadratureNotConverged(PseirsError):
+    """Adaptive quadrature reached its panel cap without converging."""
+
+
 class EmptyWindow(PseirsError):
     """Requested time window contains no trajectory samples."""
 

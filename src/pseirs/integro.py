@@ -6,20 +6,21 @@ For a consistently initialized run the solution satisfies
     E(t) = int_{t-omega}^t gamma*S(x)*I(x)/N(x) * exp(-mu*(t-x)) dx
     R(t) = int_{t-tau}^t   p*alpha*I(x) * exp(-mu*(t-x)) dx
 
-at every t >= 0.  verify_integral_equivalence evaluates both integrals by composite
-Simpson quadrature at evenly spaced checkpoints and reports the relative
-residuals against the trajectory's own E and R.
+at every t >= 0.  The integrands are the ones the dde module integrates at
+t = 0 for consistent initialization.  verify_integral_equivalence evaluates
+both integrals by adaptive Simpson quadrature at evenly spaced checkpoints
+and reports the relative residuals against the trajectory's own E and R.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import PseirsParams, Trajectory, _require, kappa
-from .dde import _eval_raw
+from .dde import _eval_raw, _exposed_integrand, _recovered_integrand
 from .errors import InconsistentInit, OutOfDomain, TrajectoryTooShort
 from .quadrature import adaptive_simpson
 
@@ -45,39 +46,19 @@ def _check_coverage(traj: Trajectory, t: float, lag: float) -> None:
         raise OutOfDomain(f"trajectory does not cover [{t - lag}, {t}]")
 
 
-def exposed_integral(traj: Trajectory, t: float, params: PseirsParams,
-                     normalize_by_population: bool = True) -> float:
-    """Windowed incidence integral equal to E(t) on consistent runs.
-
-    ``normalize_by_population=False`` drops the /N(x) factor (the
-    unnormalized restatement); it exists solely to demonstrate that the
-    unnormalized form does not match the solver's E.
-    """
-    gamma, mu, omega = params.gamma, params.mu, params.omega
-    _check_coverage(traj, t, omega)
-
-    def f(x):
-        s, e, i, r = _eval_raw(traj, x)
-        if s == 0.0 or i == 0.0 or gamma == 0.0:
-            return 0.0
-        if normalize_by_population:
-            return gamma * (s / (s + e + i + r)) * i * math.exp(-mu * (t - x))
-        return gamma * s * i * math.exp(-mu * (t - x))
-
-    return adaptive_simpson(f, t - omega, t)
+def exposed_integral(traj: Trajectory, t: float, params: PseirsParams) -> float:
+    """Windowed incidence integral equal to E(t) on consistent runs."""
+    _check_coverage(traj, t, params.omega)
+    f = _exposed_integrand(partial(_eval_raw, traj), t, params)
+    return adaptive_simpson(f, t - params.omega, t)
 
 
 def recovered_integral(traj: Trajectory, t: float,
                        params: PseirsParams) -> float:
     """Windowed recovery integral equal to R(t) on consistent runs."""
-    p, alpha, mu, tau = params.p, params.alpha, params.mu, params.tau
-    _check_coverage(traj, t, tau)
-
-    def f(x):
-        i = _eval_raw(traj, x)[2]
-        return p * alpha * i * math.exp(-mu * (t - x))
-
-    return adaptive_simpson(f, t - tau, t)
+    _check_coverage(traj, t, params.tau)
+    f = _recovered_integrand(partial(_eval_raw, traj), t, params)
+    return adaptive_simpson(f, t - params.tau, t)
 
 
 def _relative_residual(a: float, b: float) -> float:
@@ -88,8 +69,7 @@ def _relative_residual(a: float, b: float) -> float:
 
 
 def verify_integral_equivalence(traj: Trajectory, params: PseirsParams,
-                    n_checkpoints: int = 20,
-                    normalize_by_population: bool = True) -> EquivalenceReport:
+                    n_checkpoints: int = 20) -> EquivalenceReport:
     """Compare both integral forms against the trajectory's E and R at
     ``n_checkpoints`` evenly spaced times in [kappa, horizon].
 
@@ -113,7 +93,7 @@ def verify_integral_equivalence(traj: Trajectory, params: PseirsParams,
         t = float(t)
         state = _eval_raw(traj, t)
         e_res[idx] = _relative_residual(
-            exposed_integral(traj, t, params, normalize_by_population), state[1])
+            exposed_integral(traj, t, params), state[1])
         r_res[idx] = _relative_residual(
             recovered_integral(traj, t, params), state[3])
     return EquivalenceReport(times=times, e_residuals=e_res, r_residuals=r_res,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, QuadratureNotConverged
 
 # Doubling stops once two successive estimates agree to this relative
 # tolerance, keeping quadrature error well below the 1e-4 acceptance
@@ -36,8 +36,9 @@ def composite_simpson(f: Callable[[float], float], a: float, b: float,
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     """Composite Simpson from INITIAL_PANELS panels, doubling the count until
-    two successive estimates differ by at most REL_TOL relative or it reaches
-    MAX_PANELS (identically-zero integrands converge immediately to 0.0)."""
+    two successive estimates differ by at most REL_TOL relative
+    (identically-zero integrands converge immediately to 0.0).  Raises
+    QuadratureNotConverged when they still differ at MAX_PANELS panels."""
     if a == b:
         return 0.0
     prev = composite_simpson(f, a, b, INITIAL_PANELS)
@@ -50,4 +51,6 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
         if abs(cur - prev) <= REL_TOL * abs(cur):
             return cur
         prev = cur
-    return prev
+    raise QuadratureNotConverged(
+        f"Simpson estimates over [{a}, {b}] still differ by more than "
+        f"{REL_TOL} relative at {MAX_PANELS} panels")

@@ -3,9 +3,9 @@ requested simulation and analyses, and write deterministic output files.
 
 Outputs per run: ``trajectory.csv`` (full round-trip decimal precision),
 ``summary.json`` (config echo plus one entry per requested analysis) and
-one CSV per requested phase-plane projection.  Wall-clock duration is
-reported on the returned summary object but never written to files, so
-re-running a config byte-reproduces every output.
+one CSV per requested phase-plane projection.  Runs return the
+``summary.json`` document as a dict; no wall-clock time goes into it or any
+other file, so re-running a config byte-reproduces every output.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 
 from .core import (CompartmentState, ConstantHistory, HistoryFunction,
                    PseirsParams, SirParams, SirState, Trajectory, _require)
-from .dde import reconstruct_trajectory, simulate_pseirs
+from .dde import default_step, reconstruct_trajectory, simulate_pseirs
 from .errors import InvalidParameter, PseirsError
 from .integro import verify_integral_equivalence
 from .netgen import (degree_histogram, edge_list_text, gamma_from_graph,
@@ -51,17 +50,16 @@ _ANALYSIS_KEYS = {"stats", "phase_plane", "integral_equivalence", "threshold", "
 
 @dataclass
 class ScenarioConfig:
+    """``params``/``init``: SirParams/SirState or PseirsParams/history."""
+
     raw: dict
     model: str
     horizon: float
-    step: float | None
-    sir_params: SirParams | None
-    sir_init: SirState | None
-    pseirs_params: PseirsParams | None
-    history: HistoryFunction | None
+    step: float
+    params: SirParams | PseirsParams
+    init: SirState | HistoryFunction
     analyses: dict
     network: dict | None
-    out_dir: str | None
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
@@ -79,12 +77,11 @@ class ScenarioConfig:
             step = _number(raw["step"], "step")
             _require(step > 0, "step", step, "step > 0")
 
-        sir_params = sir_init = pseirs_params = history = None
         if model == "sir":
             p = _block(raw, "params", {"beta", "alpha"})
-            sir_params = SirParams(beta=p["beta"], alpha=p["alpha"])
+            params = SirParams(beta=p["beta"], alpha=p["alpha"])
             init = _block(raw, "init", {"s", "i", "r"})
-            sir_init = SirState(s=init["s"], i=init["i"], r=init["r"])
+            init = SirState(s=init["s"], i=init["i"], r=init["r"])
             _require("history" not in raw, "history", None,
                      "history only valid for the pseirs model")
             _require("network" not in raw, "network", None,
@@ -92,7 +89,7 @@ class ScenarioConfig:
         else:
             p = _block(raw, "params",
                        {"beta", "mu", "epsilon", "alpha", "gamma", "omega", "tau", "p"})
-            pseirs_params = PseirsParams(**p)
+            params = PseirsParams(**p)
             hist = raw.get("history")
             _require(isinstance(hist, dict), "history", hist,
                      "history block required for pseirs")
@@ -100,10 +97,12 @@ class ScenarioConfig:
                      hist.get("kind"), "'constant' (the only configurable kind)")
             extra = set(hist) - {"kind", "s", "e", "i", "r"}
             _require(not extra, "history", sorted(extra), "unknown keys")
-            history = ConstantHistory(CompartmentState(
+            init = ConstantHistory(CompartmentState(
                 *(_number(hist.get(k, 0.0), f"history.{k}") for k in "seir")))
             _require("init" not in raw, "init", None,
                      "init only valid for the sir model")
+        if step is None:
+            step = 0.01 if model == "sir" else default_step(params)
 
         analyses = _parse_analyses(raw.get("analyses", {}), model)
         network = None
@@ -111,11 +110,9 @@ class ScenarioConfig:
             net = _block(raw, "network", {"n", "m0", "m", "seed", "per_contact_prob"})
             network = {k: _integer(net[k], f"network.{k}") for k in ("n", "m0", "m", "seed")}
             network["per_contact_prob"] = float(net["per_contact_prob"])
-        out_dir = raw.get("out_dir")
         return ScenarioConfig(raw=raw, model=model, horizon=horizon, step=step,
-                              sir_params=sir_params, sir_init=sir_init,
-                              pseirs_params=pseirs_params, history=history,
-                              analyses=analyses, network=network, out_dir=out_dir)
+                              params=params, init=init, analyses=analyses,
+                              network=network)
 
 
 def _is_number(val) -> bool:
@@ -206,34 +203,6 @@ def _parse_analyses(block, model: str) -> dict:
     return out
 
 
-@dataclass
-class RunSummary:
-    model: str
-    config: dict
-    r0: dict
-    stats: dict | None
-    classification: dict | None
-    integral_equivalence: dict | None
-    network: dict | None
-    outputs: dict
-    duration_seconds: float
-
-    def to_json_dict(self) -> dict:
-        # wall-clock duration is intentionally absent: output files must be
-        # byte-identical across repeated runs
-        out = {"schema": SCHEMA_VERSION, "model": self.model,
-               "config": self.config, "r0": self.r0, "outputs": self.outputs}
-        if self.stats is not None:
-            out["stats"] = self.stats
-        if self.classification is not None:
-            out["classification"] = self.classification
-        if self.integral_equivalence is not None:
-            out["integral_equivalence"] = self.integral_equivalence
-        if self.network is not None:
-            out["network"] = self.network
-        return out
-
-
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """``t``, the states and, for four compartments, ``N = ((S+E)+I)+R``."""
     header = ["t", *traj.labels]
@@ -271,6 +240,7 @@ def _json_text(obj) -> str:
 
 
 def _prepare_network(config: ScenarioConfig):
+    """(graph, params with the graph's gamma, summary network block)"""
     net = config.network
     graph = generate_ba(net["n"], net["m0"], net["m"], net["seed"])
     md = mean_degree(graph)
@@ -283,24 +253,24 @@ def _prepare_network(config: ScenarioConfig):
             "per_contact_prob": net["per_contact_prob"],
             "edge_count": len(graph.edges), "mean_degree": md,
             "derived_gamma": gamma, "powerlaw_exponent": exponent}
-    return graph, gamma, info
+    return graph, dataclasses.replace(config.params, gamma=gamma), info
 
 
-def _run_analyses(config: ScenarioConfig, traj: Trajectory,
-                  params: PseirsParams | None, network_info: dict | None,
-                  outputs: dict):
+def _run_analyses(config: ScenarioConfig, traj: Trajectory, params,
+                  network_info: dict | None, outputs: dict):
     """Run the requested analyses and the r0 block without writing a file.
 
-    Returns the summary, its duration still unset, and the phase-plane
-    CSV texts as (file name, text) pairs."""
+    Returns the summary.json document and the phase-plane CSV texts as
+    (file name, text) pairs."""
     analyses = config.analyses
-    fields = {"stats": None, "classification": None, "integral_equivalence": None}
+    summary = {"schema": SCHEMA_VERSION, "model": config.model,
+               "config": config.raw, "outputs": outputs}
     planes = []
     if "stats" in analyses:
         window = analyses["stats"]["window"]
         if window is None:
             window = (0.0, traj.horizon)
-        fields["stats"] = compartment_stats(traj, tuple(window)).to_dict()
+        summary["stats"] = compartment_stats(traj, tuple(window)).to_dict()
     if "phase_plane" in analyses:
         for plane in analyses["phase_plane"]:
             series = phase_plane(traj, plane["axes"],
@@ -312,19 +282,19 @@ def _run_analyses(config: ScenarioConfig, traj: Trajectory,
     if "integral_equivalence" in analyses:
         report = verify_integral_equivalence(traj, params,
                                  n_checkpoints=analyses["integral_equivalence"]["checkpoints"])
-        fields["integral_equivalence"] = report.to_dict()
+        summary["integral_equivalence"] = report.to_dict()
     if "classify" in analyses:
         result = classify_equilibrium(traj, analyses["classify"]["tail_fraction"])
-        fields["classification"] = result.to_dict()
-    summary = RunSummary(model=config.model, config=config.raw,
-                         r0=_r0_block(config, params), network=network_info,
-                         outputs=outputs, duration_seconds=0.0, **fields)
+        summary["classification"] = result.to_dict()
+    summary["r0"] = _r0_block(config, params)
+    if network_info is not None:
+        summary["network"] = network_info
     return summary, planes
 
 
-def _r0_block(config: ScenarioConfig, params: PseirsParams | None) -> dict:
+def _r0_block(config: ScenarioConfig, params) -> dict:
     if config.model == "sir":
-        return {"value": sir_r0(config.sir_params)}
+        return {"value": sir_r0(params)}
     block = {"nominal": r0_nominal(params), "linearized": r0_linearized(params),
              "note": THRESHOLD_NOTE}
     if "threshold" in config.analyses:
@@ -332,38 +302,28 @@ def _r0_block(config: ScenarioConfig, params: PseirsParams | None) -> dict:
     return block
 
 
-def _write_run(out: Path, summary: RunSummary, planes: list, start: float) -> RunSummary:
+def _write_run(out: Path, summary: dict, planes: list) -> None:
     """Write the phase-plane CSVs and, last, summary.json into ``out``."""
     for name, text in planes:
         (out / name).write_text(text)
-    summary.duration_seconds = time.perf_counter() - start
-    (out / "summary.json").write_text(_json_text(summary.to_json_dict()))
-    return summary
+    (out / "summary.json").write_text(_json_text(summary))
 
 
-def run_scenario(config: ScenarioConfig, out_dir) -> RunSummary:
-    """Simulate one scenario and write trajectory, summary and phase files.
+def run_scenario(config: ScenarioConfig, out_dir) -> dict:
+    """Simulate one scenario, write its files, return the summary.json dict.
 
     The solve and every analysis finish before anything touches the
     filesystem, so a config that fails writes no files.
     """
-    start = time.perf_counter()
     graph = None
     network_info = None
-    params = config.pseirs_params
+    params = config.params
     outputs = {"trajectory": "trajectory.csv"}
     if config.network is not None:
-        graph, gamma, network_info = _prepare_network(config)
-        params = dataclasses.replace(params, gamma=gamma)
+        graph, params, network_info = _prepare_network(config)
         outputs["network"] = ["edges.txt", "graph.json"]
-
-    if config.model == "sir":
-        step = config.step if config.step is not None else 0.01
-        traj = simulate_sir(config.sir_params, config.sir_init,
-                            config.horizon, step)
-    else:
-        traj = simulate_pseirs(params, config.history, config.horizon,
-                               config.step)
+    simulate = simulate_sir if config.model == "sir" else simulate_pseirs
+    traj = simulate(params, config.init, config.horizon, config.step)
     summary, planes = _run_analyses(config, traj, params, network_info, outputs)
 
     out = Path(out_dir)
@@ -372,42 +332,42 @@ def run_scenario(config: ScenarioConfig, out_dir) -> RunSummary:
     if graph is not None:
         (out / "edges.txt").write_text(edge_list_text(graph))
         (out / "graph.json").write_text(_json_text(graph_to_dict(graph)))
-    return _write_run(out, summary, planes, start)
+    _write_run(out, summary, planes)
+    return summary
 
 
-def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> RunSummary:
-    """Re-run the configured analyses against a stored trajectory CSV.
+def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
+    """Re-run the configured analyses on a stored trajectory CSV; returns
+    the summary.json dict.
 
     The config supplies the parameters and history needed to resolve
     delayed lookups; derivative samples are recomputed, so interpolating
     analyses (integral_equivalence among them) match the original run.
     Nothing is written unless the trajectory and every analysis are valid.
     """
-    start = time.perf_counter()
     times, states, labels = read_trajectory_csv(trajectory_csv)
-    params = config.pseirs_params
+    params = config.params
     network_info = None
     if config.network is not None:
-        _, gamma, network_info = _prepare_network(config)
-        params = dataclasses.replace(params, gamma=gamma)
+        _, params, network_info = _prepare_network(config)
     if config.model == "sir":
         _require(labels == ("S", "I", "R"), "trajectory", labels,
                  "S, I, R columns for a sir config")
-        sp = config.sir_params
-        derivs = np.array([sir_derivatives(SirState(*row), sp) for row in states])
+        derivs = np.array([sir_derivatives(SirState(*row), params) for row in states])
         step = float((times[-1] - times[0]) / (len(times) - 1))
         traj = Trajectory(times=times, states=states, derivs=derivs,
                           step=step, labels=labels)
     else:
         _require(labels == ("S", "E", "I", "R"), "trajectory", labels,
                  "S, E, I, R columns for a pseirs config")
-        traj = reconstruct_trajectory(params, config.history, times, states)
+        traj = reconstruct_trajectory(params, config.init, times, states)
     summary, planes = _run_analyses(config, traj, params, network_info,
                                     {"trajectory": Path(trajectory_csv).name})
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _write_run(out, summary, planes, start)
+    _write_run(out, summary, planes)
+    return summary
 
 
 def _resolve_path(raw: dict, dotted: str):
@@ -442,9 +402,8 @@ def sweep_scenario(base_config: dict, parameter: str, values, out_dir) -> list:
                  "out_dir": run_dir.name}
         try:
             cfg = ScenarioConfig.from_dict(raw)
-            summary = run_scenario(cfg, run_dir)
+            entry["summary"] = run_scenario(cfg, run_dir)
             entry["status"] = "ok"
-            entry["summary"] = summary.to_json_dict()
         except PseirsError as exc:
             entry["status"] = "error"
             entry["error"] = {"type": type(exc).__name__, "message": str(exc)}

@@ -62,13 +62,13 @@ def test_criterion_03_threshold_formulas(tmp_path):
     raw["horizon"] = 40
     del raw["analyses"]["integral_equivalence"]
     summary = run_scenario(ScenarioConfig.from_dict(raw), tmp_path)
-    note = summary.r0["note"]
+    note = summary["r0"]["note"]
     states_discrepancy = all(q in note for q in
                              ("7.77", "0.3703", "8.621329079589127e-01"))
     ok = (abs(nominal - 0.68169) <= 1e-4
           and abs(linearized - 2.90305) <= 1e-4
-          and summary.r0["nominal"] == nominal
-          and summary.r0["linearized"] == linearized
+          and summary["r0"]["nominal"] == nominal
+          and summary["r0"]["linearized"] == linearized
           and states_discrepancy)
     _report(3, ok, f"r0_nominal = {nominal:.5f}, r0_linearized = "
                    f"{linearized:.5f}, summary states the discrepancy: "

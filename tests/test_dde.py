@@ -11,6 +11,7 @@ from pseirs import (CompartmentState, ConstantHistory, InvalidParameter,
                     pseirs_derivatives, reconstruct_trajectory, simulate_pseirs)
 from pseirs.dde import _interp4, _pseirs_rhs, default_step
 from pseirs.presets import baseline_history, baseline_pseirs
+from pseirs.quadrature import adaptive_simpson
 
 # frozen hand evaluations of the derivative rows at the baseline point
 # now = lagged = (S=63, E=0, I=7, R=0), N=70:
@@ -413,3 +414,38 @@ def test_solver_bits_match_reference_loops(name):
     assert np.array_equal(rebuilt.derivs,
                           reference_reconstruct(params, hist, traj.times, traj.states))
     assert np.array_equal(rebuilt.derivs, traj.derivs)
+
+
+# The consistency integrands as they were written before consistent
+# initialization and the integral forms shared one integrand per
+# compartment, kept as the reference: E(0) and R(0) must match bit for bit.
+
+def reference_initial_exposed(history, params):
+    gamma, mu = params.gamma, params.mu
+
+    def f(x):
+        s, e, i, r = history.raw_at(x)
+        if s == 0.0 or i == 0.0 or gamma == 0.0:
+            return 0.0
+        return gamma * (s / (s + e + i + r)) * i * math.exp(mu * x)
+
+    return adaptive_simpson(f, -params.omega, 0.0)
+
+
+def reference_initial_recovered(history, params):
+    p, alpha, mu = params.p, params.alpha, params.mu
+
+    def f(x):
+        i = history.raw_at(x)[2]
+        return p * alpha * i * math.exp(mu * x)
+
+    return adaptive_simpson(f, -params.tau, 0.0)
+
+
+@pytest.mark.parametrize("name", ["p_1", "p_0.4", "omega_30", "sampled_history"])
+def test_consistent_init_bits_match_reference_integrands(name):
+    params, hist, _, _ = PINNED_RUNS[name]
+    assert consistent_initial_exposed(hist, params) == \
+        reference_initial_exposed(hist, params)
+    assert consistent_initial_recovered(hist, params) == \
+        reference_initial_recovered(hist, params)

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from pseirs.errors import InvalidParameter
+from pseirs import quadrature
+from pseirs.errors import InvalidParameter, QuadratureNotConverged
 from pseirs.quadrature import adaptive_simpson, composite_simpson
 
 
@@ -34,3 +35,11 @@ def test_adaptive_handles_slow_integrand():
     # exp(mu*x) with tiny mu: nearly constant, converges immediately
     got = adaptive_simpson(lambda x: math.exp(1e-12 * x), -0.15, 0.0)
     assert got == pytest.approx(0.15, rel=1e-12)
+
+
+def test_adaptive_raises_when_the_panel_cap_is_reached(monkeypatch):
+    # 128 to 1024 panels cannot resolve 1600 oscillations, so successive
+    # estimates keep disagreeing until the cap
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 1024)
+    with pytest.raises(QuadratureNotConverged):
+        adaptive_simpson(lambda x: math.sin(1e4 * x), 0.0, 1.0)

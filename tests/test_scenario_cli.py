@@ -33,8 +33,8 @@ def test_shipped_configs_parse():
 def test_sir_scenario_summary(tmp_path):
     cfg = ScenarioConfig.from_dict(load_config("sir_low_infectivity.json"))
     summary = run_scenario(cfg, tmp_path)
-    assert summary.r0["value"] == pytest.approx(0.6, rel=1e-12)
-    max_i = summary.stats["compartments"]["I"]["max"]
+    assert summary["r0"]["value"] == pytest.approx(0.6, rel=1e-12)
+    max_i = summary["stats"]["compartments"]["I"]["max"]
     assert max_i == pytest.approx(7.189, rel=5e-3)
     assert (tmp_path / "trajectory.csv").exists()
     assert (tmp_path / "phase_S_I.csv").exists()
@@ -48,14 +48,15 @@ def test_pseirs_scenario_summary(tmp_path):
     raw["horizon"] = 60
     cfg = ScenarioConfig.from_dict(raw)
     summary = run_scenario(cfg, tmp_path)
-    assert summary.r0["nominal"] == pytest.approx(0.68169, abs=1e-4)
-    assert summary.r0["linearized"] == pytest.approx(2.90305, abs=1e-4)
-    assert summary.r0["probe"] == "growing"
+    assert summary["r0"]["nominal"] == pytest.approx(0.68169, abs=1e-4)
+    assert summary["r0"]["linearized"] == pytest.approx(2.90305, abs=1e-4)
+    assert summary["r0"]["probe"] == "growing"
     # the report must state that the quoted threshold values match neither formula
     for quoted in ("7.77", "0.3703", "8.621329079589127e-01"):
-        assert quoted in summary.r0["note"]
-    assert summary.integral_equivalence["max_residual"] <= 1e-4
+        assert quoted in summary["r0"]["note"]
+    assert summary["integral_equivalence"]["max_residual"] <= 1e-4
     doc = json.loads((tmp_path / "summary.json").read_text())
+    assert doc == json.loads(json.dumps(summary))  # the run returns the document
     # every requested analysis appears exactly once
     for key in ("stats", "classification", "integral_equivalence"):
         assert key in doc
@@ -67,9 +68,9 @@ def test_network_scenario(tmp_path):
     raw["horizon"] = 40
     cfg = ScenarioConfig.from_dict(raw)
     summary = run_scenario(cfg, tmp_path)
-    assert summary.network["edge_count"] == 9997
-    assert summary.network["mean_degree"] == pytest.approx(3.9988, abs=1e-12)
-    assert summary.network["derived_gamma"] == \
+    assert summary["network"]["edge_count"] == 9997
+    assert summary["network"]["mean_degree"] == pytest.approx(3.9988, abs=1e-12)
+    assert summary["network"]["derived_gamma"] == \
         pytest.approx(0.077 * 3.9988, rel=1e-12)
     assert (tmp_path / "edges.txt").exists()
     assert (tmp_path / "graph.json").exists()
@@ -268,6 +269,33 @@ class TestCli:
         assert code == 0
         doc = json.loads((tmp_path / "sweep.json").read_text())
         assert [e["value"] for e in doc] == [0.25, 0.5, 0.75, 1.0]
+
+    @pytest.mark.parametrize("config, argv", [
+        (None, ["sweep", "--param", "params.p", "--values", "a,b"]),
+        ({"out_dir": 5}, ["simulate"]),
+        ([1, 2], ["simulate", "--horizon", "40"]),
+        ([1, 2], ["sweep", "--param", "horizon", "--values", "40", "--step", "0.01"]),
+        ("not an object", ["simulate", "--seed", "3"]),
+    ], ids=["non_numeric_sweep_values", "non_string_out_dir",
+            "list_root_with_horizon", "list_root_with_step", "string_root_with_seed"])
+    def test_bad_input_is_an_error_record(self, tmp_path, capsys, monkeypatch,
+                                          config, argv):
+        # None: the shipped config; a dict: fields replaced in it; else the root
+        raw = load_config("seirs_baseline.json")
+        if isinstance(config, dict):
+            raw.update(config)
+        elif config is not None:
+            raw = config
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)  # the default output directory is ./out
+        code = main([argv[0], "--config", str(path), *argv[1:]])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["type"] == "InvalidParameter"
+        assert list(work.iterdir()) == []
 
     def test_seed_override_requires_network(self, tmp_path, capsys):
         code = main(["simulate", "--config",

@@ -1,0 +1,83 @@
+"""SHA-256 of every file the ``pseirs`` CLI writes for the shipped configs.
+
+Runs 13 commands against the package and configs of one checkout:
+``simulate`` on each of the six configs, ``analyze`` of each stored
+trajectory with its own config, and a 2-value ``params.p`` sweep of
+``seirs_low_immunity``. Writes one JSON object mapping each output file
+(relative to the run directory) to its digest, so two checkouts that must
+produce the same bytes can be compared with ``diff``:
+
+    python tools/output_digests.py --src <checkout> --out digests.json
+
+Each command runs in a fresh interpreter with ``<checkout>/src`` first on
+``PYTHONPATH``; any failing command stops the run with exit status 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIGS = ("scale_free_5000", "seirs_baseline", "seirs_long_latency",
+           "seirs_low_immunity", "sir_high_infectivity", "sir_low_infectivity")
+SWEEP = ("seirs_low_immunity", "params.p", "0.5,1")
+
+
+def commands(configs: Path, out: Path) -> list:
+    """(output directory, CLI argv) for each of the 13 commands, in order."""
+    cmds = []
+    for name in CONFIGS:
+        config = str(configs / f"{name}.json")
+        sim = out / "simulate" / name
+        cmds.append((sim, ["simulate", "--config", config]))
+        cmds.append((out / "analyze" / name,
+                     ["analyze", "--config", config,
+                      "--trajectory", str(sim / "trajectory.csv")]))
+    name, param, values = SWEEP
+    cmds.append((out / "sweep" / name,
+                 ["sweep", "--config", str(configs / f"{name}.json"),
+                  "--param", param, "--values", values]))
+    return cmds
+
+
+def digests(root: Path) -> dict:
+    return {path.relative_to(root).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--src", required=True, type=Path,
+                        help="checkout holding src/pseirs and configs/")
+    parser.add_argument("--out", required=True, type=Path,
+                        help="JSON file to write the digests to")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src / "src"), env.get("PYTHONPATH")) if p)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for out, argv_ in commands(src / "configs", root):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pseirs.cli", *argv_, "--out", str(out)],
+                env=env, capture_output=True, text=True)
+            if proc.returncode != 0:
+                print(f"failed: pseirs {' '.join(argv_)}\n{proc.stderr}",
+                      file=sys.stderr)
+                return 1
+        result = digests(root)
+    args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(result)} digests to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
