@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,9 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import (CompartmentState, ConstantHistory, HistoryFunction,
-                   PseirsParams, SirParams, SirState, Trajectory, _require)
-from .dde import default_step, reconstruct_trajectory, simulate_pseirs
-from .errors import InvalidParameter, PseirsError
+                   PseirsParams, SirParams, SirState, Trajectory, _require,
+                   kappa)
+from .dde import (default_step, reconstruct_trajectory, simulate_pseirs,
+                  step_count)
+from .errors import InvalidParameter, PseirsError, TrajectoryTooShort
 from .integro import verify_integral_equivalence
 from .netgen import (degree_histogram, edge_list_text, gamma_from_graph,
                      generate_ba, graph_to_dict, mean_degree, powerlaw_slope)
@@ -71,7 +74,7 @@ class ScenarioConfig:
         model = raw.get("model")
         _require(model in ("sir", "pseirs"), "model", model, "'sir' or 'pseirs'")
         horizon = _number(raw.get("horizon"), "horizon")
-        _require(horizon > 0, "horizon", horizon, "horizon > 0")
+        _require(0 < horizon < math.inf, "horizon", horizon, "finite horizon > 0")
         step = None
         if raw.get("step") is not None:
             step = _number(raw["step"], "step")
@@ -105,6 +108,12 @@ class ScenarioConfig:
             step = 0.01 if model == "sir" else default_step(params)
 
         analyses = _parse_analyses(raw.get("analyses", {}), model)
+        if model == "pseirs" and ("classify" in analyses
+                                  or "integral_equivalence" in analyses):
+            # the analyses' own check, on the horizon the solver will reach
+            end, kap = step_count(horizon, step) * step, kappa(params)
+            if end <= kap:
+                raise TrajectoryTooShort(f"horizon {end} must exceed kappa {kap}")
         network = None
         if raw.get("network") is not None:
             net = _block(raw, "network", {"n", "m0", "m", "seed", "per_contact_prob"})
@@ -199,7 +208,10 @@ def _parse_analyses(block, model: str) -> dict:
     if block.get("classify"):
         name = "analyses.classify"
         tail = _entry(block["classify"], name, {"tail_fraction"}).get("tail_fraction", 0.1)
-        out["classify"] = {"tail_fraction": _number(tail, f"{name}.tail_fraction")}
+        tail = _number(tail, f"{name}.tail_fraction")
+        _require(0.0 < tail <= 0.5, f"{name}.tail_fraction", tail,
+                 "0 < tail_fraction <= 0.5")
+        out["classify"] = {"tail_fraction": tail}
     return out
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +322,7 @@ def reference_simulate(params, history, horizon, step=None, e0=None, r0=None):
     r_init = consistent_initial_recovered(history, params) if r0 is None else float(r0)
     s0_t = history.raw_at(0.0)
     Ss, Es, Is, Rs = [s0_t[0]], [e_init], [s0_t[2]], [r_init]
+    floor = -1e-9 * (Ss[0] + Es[0] + Is[0] + Rs[0])
     dSs, dEs, dIs, dRs = [], [], [], []
     past, past_left = _reference_lookups(params, history, h, Ss, Es, Is, Rs,
                                          dSs, dEs, dIs, dRs, clamp_to=Ss)
@@ -354,6 +357,9 @@ def reference_simulate(params, history, horizon, step=None, e0=None, r0=None):
         e += h6 * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
         i += h6 * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
         r += h6 * (d1[3] + 2.0 * d2[3] + 2.0 * d3[3] + d4[3])
+        if s < floor or e < floor or i < floor or r < floor:
+            raise StepTooLarge(
+                f"compartment below {floor} at t={(k + 1) * h}; reduce the step")
         Ss.append(s); Es.append(e); Is.append(i); Rs.append(r)
     tn = n_steps * h
     lw = past(tn - om)
@@ -382,38 +388,107 @@ def reference_reconstruct(params, history, times, states):
     return np.column_stack([dSs, dEs, dIs, dRs])
 
 
-def _sampled_history():
+class _LeftLimitHistory(SampledHistory):
+    """Refuses t > 0, where a history is not defined: a lookup that lands
+    just right of t = 0 at stage 4 must read the history at t = 0."""
+
+    def raw_at(self, t):
+        if t > 0.0:
+            raise OutOfDomain(f"history evaluation at t={t} > 0")
+        return super().raw_at(t)
+
+
+def _sampled_history(kind=SampledHistory):
     times = np.linspace(-30.0, 0.0, 13)
     wave = np.sin(times / 4.0)
     states = np.column_stack([63.0 + 2.0 * wave, 0.5 + 0.25 * wave,
                               7.0 - 1.5 * wave, 3.0 + np.cos(times / 7.0)])
-    return SampledHistory(times, states)
+    return kind(times, states)
 
 
-# (params, history, step, e0/r0 overrides); every run goes past tau = 30,
-# so both lags read the solver's own samples
+# (params, history, step, e0/r0 overrides, horizon).  The first six runs go
+# past tau = 30, so both lags read the solver's own samples; the others sit
+# on the edges of the solver's lookup plan and blocks.
 PINNED_RUNS = {
-    "p_1": (baseline_pseirs(), baseline_history(), None, {}),
-    "p_0.4": (baseline_pseirs(p=0.4), baseline_history(), None, {}),
-    "omega_30": (baseline_pseirs(omega=30.0), baseline_history(), None, {}),
+    "p_1": (baseline_pseirs(), baseline_history(), None, {}, 40.0),
+    "p_0.4": (baseline_pseirs(p=0.4), baseline_history(), None, {}, 40.0),
+    "omega_30": (baseline_pseirs(omega=30.0), baseline_history(), None, {}, 40.0),
     "e0_r0_override": (baseline_pseirs(), baseline_history(), None,
-                       {"e0": 0.0, "r0": 0.0}),
-    "sampled_history": (baseline_pseirs(), _sampled_history(), None, {}),
-    "off_grid_step": (baseline_pseirs(), baseline_history(), 0.0071, {}),
+                       {"e0": 0.0, "r0": 0.0}, 40.0),
+    "sampled_history": (baseline_pseirs(), _sampled_history(), None, {}, 40.0),
+    "off_grid_step": (baseline_pseirs(), baseline_history(), 0.0071, {}, 40.0),
+    # min(omega, tau)/4: 4-step lags, 2-step blocks
+    "minimum_step": (baseline_pseirs(), baseline_history(), 0.0375, {}, 40.0),
+    # 14 steps, fewer than one block, the last one past the horizon
+    "horizon_under_one_block": (baseline_pseirs(), baseline_history(), None,
+                                {}, 0.1),
+    "omega_above_tau": (dataclasses.replace(baseline_pseirs(), omega=12.0,
+                                            tau=3.0),
+                        _sampled_history(), None, {}, 40.0),
+    # every lookup lands in the history, across several lookup plans
+    "horizon_below_omega": (baseline_pseirs(omega=30.0), _sampled_history(),
+                            0.0071, {}, 20.0),
+    # step 599's stage-4 lookup lands 3.6e-15 right of t = 0
+    "left_limit_at_zero": (baseline_pseirs(omega=30.0),
+                           _sampled_history(_LeftLimitHistory), None, {}, 40.0),
+    # I(0) = -0.0: only the exact-row branch of a lookup keeps that sign
+    "signed_zero_history": (baseline_pseirs(),
+                            ConstantHistory(CompartmentState(63.0, 0.0, -0.0, 0.0)),
+                            None, {}, 1.0),
 }
+
+
+def _same_bits(a, b):
+    # np.array_equal holds for -0.0 against 0.0; the output files do not
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("name", PINNED_RUNS)
 def test_solver_bits_match_reference_loops(name):
-    params, hist, step, init = PINNED_RUNS[name]
-    traj = simulate_pseirs(params, hist, 40.0, step, **init)
-    states, derivs = reference_simulate(params, hist, 40.0, step, **init)
-    assert np.array_equal(traj.states, states)
-    assert np.array_equal(traj.derivs, derivs)
+    params, hist, step, init, horizon = PINNED_RUNS[name]
+    traj = simulate_pseirs(params, hist, horizon, step, **init)
+    states, derivs = reference_simulate(params, hist, horizon, step, **init)
+    assert _same_bits(traj.states, states)
+    assert _same_bits(traj.derivs, derivs)
     rebuilt = reconstruct_trajectory(params, hist, traj.times, traj.states)
-    assert np.array_equal(rebuilt.derivs,
-                          reference_reconstruct(params, hist, traj.times, traj.states))
-    assert np.array_equal(rebuilt.derivs, traj.derivs)
+    assert _same_bits(rebuilt.derivs,
+                      reference_reconstruct(params, hist, traj.times, traj.states))
+    assert _same_bits(rebuilt.derivs, traj.derivs)
+
+
+def _abort_time(error):
+    return re.search(r"at t=([^;]+);", str(error)).group(1)
+
+
+# the abort case of TestSimulate.test_negativity_abort, and the same model
+# from a history whose population is zero at t = -1: the stage-4 lookup of
+# the step [2, 3] reads it, inside the first block
+ABORT_PARAMS = PseirsParams(beta=0.0, mu=0.1, epsilon=0.0, alpha=0.04,
+                            gamma=0.0, omega=4.0, tau=4.0, p=0.1)
+_ROW = [63.0, 0.0, 100.0, 0.0]
+GAP_HISTORY = SampledHistory(np.array([-4.0, -1.5, -1.0, 0.0]),
+                             np.array([_ROW, _ROW, [0.0] * 4, _ROW]))
+
+
+@pytest.mark.parametrize("p, hist, error, lagged", [
+    (0.1, ConstantHistory(CompartmentState(*_ROW)), StepTooLarge, False),
+    # R falls below the floor in the first step, before the lagged N = 0
+    (0.1, GAP_HISTORY, StepTooLarge, False),
+    (1.0, GAP_HISTORY, ZeroPopulation, True),
+], ids=["negativity", "negativity_before_lagged_zero", "lagged_zero"])
+def test_abort_matches_reference_loop(p, hist, error, lagged):
+    params = dataclasses.replace(ABORT_PARAMS, p=p)
+    with pytest.raises(error) as got:
+        simulate_pseirs(params, hist, 10.0, step=1.0)
+    with pytest.raises(error) as want:
+        reference_simulate(params, hist, 10.0, step=1.0)
+    if error is StepTooLarge:
+        assert _abort_time(got.value) == _abort_time(want.value) == "1.0"
+        assert str(got.value).startswith("compartment R=")
+    else:
+        assert _abort_time(got.value) == "3.0"  # stage 4 of the step at t = 2
+    assert ("lagged" in str(got.value)) == lagged == ("lagged" in str(want.value))
 
 
 # The consistency integrands as they were written before consistent
@@ -444,7 +519,7 @@ def reference_initial_recovered(history, params):
 
 @pytest.mark.parametrize("name", ["p_1", "p_0.4", "omega_30", "sampled_history"])
 def test_consistent_init_bits_match_reference_integrands(name):
-    params, hist, _, _ = PINNED_RUNS[name]
+    params, hist, *_ = PINNED_RUNS[name]
     assert consistent_initial_exposed(hist, params) == \
         reference_initial_exposed(hist, params)
     assert consistent_initial_recovered(hist, params) == \

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pseirs import scenario
 from pseirs.cli import main
-from pseirs.errors import InvalidParameter, TrajectoryTooShort
+from pseirs.errors import EmptyWindow, InvalidParameter, TrajectoryTooShort
 from pseirs.scenario import (ScenarioConfig, read_trajectory_csv, run_scenario,
                              sweep_scenario, write_trajectory_csv)
 
@@ -77,9 +78,10 @@ def test_network_scenario(tmp_path):
 
 
 def test_invalid_config_writes_nothing(tmp_path):
-    # the first fails to parse; the second solves, then fails in the analyses
+    # the first two fail to parse; the third solves, then fails in the analyses
     for path, value, error in [("params.p", 2.0, InvalidParameter),
-                               ("horizon", 20, TrajectoryTooShort)]:
+                               ("horizon", 20, TrajectoryTooShort),
+                               ("analyses.stats", {"window": [400, 500]}, EmptyWindow)]:
         raw = load_config("seirs_baseline.json")
         set_path(raw, path, value)
         with pytest.raises(error):
@@ -276,8 +278,10 @@ class TestCli:
         ([1, 2], ["simulate", "--horizon", "40"]),
         ([1, 2], ["sweep", "--param", "horizon", "--values", "40", "--step", "0.01"]),
         ("not an object", ["simulate", "--seed", "3"]),
+        (None, ["simulate", "--horizon", "inf"]),
     ], ids=["non_numeric_sweep_values", "non_string_out_dir",
-            "list_root_with_horizon", "list_root_with_step", "string_root_with_seed"])
+            "list_root_with_horizon", "list_root_with_step", "string_root_with_seed",
+            "infinite_horizon"])
     def test_bad_input_is_an_error_record(self, tmp_path, capsys, monkeypatch,
                                           config, argv):
         # None: the shipped config; a dict: fields replaced in it; else the root
@@ -296,6 +300,28 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["type"] == "InvalidParameter"
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("horizon", 20, "TrajectoryTooShort"),
+        ("analyses.classify.tail_fraction", 0.7, "InvalidParameter"),
+    ], ids=["horizon_within_kappa", "tail_fraction_above_half"])
+    def test_analysis_bounds_checked_before_the_solve(self, tmp_path, capsys,
+                                                      monkeypatch, field,
+                                                      value, error):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("simulate_pseirs was called")
+
+        monkeypatch.setattr(scenario, "simulate_pseirs", no_solve)
+        raw = load_config("seirs_baseline.json")
+        set_path(raw, field, value)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["type"] == error
+        assert not out.exists()
 
     def test_seed_override_requires_network(self, tmp_path, capsys):
         code = main(["simulate", "--config",

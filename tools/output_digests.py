@@ -1,11 +1,14 @@
 """SHA-256 of every file the ``pseirs`` CLI writes for the shipped configs.
 
-Runs 13 commands against the package and configs of one checkout:
+Runs 15 commands against the package and configs of one checkout:
 ``simulate`` on each of the six configs, ``analyze`` of each stored
-trajectory with its own config, and a 2-value ``params.p`` sweep of
-``seirs_low_immunity``. Writes one JSON object mapping each output file
-(relative to the run directory) to its digest, so two checkouts that must
-produce the same bytes can be compared with ``diff``:
+trajectory with its own config, a 2-value ``params.p`` sweep of
+``seirs_low_immunity``, and two ``simulate`` runs at the edges of the
+solver's lookup plan: ``seirs_baseline`` at the smallest legal step
+(omega/4, so 4-step lags and 2-step blocks) and ``seirs_long_latency`` at
+a step that puts both lags off the grid. Writes one JSON object mapping
+each output file (relative to the run directory) to its digest, so two
+checkouts that must produce the same bytes can be compared with ``diff``:
 
     python tools/output_digests.py --src <checkout> --out digests.json
 
@@ -27,10 +30,11 @@ from pathlib import Path
 CONFIGS = ("scale_free_5000", "seirs_baseline", "seirs_long_latency",
            "seirs_low_immunity", "sir_high_infectivity", "sir_low_infectivity")
 SWEEP = ("seirs_low_immunity", "params.p", "0.5,1")
+EDGE_STEPS = (("seirs_baseline", "0.0375"), ("seirs_long_latency", "0.0071"))
 
 
 def commands(configs: Path, out: Path) -> list:
-    """(output directory, CLI argv) for each of the 13 commands, in order."""
+    """(output directory, CLI argv) for each of the 15 commands, in order."""
     cmds = []
     for name in CONFIGS:
         config = str(configs / f"{name}.json")
@@ -43,6 +47,10 @@ def commands(configs: Path, out: Path) -> list:
     cmds.append((out / "sweep" / name,
                  ["sweep", "--config", str(configs / f"{name}.json"),
                   "--param", param, "--values", values]))
+    for name, step in EDGE_STEPS:
+        cmds.append((out / "simulate-step" / f"{name}-{step}",
+                     ["simulate", "--config", str(configs / f"{name}.json"),
+                      "--step", step]))
     return cmds
 
 
