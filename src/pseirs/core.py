@@ -108,6 +108,16 @@ def kappa(params: PseirsParams) -> float:
     return max(params.tau, params.omega)
 
 
+# largest step count a scenario may ask for: the delayed solver's arrays
+# and their copies take about 1.3 GB at 1e7 steps
+MAX_STEPS = 10**7
+
+
+def step_count(horizon: float, h: float) -> int:
+    """Steps of a run; its last sample is at ``step_count(horizon, h) * h``."""
+    return int(math.ceil(horizon / h - 1e-12))
+
+
 @dataclass(frozen=True)
 class CompartmentState:
     """One (S, E, I, R) sample. The total ``n`` is always the exact float

@@ -63,7 +63,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (CompartmentState, ConstantHistory, HistoryFunction,
-                   PseirsParams, Trajectory, _require, kappa, validate_pseirs)
+                   PseirsParams, Trajectory, _require, kappa, step_count,
+                   validate_pseirs)
 from .errors import InvalidParameter, OutOfDomain, StepTooLarge, ZeroPopulation
 from .quadrature import adaptive_simpson
 
@@ -80,18 +81,23 @@ class DerivativeSample(NamedTuple):
     dr: float
 
 
-def _pseirs_rhs(s, e, i, r, s_w, e_w, i_w, r_w, i_tau,
+def _zero_population(t: float, lagged: bool = False) -> ZeroPopulation:
+    which = "lagged population N(t - omega)" if lagged else "population N"
+    return ZeroPopulation(f"{which} reached zero at t={t}; S*I/N is undefined")
+
+
+def _pseirs_rhs(t, s, e, i, r, s_w, e_w, i_w, r_w, i_tau,
             beta, mu, epsilon, alpha, gamma, p, decay_w, decay_t):
-    """The four derivative rows from the current and the two lagged states,
-    for pseirs_derivatives and reconstruction; the solver does the same
-    arithmetic in its loop.  decay_w/decay_t are exp(-mu*omega)/exp(-mu*tau)."""
+    """The four derivative rows at time t from the current and the two lagged
+    states, for pseirs_derivatives and reconstruction; the solver does the
+    same arithmetic in its loop.  decay_w/decay_t are
+    exp(-mu*omega)/exp(-mu*tau); t only names the time in a ZeroPopulation."""
     n = s + e + i + r
     n_w = s_w + e_w + i_w + r_w
     if n <= 0.0:
-        raise ZeroPopulation("population N reached zero; S*I/N is undefined")
+        raise _zero_population(t)
     if n_w <= 0.0:
-        raise ZeroPopulation(
-            "lagged population N(t - omega) reached zero; S*I/N is undefined")
+        raise _zero_population(t, lagged=True)
     inc_now = gamma * (s / n) * i
     inc_lag = gamma * (s_w / n_w) * i_w * decay_w
     ret = alpha * i_tau * decay_t
@@ -104,11 +110,12 @@ def _pseirs_rhs(s, e, i, r, s_w, e_w, i_w, r_w, i_tau,
 def pseirs_derivatives(now: CompartmentState, at_lag_omega: CompartmentState,
                    at_lag_tau: CompartmentState,
                    params: PseirsParams) -> DerivativeSample:
-    """Evaluate the four rows at one point given the two lagged states."""
+    """Evaluate the four rows at one point given the two lagged states.
+    The point carries no time, so a ZeroPopulation it raises names t=nan."""
     decay_w = math.exp(-params.mu * params.omega)
     decay_t = math.exp(-params.mu * params.tau)
     return DerivativeSample(*_pseirs_rhs(
-        now.s, now.e, now.i, now.r,
+        math.nan, now.s, now.e, now.i, now.r,
         at_lag_omega.s, at_lag_omega.e, at_lag_omega.i, at_lag_omega.r,
         at_lag_tau.i,
         params.beta, params.mu, params.epsilon, params.alpha, params.gamma,
@@ -215,11 +222,6 @@ def default_step(params: PseirsParams) -> float:
     return min(params.omega, params.tau, 1.0) / 20.0
 
 
-def step_count(horizon: float, h: float) -> int:
-    """Steps of a run; its last sample is at ``step_count(horizon, h) * h``."""
-    return int(math.ceil(horizon / h - 1e-12))
-
-
 def _delayed_rows(params: PseirsParams, history: HistoryFunction, h: float,
                   Ss: list, Es: list, Is: list, Rs: list):
     """Lookup-and-derivative core of reconstruction, over state columns
@@ -260,7 +262,7 @@ def _delayed_rows(params: PseirsParams, history: HistoryFunction, h: float,
         t = k * h
         lw = past(t - om)
         lt = past(t - tau)
-        d = _pseirs_rhs(s, e, i, r, lw[0], lw[1], lw[2], lw[3], lt[2],
+        d = _pseirs_rhs(t, s, e, i, r, lw[0], lw[1], lw[2], lw[3], lt[2],
                         beta, mu, eps, alpha, gamma, p, decay_w, decay_t)
         dSs.append(d[0]); dEs.append(d[1]); dIs.append(d[2]); dRs.append(d[3])
         return d
@@ -344,11 +346,6 @@ class _LookupPlan:
         inc = self.gamma * (w[..., 0] / n_w) * w[..., 2] * self.decay_w
         ret = self.alpha * v[3:, :, 2] * self.decay_t
         return inc, ret, n_w <= 0.0
-
-
-def _zero_population(t: float, lagged: bool = False) -> ZeroPopulation:
-    which = "lagged population N(t - omega)" if lagged else "population N"
-    return ZeroPopulation(f"{which} reached zero at t={t}; S*I/N is undefined")
 
 
 def _undershoot(t: float, floor: float, state) -> StepTooLarge:

@@ -20,11 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CompartmentState, ConstantHistory, HistoryFunction,
-                   PseirsParams, SirParams, SirState, Trajectory, _require,
-                   kappa)
-from .dde import (default_step, reconstruct_trajectory, simulate_pseirs,
-                  step_count)
+from .core import (MAX_STEPS, CompartmentState, ConstantHistory,
+                   HistoryFunction, PseirsParams, SirParams, SirState,
+                   Trajectory, _require, kappa, step_count)
+from .dde import default_step, reconstruct_trajectory, simulate_pseirs
 from .errors import InvalidParameter, PseirsError, TrajectoryTooShort
 from .integro import verify_integral_equivalence
 from .netgen import (degree_histogram, edge_list_text, gamma_from_graph,
@@ -106,6 +105,11 @@ class ScenarioConfig:
                      "init only valid for the sir model")
         if step is None:
             step = 0.01 if model == "sir" else default_step(params)
+        # step_count(horizon, step) <= MAX_STEPS: near 1e7, its -1e-12 is
+        # below half an ulp of the quotient, and a quotient that overflows
+        # to inf (step 5e-324) fails here instead of raising in ceil()
+        _require(horizon / step <= MAX_STEPS, "step", step,
+                 f"at most {MAX_STEPS} steps over the horizon")
 
         analyses = _parse_analyses(raw.get("analyses", {}), model)
         if model == "pseirs" and ("classify" in analyses

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SirParams, SirState, Trajectory, _require
+from .core import SirParams, SirState, Trajectory, _require, step_count
 from .errors import NoPeak, NotEndemic, StepTooLarge
 
 SIR_LABELS = ("S", "I", "R")
@@ -103,7 +103,7 @@ def simulate_sir(params: SirParams, init: SirState, horizon: float,
         rec = alpha * i
         return (-flow, flow - rec, rec)
 
-    n_steps = int(math.ceil(horizon / step - 1e-12))
+    n_steps = step_count(horizon, step)
     h = step
     s, i, r = init.s, init.i, init.r
     states = [(s, i, r)]

@@ -1,5 +1,5 @@
-"""Reproduction-number formulas, a numerical stability probe for the
-infected class, and trajectory-based equilibrium classification.
+"""Reproduction-number formulas, the stability class of the infected
+count, and trajectory-based equilibrium classification.
 
 Two threshold formulas ship side by side and reports always carry both:
 
@@ -12,7 +12,10 @@ infected equation at the infection-free state (S/N -> 1): the infected
 count grows iff gamma*exp(-mu*omega) > mu + epsilon + alpha.  The two
 generally disagree and neither is silently "corrected" here.  (When the
 population itself grows at rate beta - mu, the nominal form is exactly
-the growth threshold of the infected *fraction*.)
+the growth threshold of the infected *fraction*.)  The stability class of
+the infected count comes from the rightmost root of that linearized
+equation's characteristic function, without integrating (Hayes, J. London
+Math. Soc. 25, 1950).
 """
 
 from __future__ import annotations
@@ -51,72 +54,29 @@ class StabilityClass(Enum):
 
 
 def stability_probe(params: PseirsParams) -> StabilityClass:
-    """Numerical oracle for the linearized threshold.
+    """Growth class of I at the infection-free state, without integrating.
 
-    Integrates the scalar linear delay equation
-
-        dI/dt = gamma*exp(-mu*omega) * I(t-omega) - (mu+epsilon+alpha) * I(t)
-
-    from the constant history I = 1 over 20*max(omega, 1/b), with step
-    min(omega, 1/b)/20 where b = mu+epsilon+alpha, and classifies by the
-    sign of the exponential rate fitted over the final half of the run.
-    Rates smaller than 1e-3*b in magnitude count as marginal.
+    There dI/dt = a*I(t-omega) - b*I, a = gamma*exp(-mu*omega) >= 0 and
+    b = mu+epsilon+alpha.  Its rightmost characteristic root lambda*, the
+    zero of the increasing g(lam) = lam + b - a*exp(-lam*omega), is real
+    and exceeds the real part of every other root (Hayes 1950).  With the
+    marginal band |lambda*| < d = 1e-3*b: growing iff g(d) <= 0, decaying
+    iff g(-d) >= 0 (always when a = 0, as lambda* = -b), else marginal;
+    compared in log form so that exp(d*omega) cannot overflow.
     """
     validate_pseirs(params)
     a = params.gamma * math.exp(-params.mu * params.omega)
     b = params.mu + params.epsilon + params.alpha
     _require(b > 0, "mu+epsilon+alpha", b, "mu + epsilon + alpha > 0")
-    om = params.omega
-    horizon = 20.0 * max(om, 1.0 / b)
-    h = min(om, 1.0 / b) / 20.0
-
-    ys = [1.0]
-    ds = []
-
-    def past(x):
-        if x < 0.0:
-            return 1.0
-        j = int(x / h)
-        jm = len(ys) - 2
-        if j > jm:
-            j = jm
-        th = (x - j * h) / h
-        if th == 0.0:
-            return ys[j]
-        t2 = th * th
-        t3 = t2 * th
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h01 = 3.0 * t2 - 2.0 * t3
-        h10 = (t3 - 2.0 * t2 + th) * h
-        h11 = (t3 - t2) * h
-        return h00 * ys[j] + h01 * ys[j + 1] + h10 * ds[j] + h11 * ds[j + 1]
-
-    n_steps = int(math.ceil(horizon / h - 1e-12))
-    y = 1.0
-    hh = 0.5 * h
-    h6 = h / 6.0
-    for k in range(n_steps):
-        t = k * h
-        d1 = a * past(t - om) - b * y
-        ds.append(d1)
-        lag_mid = past(t + hh - om)
-        d2 = a * lag_mid - b * (y + hh * d1)
-        d3 = a * lag_mid - b * (y + hh * d2)
-        d4 = a * past(t + h - om) - b * (y + h * d3)
-        y += h6 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        ys.append(y)
-        if y > 1e250:
-            return StabilityClass.GROWING
-
-    times = np.arange(len(ys), dtype=float) * h
-    window = times >= 0.5 * times[-1]
-    yw = np.asarray(ys)[window]
-    if np.any(yw <= 0.0):
+    if a == 0.0:
         return StabilityClass.DECAYING
-    rate = float(np.polyfit(times[window], np.log(yw), 1)[0])
-    if abs(rate) < 1e-3 * b:
-        return StabilityClass.MARGINAL
-    return StabilityClass.GROWING if rate > 0 else StabilityClass.DECAYING
+    d = 1e-3 * b
+    log_a, d_omega = math.log(a), d * params.omega
+    if math.log(b + d) <= log_a - d_omega:
+        return StabilityClass.GROWING
+    if math.log(b - d) >= log_a + d_omega:
+        return StabilityClass.DECAYING
+    return StabilityClass.MARGINAL
 
 
 class EquilibriumKind(Enum):

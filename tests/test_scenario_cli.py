@@ -6,6 +6,7 @@ import pytest
 
 from pseirs import scenario
 from pseirs.cli import main
+from pseirs.core import MAX_STEPS
 from pseirs.errors import EmptyWindow, InvalidParameter, TrajectoryTooShort
 from pseirs.scenario import (ScenarioConfig, read_trajectory_csv, run_scenario,
                              sweep_scenario, write_trajectory_csv)
@@ -115,6 +116,18 @@ def test_config_types_checked_at_parse(path, value):
     set_path(raw, path, value)
     with pytest.raises(InvalidParameter):
         ScenarioConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("name", ["seirs_baseline.json", "sir_low_infectivity.json"])
+def test_step_count_bounded_at_parse(name):
+    raw = load_config(name)
+    raw["step"] = 2.0 ** -10
+    raw["horizon"] = MAX_STEPS * 2.0 ** -10
+    ScenarioConfig.from_dict(raw)
+    raw["horizon"] = (MAX_STEPS + 1) * 2.0 ** -10
+    with pytest.raises(InvalidParameter) as err:
+        ScenarioConfig.from_dict(raw)
+    assert err.value.name == "step"
 
 
 def test_integral_equivalence_rejected_for_sir():
@@ -245,6 +258,21 @@ class TestCli:
         assert record["error"]["type"] == "InvalidParameter"
         assert not (tmp_path / "re").exists()
 
+    def test_analyze_zero_population_names_t(self, tmp_path, capsys):
+        # 60 samples of the baseline state at its default step, one all zero
+        rows = [f"{k * 0.0075!r},63.0,0.0,7.0,0.0,70.0" for k in range(60)]
+        rows[30] = f"{30 * 0.0075!r},0.0,0.0,0.0,0.0,0.0"
+        csv = tmp_path / "trajectory.csv"
+        csv.write_text("\n".join(["t,S,E,I,R,N", *rows]) + "\n")
+        code = main(["analyze", "--config",
+                     str(CONFIG_DIR / "seirs_baseline.json"),
+                     "--trajectory", str(csv), "--out", str(tmp_path / "re")])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ZeroPopulation"
+        assert f"population N reached zero at t={30 * 0.0075!r};" in error["message"]
+        assert not (tmp_path / "re").exists()
+
     def test_analyze_summary_independent_of_path_spelling(self, tmp_path,
                                                           monkeypatch):
         config = str(CONFIG_DIR / "seirs_baseline.json")
@@ -279,14 +307,29 @@ class TestCli:
         ([1, 2], ["sweep", "--param", "horizon", "--values", "40", "--step", "0.01"]),
         ("not an object", ["simulate", "--seed", "3"]),
         (None, ["simulate", "--horizon", "inf"]),
+        # 3e15 and 2e11 steps; a quotient horizon/step that overflows
+        (None, ["simulate", "--step", "1e-13"]),
+        ("sir_low_infectivity.json", ["simulate", "--step", "1e-9"]),
+        (None, ["simulate", "--step", "5e-324"]),
     ], ids=["non_numeric_sweep_values", "non_string_out_dir",
             "list_root_with_horizon", "list_root_with_step", "string_root_with_seed",
-            "infinite_horizon"])
+            "infinite_horizon", "step_count_above_cap", "sir_step_count_above_cap",
+            "step_count_overflows"])
     def test_bad_input_is_an_error_record(self, tmp_path, capsys, monkeypatch,
                                           config, argv):
-        # None: the shipped config; a dict: fields replaced in it; else the root
+        # None: seirs_baseline; a .json name: that shipped config; a dict:
+        # fields replaced in seirs_baseline; else the root
+        def no_solve(*args, **kwargs):
+            # every case fails before the solve; without the step cap the
+            # SIR case would grow its lists without end
+            raise AssertionError("a solver was called")
+
+        monkeypatch.setattr(scenario, "simulate_pseirs", no_solve)
+        monkeypatch.setattr(scenario, "simulate_sir", no_solve)
         raw = load_config("seirs_baseline.json")
-        if isinstance(config, dict):
+        if isinstance(config, str) and config.endswith(".json"):
+            raw = load_config(config)
+        elif isinstance(config, dict):
             raw.update(config)
         elif config is not None:
             raw = config

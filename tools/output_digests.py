@@ -1,14 +1,17 @@
 """SHA-256 of every file the ``pseirs`` CLI writes for the shipped configs.
 
-Runs 15 commands against the package and configs of one checkout:
+Runs 16 commands against the package and configs of one checkout:
 ``simulate`` on each of the six configs, ``analyze`` of each stored
 trajectory with its own config, a 2-value ``params.p`` sweep of
-``seirs_low_immunity``, and two ``simulate`` runs at the edges of the
-solver's lookup plan: ``seirs_baseline`` at the smallest legal step
-(omega/4, so 4-step lags and 2-step blocks) and ``seirs_long_latency`` at
-a step that puts both lags off the grid. Writes one JSON object mapping
-each output file (relative to the run directory) to its digest, so two
-checkouts that must produce the same bytes can be compared with ``diff``:
+``seirs_low_immunity``, a 3-value ``params.gamma`` sweep of
+``seirs_baseline`` whose threshold probe gives ``decaying``, ``marginal``
+and ``growing`` (the shipped configs all give ``growing``), and two
+``simulate`` runs at the edges of the solver's lookup plan:
+``seirs_baseline`` at the smallest legal step (omega/4, so 4-step lags and
+2-step blocks) and ``seirs_long_latency`` at a step that puts both lags off
+the grid. Writes one JSON object mapping each output file (relative to the
+run directory) to its digest, so two checkouts that must produce the same
+bytes can be compared with ``diff``:
 
     python tools/output_digests.py --src <checkout> --out digests.json
 
@@ -29,12 +32,13 @@ from pathlib import Path
 
 CONFIGS = ("scale_free_5000", "seirs_baseline", "seirs_long_latency",
            "seirs_low_immunity", "sir_high_infectivity", "sir_low_infectivity")
-SWEEP = ("seirs_low_immunity", "params.p", "0.5,1")
+SWEEPS = (("seirs_low_immunity", "params.p", "0.5,1"),
+          ("seirs_baseline", "params.gamma", "0.02,0.1061,0.308"))
 EDGE_STEPS = (("seirs_baseline", "0.0375"), ("seirs_long_latency", "0.0071"))
 
 
 def commands(configs: Path, out: Path) -> list:
-    """(output directory, CLI argv) for each of the 15 commands, in order."""
+    """(output directory, CLI argv) for each of the 16 commands, in order."""
     cmds = []
     for name in CONFIGS:
         config = str(configs / f"{name}.json")
@@ -43,10 +47,10 @@ def commands(configs: Path, out: Path) -> list:
         cmds.append((out / "analyze" / name,
                      ["analyze", "--config", config,
                       "--trajectory", str(sim / "trajectory.csv")]))
-    name, param, values = SWEEP
-    cmds.append((out / "sweep" / name,
-                 ["sweep", "--config", str(configs / f"{name}.json"),
-                  "--param", param, "--values", values]))
+    for name, param, values in SWEEPS:
+        cmds.append((out / "sweep" / name,
+                     ["sweep", "--config", str(configs / f"{name}.json"),
+                      "--param", param, "--values", values]))
     for name, step in EDGE_STEPS:
         cmds.append((out / "simulate-step" / f"{name}-{step}",
                      ["simulate", "--config", str(configs / f"{name}.json"),
