@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -122,16 +123,26 @@ def pseirs_derivatives(now: CompartmentState, at_lag_omega: CompartmentState,
         params.p, decay_w, decay_t))
 
 
+def _decay(mu: float, t: float, x: np.ndarray) -> np.ndarray:
+    # exp(-mu*(t-x)) by math.exp, node by node: np.exp need not round as
+    # libm does.  Mapping over the array, not over its .tolist(), is a
+    # little slower but adds less to the benchmark's median peak RSS: 0.1
+    # and 2.2 MB on simulate_configs and analyze_stored, against 2.2 and
+    # 3.2 MB (CPython 3.11, numpy 2.4, 2-vCPU Xeon)
+    return np.fromiter(map(math.exp, -mu * (t - x)), float, len(x))
+
+
 def _exposed_integrand(at, t: float, params: PseirsParams):
-    """Integrand of E(t) over [t-omega, t], reading states through ``at``;
-    consistent init (t = 0) and the integro module share it."""
+    """Integrand of E(t) over [t-omega, t], reading the (n, 4) state rows
+    of an array of nodes through ``at``; consistent init (t = 0) and the
+    integro module share it."""
     gamma, mu = params.gamma, params.mu
 
     def f(x):
-        s, e, i, r = at(x)
-        if s == 0.0 or i == 0.0 or gamma == 0.0:
-            return 0.0
-        return gamma * (s / (s + e + i + r)) * i * math.exp(-mu * (t - x))
+        with np.errstate(all="ignore"):
+            s, e, i, r = at(x).T
+            v = gamma * (s / (s + e + i + r)) * i * _decay(mu, t, x)
+            return np.where((s == 0.0) | (i == 0.0) | (gamma == 0.0), 0.0, v)
 
     return f
 
@@ -141,23 +152,43 @@ def _recovered_integrand(at, t: float, params: PseirsParams):
     p, alpha, mu = params.p, params.alpha, params.mu
 
     def f(x):
-        return p * alpha * at(x)[2] * math.exp(-mu * (t - x))
+        with np.errstate(all="ignore"):
+            return p * alpha * at(x)[:, 2] * _decay(mu, t, x)
 
     return f
+
+
+def _history_rows(history: HistoryFunction, x: np.ndarray) -> np.ndarray:
+    """``history.raw_at`` of every node, as (n, 4) rows."""
+    if isinstance(history, ConstantHistory):
+        return np.tile(history.raw_at(0.0), (len(x), 1))
+    return np.array([history.raw_at(v) for v in x.tolist()],
+                    dtype=float).reshape(-1, 4)
 
 
 def consistent_initial_exposed(history: HistoryFunction,
                                params: PseirsParams) -> float:
     """E(0) integral of the history over [-omega, 0]."""
-    return adaptive_simpson(_exposed_integrand(history.raw_at, 0.0, params),
+    at = partial(_history_rows, history)
+    return adaptive_simpson(_exposed_integrand(at, 0.0, params),
                             -params.omega, 0.0)
 
 
 def consistent_initial_recovered(history: HistoryFunction,
                                  params: PseirsParams) -> float:
     """R(0) integral of the history over [-tau, 0]."""
-    return adaptive_simpson(_recovered_integrand(history.raw_at, 0.0, params),
+    at = partial(_history_rows, history)
+    return adaptive_simpson(_recovered_integrand(at, 0.0, params),
                             -params.tau, 0.0)
+
+
+def _hermite_weights(th, h):
+    """The weights h00, h01, h10, h11 of ``_interp4``, computed in its
+    operation order, for arrays of ``th``."""
+    t2 = th * th
+    t3 = t2 * th
+    return (2.0 * t3 - 3.0 * t2 + 1.0, 3.0 * t2 - 2.0 * t3,
+            (t3 - 2.0 * t2 + th) * h, (t3 - t2) * h)
 
 
 def _interp4(j, th, h, S, E, I, R, dS, dE, dI, dR):
@@ -177,33 +208,42 @@ def _interp4(j, th, h, S, E, I, R, dS, dE, dI, dR):
             h00 * R[j] + h01 * R[j1] + h10 * dR[j] + h11 * dR[j1])
 
 
-def _eval_raw(traj: Trajectory, t: float) -> tuple[float, float, float, float]:
-    """(S, E, I, R) anywhere in [-kappa, horizon]: history on the left,
-    Hermite interpolant of the stored samples on the right.
+def _eval_raw(traj: Trajectory, x: np.ndarray) -> np.ndarray:
+    """(S, E, I, R) rows at an array of times in [-kappa, horizon]: history
+    on the left (``history.raw_at``), Hermite interpolant of the stored
+    samples on the right.
 
-    Not an exact lookup at grid points: ``int(t / h)`` can pick the cell to
-    the left of a grid time, and the interpolant then misses the stored row
-    by rounding (at 770 of the 40,001 grid points of the baseline run).
-    ``history_eval`` is the exact lookup.  This one does not snap to the
-    grid because the quadrature of the integro module calls it for every
-    integrand evaluation: snapping to the grid made
-    ``verify_integral_equivalence`` 12 to 22% slower (CPython 3.11, 2-core
-    Xeon)."""
-    if t < 0.0:
-        if traj.history is None or t < -traj.kappa:
-            raise OutOfDomain(f"t={t} outside [-{traj.kappa}, {traj.horizon}]")
-        return traj.history.raw_at(t)
+    Each row has the bits of ``_interp4`` at that time: the same cell
+    ``int(t / h)``, clamped to the last cell, the same operation order and
+    the exact-row branch at ``th == 0``.  So it is not an exact lookup at
+    grid points: ``int(t / h)`` can pick the cell to the left of a grid
+    time, and the interpolant then misses the stored row by rounding (at
+    770 of the 40,001 grid points of the baseline run).  ``history_eval``
+    is the exact lookup; the integral forms use this one for all the
+    nodes of a quadrature level at once."""
+    x = np.asarray(x, dtype=float)
     times = traj.times
     h = traj.step
-    if t > times[-1] + 1e-9 * h:
-        raise OutOfDomain(f"t={t} beyond the last computed sample {times[-1]}")
-    j = int(t / h)
-    if j > len(times) - 2:
-        j = len(times) - 2
-    th = (t - j * h) / h
+    left = x < 0.0
+    any_left = left.any()
+    if any_left:
+        t = float(x[left].min())
+        if traj.history is None or t < -traj.kappa:
+            raise OutOfDomain(f"t={t} outside [-{traj.kappa}, {traj.horizon}]")
+    if len(x) and not x.max() <= times[-1] + 1e-9 * h:  # NaN fails too
+        raise OutOfDomain(f"t={float(x.max())} beyond the last computed "
+                          f"sample {times[-1]}")
+    xs = np.where(left, 0.0, x)  # history rows are replaced below
+    j = np.minimum((xs / h).astype(np.int64), len(times) - 2)
+    th = ((xs - j * h) / h)[:, None]
+    h00, h01, h10, h11 = _hermite_weights(th, h)
     st, dv = traj.states, traj.derivs
-    return _interp4(j, th, h, st[:, 0], st[:, 1], st[:, 2], st[:, 3],
-                    dv[:, 0], dv[:, 1], dv[:, 2], dv[:, 3])
+    rows = st[j]
+    v = ((h00 * rows + h01 * st[j + 1]) + h10 * dv[j]) + h11 * dv[j + 1]
+    v = np.where(th == 0.0, rows, v)
+    if any_left:
+        v[left] = _history_rows(traj.history, x[left])
+    return v
 
 
 def history_eval(traj: Trajectory, t: float) -> CompartmentState:
@@ -215,7 +255,7 @@ def history_eval(traj: Trajectory, t: float) -> CompartmentState:
         if 0 <= j < len(traj.times) and traj.times[j] == t:
             row = traj.states[j]
             return CompartmentState(row[0], row[1], row[2], row[3])
-    return CompartmentState(*_eval_raw(traj, t))
+    return CompartmentState(*_eval_raw(traj, np.array([t]))[0])
 
 
 def default_step(params: PseirsParams) -> float:
@@ -298,12 +338,7 @@ class _LookupPlan:
         xs = np.where(x < snap, 0.0, x)  # history lookups get j = 0, th = 0
         j = (xs / h).astype(np.int64)  # xs >= 0: truncation is int()
         th = (xs - j * h) / h
-        t2 = th * th
-        t3 = t2 * th
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h01 = 3.0 * t2 - 2.0 * t3
-        h10 = (t3 - 2.0 * t2 + th) * h
-        h11 = (t3 - t2) * h
+        h00, h01, h10, h11 = _hermite_weights(th, h)
         # axes (row j or j+1, lookup, step, -), as the gathered rows
         self.cells = np.stack([j, j + 1])
         self.value_weights = np.stack([h00, h01])[..., None]

@@ -7,7 +7,9 @@ For a consistently initialized run the solution satisfies
     R(t) = int_{t-tau}^t   p*alpha*I(x) * exp(-mu*(t-x)) dx
 
 at every t >= 0.  The integrands are the ones the dde module integrates at
-t = 0 for consistent initialization.  verify_integral_equivalence evaluates
+t = 0 for consistent initialization: each maps an array of nodes to the
+array of its values, reading the states of all the nodes of a quadrature
+level in one ``_eval_raw`` call.  verify_integral_equivalence evaluates
 both integrals by adaptive Simpson quadrature at evenly spaced checkpoints
 and reports the relative residuals against the trajectory's own E and R.
 """
@@ -40,7 +42,7 @@ class EquivalenceReport:
 
 
 def _check_coverage(traj: Trajectory, t: float, lag: float) -> None:
-    if t < 0.0 or t > traj.horizon + 1e-9 * traj.step:
+    if not 0.0 <= t <= traj.horizon + 1e-9 * traj.step:  # NaN fails too
         raise OutOfDomain(f"t={t} outside [0, {traj.horizon}]")
     if t - lag < -traj.kappa - 1e-12:
         raise OutOfDomain(f"trajectory does not cover [{t - lag}, {t}]")
@@ -87,15 +89,14 @@ def verify_integral_equivalence(traj: Trajectory, params: PseirsParams,
         raise TrajectoryTooShort(
             f"horizon {traj.horizon} must exceed kappa {kap}")
     times = np.linspace(kap, traj.horizon, n_checkpoints)
+    states = _eval_raw(traj, times)
     e_res = np.empty(n_checkpoints)
     r_res = np.empty(n_checkpoints)
-    for idx, t in enumerate(times):
-        t = float(t)
-        state = _eval_raw(traj, t)
+    for idx, t in enumerate(times.tolist()):
         e_res[idx] = _relative_residual(
-            exposed_integral(traj, t, params), state[1])
+            exposed_integral(traj, t, params), states[idx, 1])
         r_res[idx] = _relative_residual(
-            recovered_integral(traj, t, params), state[3])
+            recovered_integral(traj, t, params), states[idx, 3])
     return EquivalenceReport(times=times, e_residuals=e_res, r_residuals=r_res,
                              max_residual=float(max(e_res.max(), r_res.max())),
                              consistent_init=not traj.init_override)

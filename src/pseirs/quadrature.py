@@ -1,8 +1,20 @@
-"""Composite Simpson quadrature with automatic panel doubling."""
+"""Composite Simpson quadrature with automatic panel doubling.
+
+The integrand ``f`` maps a float64 array of nodes to the array of its
+values at those nodes.  A level is evaluated in chunks of at most
+``CHUNK`` nodes, so its memory does not grow with the panel count.  The
+odd and the even sums are taken node by node in increasing order (one
+sequential ``np.cumsum`` per chunk, carried from chunk to chunk), so an
+estimate has the bits of the plain loop ``odd += f(x)``, ``even += f(x)``
+over scalar nodes: ``np.sum`` would add pairwise, and ``sum`` compensates
+on Python 3.12 and later.
+"""
 
 from __future__ import annotations
 
 from typing import Callable
+
+import numpy as np
 
 from .errors import InvalidParameter, QuadratureNotConverged
 
@@ -12,29 +24,48 @@ from .errors import InvalidParameter, QuadratureNotConverged
 REL_TOL = 1e-6
 INITIAL_PANELS = 128
 MAX_PANELS = 1 << 21
+# nodes per call of the integrand; even, so a chunk starts at an even node
+CHUNK = 1 << 16
 
 
-def composite_simpson(f: Callable[[float], float], a: float, b: float,
-                      panels: int) -> float:
-    """Integrate f over [a, b] with ``panels`` equal Simpson intervals."""
+def _running_sum(total: float, values: np.ndarray) -> float:
+    """((total + v0) + v1) + ..., in this order."""
+    return np.cumsum(np.concatenate(([total], values)))[-1]
+
+
+def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float,
+                      b: float, panels: int) -> float:
+    """Integrate f over [a, b] with ``panels`` equal Simpson intervals,
+    evaluating f at the ``panels + 1`` nodes ``a + j*h`` (the endpoints are
+    exactly a and b)."""
     if panels < 2 or panels % 2 != 0:
         raise InvalidParameter("panels", panels, "even and >= 2")
     if a == b:
         return 0.0
     h = (b - a) / panels
-    total = f(a) + f(b)
-    odd = 0.0
-    even = 0.0
-    for j in range(1, panels):
-        x = a + j * h
-        if j % 2 == 1:
-            odd += f(x)
-        else:
-            even += f(x)
-    return (total + 4.0 * odd + 2.0 * even) * (h / 3.0)
+    odd = even = 0.0
+    for c0 in range(0, panels + 1, CHUNK):
+        c1 = min(c0 + CHUNK, panels + 1)
+        x = a + np.arange(c0, c1, dtype=float) * h
+        first, last = c0 == 0, c1 == panels + 1
+        if first:
+            x[0] = a
+        if last:
+            x[-1] = b
+        y = f(x)
+        if first:
+            fa = y[0]
+        if last:
+            fb = y[-1]
+        # c0 is even: local and global node numbers share their parity, and
+        # the endpoints are even nodes
+        odd = _running_sum(odd, y[1::2])
+        even = _running_sum(even, y[2 if first else 0:-1 if last else None:2])
+    return float((fa + fb + 4.0 * odd + 2.0 * even) * (h / 3.0))
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
+def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float,
+                     b: float) -> float:
     """Composite Simpson from INITIAL_PANELS panels, doubling the count until
     two successive estimates differ by at most REL_TOL relative
     (identically-zero integrands converge immediately to 0.0).  Raises

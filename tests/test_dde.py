@@ -13,7 +13,8 @@ from pseirs import (CompartmentState, ConstantHistory, InvalidParameter,
                     pseirs_derivatives, reconstruct_trajectory, simulate_pseirs)
 from pseirs.dde import _interp4, _pseirs_rhs, default_step
 from pseirs.presets import baseline_history, baseline_pseirs
-from pseirs.quadrature import adaptive_simpson
+
+from reference_quadrature import adaptive_simpson
 
 # frozen hand evaluations of the derivative rows at the baseline point
 # now = lagged = (S=63, E=0, I=7, R=0), N=70:
@@ -494,7 +495,8 @@ def test_abort_matches_reference_loop(p, hist, error, lagged):
 
 # The consistency integrands as they were written before consistent
 # initialization and the integral forms shared one integrand per
-# compartment, kept as the reference: E(0) and R(0) must match bit for bit.
+# compartment, with the scalar quadrature, kept as the reference: E(0) and
+# R(0) must match bit for bit.
 
 def reference_initial_exposed(history, params):
     gamma, mu = params.gamma, params.mu

@@ -1,13 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pseirs import (CompartmentState, ConstantHistory, InconsistentInit,
-                    OutOfDomain, Trajectory, exposed_integral, history_eval,
-                    kappa, recovered_integral, simulate_pseirs, verify_integral_equivalence)
+                    OutOfDomain, Trajectory, consistent_initial_exposed,
+                    exposed_integral, history_eval, kappa, recovered_integral,
+                    simulate_pseirs, verify_integral_equivalence)
+from pseirs.dde import _eval_raw, _interp4
 from pseirs.presets import baseline_history, baseline_pseirs
-from pseirs.quadrature import adaptive_simpson
+
+from reference_quadrature import adaptive_simpson
+from test_dde import PINNED_RUNS, _same_bits
 
 
 def _frozen_trajectory(state=(63.0, 0.0, 7.0, 0.0), horizon=60.0, step=0.5):
@@ -47,6 +52,18 @@ class TestExposedIntegral:
         traj = _frozen_trajectory()
         with pytest.raises(OutOfDomain):
             exposed_integral(traj, 100.0, canonical_params)
+
+    def test_all_zero_states_give_exact_zero_without_warning(self,
+                                                           canonical_params):
+        # 0/0 in the array integrand is masked, as the scalar 0.0 branch was
+        traj = _frozen_trajectory(state=(0.0, 0.0, 0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (0.0, 30.0, 60.0):
+                got = exposed_integral(traj, t, canonical_params)
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0
+            got = consistent_initial_exposed(traj.history, canonical_params)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
 class TestRecoveredIntegral:
@@ -134,3 +151,86 @@ class TestVerifyIntegralEquivalence:
             got, e = unnormalized(float(t)), history_eval(canonical_run, float(t)).e
             residuals.append(abs(got - e) / max(abs(got), abs(e)))
         assert max(residuals) > 1e-2
+
+
+# The integral forms as they were before the quadrature took an array of
+# nodes: one scalar lookup and one integrand call per node, kept as the
+# reference for the bits of exposed_integral and recovered_integral.
+
+def reference_lookup(traj):
+    """The scalar _eval_raw of trajectory times: Python floats give the
+    bits of numpy scalars, faster."""
+    h, last = traj.step, len(traj.times) - 2
+    columns = traj.states.T.tolist() + traj.derivs.T.tolist()
+
+    def at(t):
+        if t < 0.0:
+            return traj.history.raw_at(t)
+        j = int(t / h)
+        if j > last:
+            j = last
+        return _interp4(j, (t - j * h) / h, h, *columns)
+
+    return at
+
+
+@pytest.mark.parametrize("name", ["p_1", "sampled_history",
+                                  "signed_zero_history"])
+def test_eval_raw_bits_match_scalar_lookup(name):
+    # grid times (the exact-row branch keeps I(0) = -0.0), cell midpoints,
+    # the horizon (the last cell, clamped) and history times
+    params, hist, step, init, horizon = PINNED_RUNS[name]
+    traj = simulate_pseirs(params, hist, horizon, step, **init)
+    at = reference_lookup(traj)
+    x = np.concatenate([traj.times, traj.times[:-1] + 0.5 * traj.step,
+                        [traj.horizon], np.linspace(-kappa(params), 0.0, 7)])
+    want = np.array([at(t) for t in x.tolist()])
+    assert _same_bits(_eval_raw(traj, x), want)
+
+
+def reference_exposed_integral(at, t, params):
+    gamma, mu = params.gamma, params.mu
+
+    def f(x):
+        s, e, i, r = at(x)
+        if s == 0.0 or i == 0.0 or gamma == 0.0:
+            return 0.0
+        return gamma * (s / (s + e + i + r)) * i * math.exp(-mu * (t - x))
+
+    return adaptive_simpson(f, t - params.omega, t)
+
+
+def reference_recovered_integral(at, t, params):
+    p, alpha, mu = params.p, params.alpha, params.mu
+
+    def f(x):
+        return p * alpha * at(x)[2] * math.exp(-mu * (t - x))
+
+    return adaptive_simpson(f, t - params.tau, t)
+
+
+def _assert_bits_match_reference(name, times):
+    params, hist, step, init, horizon = PINNED_RUNS[name]
+    traj = simulate_pseirs(params, hist, horizon, step, **init)
+    at = reference_lookup(traj)
+    for t in times(params, traj):
+        for integral, reference in (
+                (exposed_integral, reference_exposed_integral),
+                (recovered_integral, reference_recovered_integral)):
+            got = integral(traj, t, params)
+            want = reference(at, t, params)
+            assert _same_bits(np.float64(got), np.float64(want)), (t, got, want)
+
+
+@pytest.mark.parametrize("name", ["p_1", "p_0.4", "omega_30", "sampled_history"])
+def test_integral_bits_match_scalar_reference(name):
+    # the 20 checkpoints of the verifier
+    _assert_bits_match_reference(name, lambda params, traj: np.linspace(
+        kappa(params), traj.horizon, 20).tolist())
+
+
+@pytest.mark.parametrize("name", ["p_1", "sampled_history"])
+def test_integral_bits_match_scalar_reference_in_the_history(name):
+    # before kappa, the nodes of one or both integrals fall in the history
+    # (at t = 0 all but the last one)
+    _assert_bits_match_reference(name, lambda params, traj: [0.0, 0.07, 10.0])
