@@ -35,12 +35,17 @@ one at a time:
   alpha*I_tau*exp(-mu*tau) of all its steps; the Python loop then does
   only the undelayed RK4 arithmetic.
 
-Every bit matches evaluating each lookup on its own (``_interp4``, which
-reconstruction still uses): numpy does the same IEEE-754 operations in the
-same order and does not fuse a multiply and an add, both decay factors are
-``math.exp`` values computed once, and the plan repeats the scalar lookup's
-``1e-9*h`` snap at t = 0, its ``int(x/h)`` truncation and its exact-row
-branch at ``th == 0``.
+Reconstruction (``reconstruct_trajectory``) rebuilds the derivative rows of
+stored states through the same plan, with stage 1's two lookups only, a
+block of rows at a time (``_derivative_rows``); the solver's last sample
+takes its derivative row from the same function.
+
+Every bit matches evaluating each lookup on its own with a scalar cubic
+Hermite (kept as the test reference): numpy does the same IEEE-754
+operations in the same order and does not fuse a multiply and an add, both
+decay factors are ``math.exp`` values computed once, and the plan repeats
+the scalar lookup's ``1e-9*h`` snap at t = 0, its ``int(x/h)`` truncation
+and its exact-row branch at ``th == 0``.
 
 Consistent initialization: E(0) and R(0) default to the integrals of the
 supplied history,
@@ -87,40 +92,26 @@ def _zero_population(t: float, lagged: bool = False) -> ZeroPopulation:
     return ZeroPopulation(f"{which} reached zero at t={t}; S*I/N is undefined")
 
 
-def _pseirs_rhs(t, s, e, i, r, s_w, e_w, i_w, r_w, i_tau,
-            beta, mu, epsilon, alpha, gamma, p, decay_w, decay_t):
-    """The four derivative rows at time t from the current and the two lagged
-    states, for pseirs_derivatives and reconstruction; the solver does the
-    same arithmetic in its loop.  decay_w/decay_t are
-    exp(-mu*omega)/exp(-mu*tau); t only names the time in a ZeroPopulation."""
-    n = s + e + i + r
-    n_w = s_w + e_w + i_w + r_w
-    if n <= 0.0:
-        raise _zero_population(t)
-    if n_w <= 0.0:
-        raise _zero_population(t, lagged=True)
-    inc_now = gamma * (s / n) * i
-    inc_lag = gamma * (s_w / n_w) * i_w * decay_w
-    ret = alpha * i_tau * decay_t
-    return (beta * n - mu * s - inc_now + ret,
-            inc_now - inc_lag - mu * e,
-            inc_lag - (mu + epsilon + alpha) * i,
-            p * alpha * i - ret - mu * r)
-
-
 def pseirs_derivatives(now: CompartmentState, at_lag_omega: CompartmentState,
                    at_lag_tau: CompartmentState,
                    params: PseirsParams) -> DerivativeSample:
     """Evaluate the four rows at one point given the two lagged states.
     The point carries no time, so a ZeroPopulation it raises names t=nan."""
-    decay_w = math.exp(-params.mu * params.omega)
-    decay_t = math.exp(-params.mu * params.tau)
-    return DerivativeSample(*_pseirs_rhs(
-        math.nan, now.s, now.e, now.i, now.r,
-        at_lag_omega.s, at_lag_omega.e, at_lag_omega.i, at_lag_omega.r,
-        at_lag_tau.i,
-        params.beta, params.mu, params.epsilon, params.alpha, params.gamma,
-        params.p, decay_w, decay_t))
+    s, e, i, r = now.as_tuple()
+    n, n_w = now.n, at_lag_omega.n
+    if n <= 0.0:
+        raise _zero_population(math.nan)
+    if n_w <= 0.0:
+        raise _zero_population(math.nan, lagged=True)
+    beta, mu, alpha, gamma = params.beta, params.mu, params.alpha, params.gamma
+    inc_now = gamma * (s / n) * i
+    inc_lag = (gamma * (at_lag_omega.s / n_w) * at_lag_omega.i
+               * math.exp(-mu * params.omega))
+    ret = alpha * at_lag_tau.i * math.exp(-mu * params.tau)
+    return DerivativeSample(beta * n - mu * s - inc_now + ret,
+                            inc_now - inc_lag - mu * e,
+                            inc_lag - (mu + params.epsilon + alpha) * i,
+                            params.p * alpha * i - ret - mu * r)
 
 
 def _decay(mu: float, t: float, x: np.ndarray) -> np.ndarray:
@@ -183,29 +174,12 @@ def consistent_initial_recovered(history: HistoryFunction,
 
 
 def _hermite_weights(th, h):
-    """The weights h00, h01, h10, h11 of ``_interp4``, computed in its
-    operation order, for arrays of ``th``."""
+    """The cubic Hermite weights h00, h01, h10, h11 of an array of cell
+    fractions ``th``, in the operation order of the scalar lookup."""
     t2 = th * th
     t3 = t2 * th
     return (2.0 * t3 - 3.0 * t2 + 1.0, 3.0 * t2 - 2.0 * t3,
             (t3 - 2.0 * t2 + th) * h, (t3 - t2) * h)
-
-
-def _interp4(j, th, h, S, E, I, R, dS, dE, dI, dR):
-    # Cubic Hermite over cell [t_j, t_{j+1}]; exact for cubic-in-time data.
-    if th == 0.0:
-        return (S[j], E[j], I[j], R[j])
-    t2 = th * th
-    t3 = t2 * th
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h01 = 3.0 * t2 - 2.0 * t3
-    h10 = (t3 - 2.0 * t2 + th) * h
-    h11 = (t3 - t2) * h
-    j1 = j + 1
-    return (h00 * S[j] + h01 * S[j1] + h10 * dS[j] + h11 * dS[j1],
-            h00 * E[j] + h01 * E[j1] + h10 * dE[j] + h11 * dE[j1],
-            h00 * I[j] + h01 * I[j1] + h10 * dI[j] + h11 * dI[j1],
-            h00 * R[j] + h01 * R[j1] + h10 * dR[j] + h11 * dR[j1])
 
 
 def _eval_raw(traj: Trajectory, x: np.ndarray) -> np.ndarray:
@@ -213,9 +187,10 @@ def _eval_raw(traj: Trajectory, x: np.ndarray) -> np.ndarray:
     on the left (``history.raw_at``), Hermite interpolant of the stored
     samples on the right.
 
-    Each row has the bits of ``_interp4`` at that time: the same cell
-    ``int(t / h)``, clamped to the last cell, the same operation order and
-    the exact-row branch at ``th == 0``.  So it is not an exact lookup at
+    Each row has the bits of the scalar cubic Hermite lookup at that time:
+    the same cell ``int(t / h)``, clamped to the last cell, the same
+    operation order ``((h00*S[j] + h01*S[j+1]) + h10*dS[j]) + h11*dS[j+1]``
+    and the exact-row branch at ``th == 0``.  So it is not an exact lookup at
     grid points: ``int(t / h)`` can pick the cell to the left of a grid
     time, and the interpolant then misses the stored row by rounding (at
     770 of the 40,001 grid points of the baseline run).  ``history_eval``
@@ -262,79 +237,41 @@ def default_step(params: PseirsParams) -> float:
     return min(params.omega, params.tau, 1.0) / 20.0
 
 
-def _delayed_rows(params: PseirsParams, history: HistoryFunction, h: float,
-                  Ss: list, Es: list, Is: list, Rs: list):
-    """Lookup-and-derivative core of reconstruction, over state columns
-    sampled every ``h`` from t=0.
-
-    Returns ``(derivative_at, derivs)``: a ``derivative_at(k, s, e, i, r)``
-    that evaluates the rows at t = k*h, resolving the lags one lookup at a
-    time exactly as the solver's lookup plan does, and appends them to
-    ``derivs``, the four derivative columns.  Rows must be evaluated in
-    order: a lookup reads the derivatives of earlier rows.
-    """
-    beta, mu, eps = params.beta, params.mu, params.epsilon
-    alpha, gamma, p = params.alpha, params.gamma, params.p
-    om, tau = params.omega, params.tau
-    decay_w = math.exp(-mu * om)
-    decay_t = math.exp(-mu * tau)
-
-    hist_raw = history.raw_at
-    if isinstance(history, ConstantHistory):
-        const_row = hist_raw(0.0)
-        hist_raw = lambda x: const_row  # noqa: E731 - hot path
-
-    dSs, dEs, dIs, dRs = [], [], [], []
-    snap = 1e-9 * h  # stage times t-lag can miss the t=0 boundary by ~1 ulp
-
-    def past(x):
-        if x < snap:
-            if x < -snap:
-                return hist_raw(x)
-            x = 0.0
-        # every lag is >= 4 steps, so rows j and j+1 and their derivatives
-        # are already computed: no clamp is needed
-        j = int(x / h)
-        return _interp4(j, (x - j * h) / h, h, Ss, Es, Is, Rs,
-                        dSs, dEs, dIs, dRs)
-
-    def derivative_at(k, s, e, i, r):
-        t = k * h
-        lw = past(t - om)
-        lt = past(t - tau)
-        d = _pseirs_rhs(t, s, e, i, r, lw[0], lw[1], lw[2], lw[3], lt[2],
-                        beta, mu, eps, alpha, gamma, p, decay_w, decay_t)
-        dSs.append(d[0]); dEs.append(d[1]); dIs.append(d[2]); dRs.append(d[3])
-        return d
-
-    return derivative_at, (dSs, dEs, dIs, dRs)
-
-
-# The plan's six lookups, in this order: lag omega at stage 1, at the
-# stage-2/3 midpoint and at stage 4, then lag tau at the same stages.
-# Stage 4 integrates the branch left of any breaking point, so its lookup
-# reads the history at t=0 (E and R may jump there under consistent init).
-_LEFT = np.array([False, False, True, False, False, True])[:, None]
+# Lookup stages as (offset in steps, left limit): RK4's stage 1, its
+# stage-2/3 midpoint and stage 4 for the solver; stage 1 alone for a
+# derivative row.  Stage 4 integrates the branch left of any breaking point,
+# so its lookup reads the history at t=0 (E and R may jump there under
+# consistent init).
+_RK4_STAGES = ((0.0, False), (0.5, False), (1.0, True))
+_ROW_STAGES = _RK4_STAGES[:1]
 
 
 class _LookupPlan:
-    """The six delayed lookups of steps c0 <= k < c1, worked out with the
-    operations of ``_delayed_rows``' ``past`` (stage 4: taking the history
-    at x <= snap, as the left limit) and ``_interp4``."""
+    """The delayed lookups of steps c0 <= k < c1: one at lag omega for each
+    of ``stages``, then one at lag tau for each, at t = k*h + offset*h.
+    Each is worked out with the operations of a scalar cubic Hermite
+    lookup: history for x < -1e-9*h (x <= 1e-9*h at a left limit, read at
+    min(x, 0)), else cell ``int(x/h)`` of the samples with x snapped to 0
+    within 1e-9*h, and the stored row itself at ``th == 0``.  No cell is
+    clamped: every lag is at least 4 steps."""
 
     def __init__(self, params: PseirsParams, history: HistoryFunction,
-                 h: float, c0: int, c1: int):
-        self.c0, self.c1 = c0, c1
+                 h: float, c0: int, c1: int, stages: tuple):
+        self.c0, self.c1, self.h = c0, c1, h
+        self.n_stages = len(stages)
         om, tau = params.omega, params.tau
-        self.gamma, self.alpha = params.gamma, params.alpha
+        self.beta, self.mu, self.gamma = params.beta, params.mu, params.gamma
+        self.alpha = params.alpha
+        self.b = params.mu + params.epsilon + params.alpha
+        self.pa = params.p * params.alpha
         self.decay_w = math.exp(-params.mu * om)
         self.decay_t = math.exp(-params.mu * tau)
         t = np.arange(c0, c1, dtype=float) * h
-        tm = t + 0.5 * h
-        te = t + h
-        x = np.stack([t - om, tm - om, te - om, t - tau, tm - tau, te - tau])
-        snap = 1e-9 * h
-        hist = np.where(_LEFT, x <= snap, x < -snap)
+        ts = [t + offset * h for offset, _ in stages]
+        x = np.stack([u - om for u in ts] + [u - tau for u in ts])
+        left = np.array([lim for _, lim in stages] * 2)[:, None]
+        snap = 1e-9 * h  # stage times t-lag can miss t=0 by ~1 ulp
+        hist = np.where(left, x <= snap, x < -snap)
         xs = np.where(x < snap, 0.0, x)  # history lookups get j = 0, th = 0
         j = (xs / h).astype(np.int64)  # xs >= 0: truncation is int()
         th = (xs - j * h) / h
@@ -354,7 +291,7 @@ class _LookupPlan:
             if isinstance(history, ConstantHistory):
                 self.hist_rows[hist] = history.raw_at(0.0)
             else:
-                at = np.where(_LEFT & (x > 0.0), 0.0, x)[hist]  # min(x, 0)
+                at = np.where(left & (x > 0.0), 0.0, x)[hist]  # min(x, 0)
                 self.hist_rows[hist] = [history.raw_at(a) for a in at.tolist()]
 
     def block_end(self, k0: int, stop: int) -> int:
@@ -365,22 +302,49 @@ class _LookupPlan:
 
     def lagged(self, states: np.ndarray, derivs: np.ndarray, k0: int, k1: int):
         """(incidence, return term, lagged N <= 0) of steps k0 <= k < k1:
-        three (3, k1-k0) arrays whose rows are the stages."""
+        three (stages, k1-k0) arrays whose rows are the stages."""
         sl = slice(k0 - self.c0, k1 - self.c0)
         cells = self.cells[:, :, sl]
-        values = states[cells]
+        # take, not fancy indexing: the same rows, 3-5x faster per block
+        # (numpy 2.4)
+        values = states.take(cells, axis=0)
         a = self.value_weights[:, :, sl] * values
-        d = self.slope_weights[:, :, sl] * derivs[cells]
-        # ((h00*S[j] + h01*S[j+1]) + h10*dS[j]) + h11*dS[j+1], as _interp4
+        d = self.slope_weights[:, :, sl] * derivs.take(cells, axis=0)
         v = ((a[0] + a[1]) + d[0]) + d[1]
-        v = np.where(self.exact[:, sl], values[0], v)
+        np.copyto(v, values[0], where=self.exact[:, sl])
         if self.any_hist[sl.start]:
-            v = np.where(self.hist[:, sl], self.hist_rows[:, sl], v)
-        w = v[:3]
+            np.copyto(v, self.hist_rows[:, sl], where=self.hist[:, sl])
+        n = self.n_stages
+        w = v[:n]
         n_w = ((w[..., 0] + w[..., 1]) + w[..., 2]) + w[..., 3]
         inc = self.gamma * (w[..., 0] / n_w) * w[..., 2] * self.decay_w
-        ret = self.alpha * v[3:, :, 2] * self.decay_t
+        ret = self.alpha * v[n:, :, 2] * self.decay_t
         return inc, ret, n_w <= 0.0
+
+
+def _derivative_rows(plan: _LookupPlan, states: np.ndarray,
+                     derivs: np.ndarray, k0: int, k1: int) -> None:
+    """Fill ``derivs[k0:k1]``, the model rows at the stored states of rows
+    k0 <= k < k1 and the plan's stage-1 lookups, with the solver's stage-1
+    arithmetic; rows k0..k1-1 must form a block of the plan.  Raises
+    ZeroPopulation, naming t, at the first row whose current N, or else
+    lagged N(t - omega), is <= 0.  Call it under np.errstate(all="ignore").
+    """
+    inc, ret, lag_zero = plan.lagged(states, derivs, k0, k1)
+    s, e, i, r = states[k0:k1].T
+    n = s + e + i + r
+    zero = n <= 0.0
+    bad = zero | lag_zero[0]
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _zero_population((k0 + k) * plan.h, lagged=not zero[k])
+    lw, lt, mu = inc[0], ret[0], plan.mu
+    inc_now = plan.gamma * (s / n) * i
+    rows = derivs[k0:k1]
+    rows[:, 0] = plan.beta * n - mu * s - inc_now + lt
+    rows[:, 1] = inc_now - lw - mu * e
+    rows[:, 2] = lw - plan.b * i
+    rows[:, 3] = plan.pa * i - lt - mu * r
 
 
 def _undershoot(t: float, floor: float, state) -> StepTooLarge:
@@ -427,9 +391,6 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
         raise ZeroPopulation("initial population is zero")
     floor = -1e-9 * n0
 
-    beta, mu, gamma = params.beta, params.mu, params.gamma
-    b = mu + params.epsilon + params.alpha  # grouped as in _pseirs_rhs
-    pa = params.p * params.alpha
     n_steps = step_count(horizon, h)
     hh = 0.5 * h
     h6 = h / 6.0
@@ -438,14 +399,17 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     states = np.zeros((n_steps + 1, 4))
     derivs = np.zeros((n_steps + 1, 4))
     states[0] = (s, e, i, r)
-    plan = None
     k0 = 0
     # numpy stays as quiet as the scalar float arithmetic it replaces
     with np.errstate(all="ignore"):
+        plan = _LookupPlan(params, history, h, 0,
+                           min(PLAN_CHUNK, n_steps + 1), _RK4_STAGES)
+        beta, mu, gamma, b, pa = plan.beta, plan.mu, plan.gamma, plan.b, plan.pa
         while True:
-            if plan is None or k0 == plan.c1:
+            if k0 == plan.c1:
                 plan = _LookupPlan(params, history, h, k0,
-                                   min(k0 + PLAN_CHUNK, n_steps + 1))
+                                   min(k0 + PLAN_CHUNK, n_steps + 1),
+                                   _RK4_STAGES)
             if k0 == n_steps:
                 break
             k1 = plan.block_end(k0, min(plan.c1, n_steps))
@@ -524,16 +488,7 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
             k0 = k1
 
         # the derivative row of the last sample: stage 1 of a step not taken
-        inc, ret, zero = plan.lagged(states, derivs, n_steps, n_steps + 1)
-    lw, lt = float(inc[0, 0]), float(ret[0, 0])
-    n = s + e + i + r
-    if n <= 0.0:
-        raise _zero_population(n_steps * h)
-    if zero[0, 0]:
-        raise _zero_population(n_steps * h, lagged=True)
-    inc_now = gamma * (s / n) * i
-    derivs[n_steps] = (beta * n - mu * s - inc_now + lt,
-                         inc_now - lw - mu * e, lw - b * i, pa * i - lt - mu * r)
+        _derivative_rows(plan, states, derivs, n_steps, n_steps + 1)
 
     times = np.arange(n_steps + 1, dtype=float) * h
     # copies made after the solve: holding the arrays allocated before the
@@ -550,29 +505,39 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     state samples, e.g. a trajectory CSV written by an earlier run.
 
     Derivatives are recomputed by evaluating the model rows at every sample,
-    resolving delayed lookups exactly as the solver did, so analyses run on
-    the reconstruction match the original run.
+    resolving delayed lookups exactly as the solver did (its lookup plan,
+    stage 1 only, a block of rows at a time), so analyses run on the
+    reconstruction match the original run.
     """
     validate_pseirs(params)
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
-    _require(len(times) >= 2 and times[0] == 0.0, "times", None,
-             "uniform grid starting at 0")
+    _require(times.ndim == 1 and len(times) >= 2 and times[0] == 0.0,
+             "times", None, "uniform grid starting at 0")
+    _require(states.shape == (len(times), 4), "states", states.shape,
+             "one (S, E, I, R) row per time")
     # times[1] is exactly 1*step as written by the solver, so this recovers
     # the original step bit-for-bit (uniformity is re-checked by Trajectory)
     h = float(times[1] - times[0])
     _require(h > 0 and h <= min(params.omega, params.tau) / 4.0, "step", h,
              "0 < step <= min(omega, tau)/4")
 
-    Ss, Es, Is, Rs = states.T.tolist()
-    derivative_at, derivs = _delayed_rows(params, history, h, Ss, Es, Is, Rs)
-    for k in range(len(Ss)):
-        derivative_at(k, Ss[k], Es[k], Is[k], Rs[k])
+    n_rows = len(times)
+    derivs = np.zeros((n_rows, 4))
+    k0 = 0
+    with np.errstate(all="ignore"):
+        while k0 < n_rows:
+            c1 = min(k0 + PLAN_CHUNK, n_rows)
+            plan = _LookupPlan(params, history, h, k0, c1, _ROW_STAGES)
+            while k0 < c1:
+                k1 = plan.block_end(k0, c1)
+                _derivative_rows(plan, states, derivs, k0, k1)
+                k0 = k1
 
     e_consistent = consistent_initial_exposed(history, params)
     r_consistent = consistent_initial_recovered(history, params)
-    override = not (Es[0] == e_consistent and Rs[0] == r_consistent)
-    return Trajectory(times=times, states=states,
-                      derivs=np.column_stack(derivs),
+    override = not (states[0, 1] == e_consistent and
+                    states[0, 3] == r_consistent)
+    return Trajectory(times=times, states=states, derivs=derivs,
                       step=h, labels=PSEIRS_LABELS, history=history,
                       kappa=kappa(params), init_override=override)

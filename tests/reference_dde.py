@@ -1,0 +1,45 @@
+"""The scalar delayed-lookup core as it was before reconstruction went
+through the solver's lookup plan, kept unchanged as the reference: one
+cubic Hermite lookup per call (``_interp4``) and the four model rows at one
+point (``_pseirs_rhs``).  The block lookups, the solver and reconstruction
+must give the same bits."""
+
+from pseirs.dde import _zero_population
+
+
+def _interp4(j, th, h, S, E, I, R, dS, dE, dI, dR):
+    # Cubic Hermite over cell [t_j, t_{j+1}]; exact for cubic-in-time data.
+    if th == 0.0:
+        return (S[j], E[j], I[j], R[j])
+    t2 = th * th
+    t3 = t2 * th
+    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
+    h01 = 3.0 * t2 - 2.0 * t3
+    h10 = (t3 - 2.0 * t2 + th) * h
+    h11 = (t3 - t2) * h
+    j1 = j + 1
+    return (h00 * S[j] + h01 * S[j1] + h10 * dS[j] + h11 * dS[j1],
+            h00 * E[j] + h01 * E[j1] + h10 * dE[j] + h11 * dE[j1],
+            h00 * I[j] + h01 * I[j1] + h10 * dI[j] + h11 * dI[j1],
+            h00 * R[j] + h01 * R[j1] + h10 * dR[j] + h11 * dR[j1])
+
+
+def _pseirs_rhs(t, s, e, i, r, s_w, e_w, i_w, r_w, i_tau,
+            beta, mu, epsilon, alpha, gamma, p, decay_w, decay_t):
+    """The four derivative rows at time t from the current and the two lagged
+    states, for pseirs_derivatives and reconstruction; the solver does the
+    same arithmetic in its loop.  decay_w/decay_t are
+    exp(-mu*omega)/exp(-mu*tau); t only names the time in a ZeroPopulation."""
+    n = s + e + i + r
+    n_w = s_w + e_w + i_w + r_w
+    if n <= 0.0:
+        raise _zero_population(t)
+    if n_w <= 0.0:
+        raise _zero_population(t, lagged=True)
+    inc_now = gamma * (s / n) * i
+    inc_lag = gamma * (s_w / n_w) * i_w * decay_w
+    ret = alpha * i_tau * decay_t
+    return (beta * n - mu * s - inc_now + ret,
+            inc_now - inc_lag - mu * e,
+            inc_lag - (mu + epsilon + alpha) * i,
+            p * alpha * i - ret - mu * r)

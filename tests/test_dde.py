@@ -11,9 +11,10 @@ from pseirs import (CompartmentState, ConstantHistory, InvalidParameter,
                     Trajectory, ZeroPopulation, consistent_initial_exposed,
                     consistent_initial_recovered, history_eval,
                     pseirs_derivatives, reconstruct_trajectory, simulate_pseirs)
-from pseirs.dde import _interp4, _pseirs_rhs, default_step
+from pseirs.dde import PLAN_CHUNK, default_step
 from pseirs.presets import baseline_history, baseline_pseirs
 
+from reference_dde import _interp4, _pseirs_rhs
 from reference_quadrature import adaptive_simpson
 
 # frozen hand evaluations of the derivative rows at the baseline point
@@ -79,6 +80,21 @@ class TestDerivativeRows:
                     params.gamma * (sw / lag_w.n) * iw,
                     params.alpha * itau, params.beta * now.n, 1.0)
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @settings(max_examples=200)
+    @given(now=st.tuples(*[positive_states] * 4),
+           lag_w=st.tuples(*[positive_states] * 4), itau=positive_states,
+           p=st.floats(0.0, 1.0))
+    def test_bits_match_reference_rows(self, now, lag_w, itau, p):
+        params = baseline_pseirs(p=p)
+        d = pseirs_derivatives(CompartmentState(*now), CompartmentState(*lag_w),
+                               CompartmentState(1.0, 1.0, itau, 1.0), params)
+        want = _pseirs_rhs(math.nan, *now, *lag_w, itau, params.beta,
+                           params.mu, params.epsilon, params.alpha,
+                           params.gamma, p,
+                           math.exp(-params.mu * params.omega),
+                           math.exp(-params.mu * params.tau))
+        assert _same_bits(np.array(d), np.array(want))
 
 
 class TestConsistentInitialization:
@@ -491,6 +507,52 @@ def test_abort_matches_reference_loop(p, hist, error, lagged):
         # stage 4 of the step at t = 2
         assert _abort_time(got.value) == _abort_time(want.value) == "3.0"
     assert ("lagged" in str(got.value)) == lagged == ("lagged" in str(want.value))
+
+
+def _stored(zero_rows=()):
+    """11 stored rows 1.0 apart, the constant _ROW but for all-zero rows."""
+    states = np.tile(np.array(_ROW), (11, 1))
+    states[list(zero_rows)] = 0.0
+    return np.arange(11, dtype=float), states
+
+
+@pytest.mark.parametrize("hist, zero_rows, t, lagged", [
+    # row 3 reads the history's zero population at t = -1
+    (GAP_HISTORY, (), "3.0", True),
+    (ConstantHistory(CompartmentState(*_ROW)), (5,), "5.0", False),
+    # both at row 3: the current population is named first
+    (GAP_HISTORY, (3,), "3.0", False),
+], ids=["lagged_zero", "current_zero", "current_before_lagged"])
+def test_reconstruct_abort_matches_reference_loop(hist, zero_rows, t, lagged):
+    times, states = _stored(zero_rows)
+    with pytest.raises(ZeroPopulation) as got:
+        reconstruct_trajectory(ABORT_PARAMS, hist, times, states)
+    with pytest.raises(ZeroPopulation) as want:
+        reference_reconstruct(ABORT_PARAMS, hist, times, states)
+    assert str(got.value) == str(want.value)
+    assert _abort_time(got.value) == t
+    assert ("lagged" in str(got.value)) == lagged
+
+
+@pytest.mark.parametrize("rows", [2, PLAN_CHUNK, PLAN_CHUNK + 1])
+@pytest.mark.parametrize("name", ["p_1", "minimum_step", "off_grid_step"])
+def test_reconstruct_bits_at_plan_edges(name, rows):
+    # a plan of 2 rows, exactly one full plan, and one row into a second
+    params, hist, step, init, horizon = PINNED_RUNS[name]
+    traj = simulate_pseirs(params, hist, horizon, step, **init)
+    times, states = traj.times[:rows], traj.states[:rows]
+    rebuilt = reconstruct_trajectory(params, hist, times, states)
+    assert _same_bits(rebuilt.derivs,
+                      reference_reconstruct(params, hist, times, states))
+    assert _same_bits(rebuilt.derivs, traj.derivs[:rows])
+
+
+@pytest.mark.parametrize("shape", [(11, 3), (10, 4), (11, 4, 1)])
+def test_reconstruct_rejects_misshapen_states(shape):
+    hist = ConstantHistory(CompartmentState(*_ROW))
+    times, _ = _stored()
+    with pytest.raises(InvalidParameter, match="states"):
+        reconstruct_trajectory(ABORT_PARAMS, hist, times, np.ones(shape))
 
 
 # The consistency integrands as they were written before consistent

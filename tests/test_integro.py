@@ -8,9 +8,10 @@ from pseirs import (CompartmentState, ConstantHistory, InconsistentInit,
                     OutOfDomain, Trajectory, consistent_initial_exposed,
                     exposed_integral, history_eval, kappa, recovered_integral,
                     simulate_pseirs, verify_integral_equivalence)
-from pseirs.dde import _eval_raw, _interp4
+from pseirs.dde import _eval_raw
 from pseirs.presets import baseline_history, baseline_pseirs
 
+from reference_dde import _interp4
 from reference_quadrature import adaptive_simpson
 from test_dde import PINNED_RUNS, _same_bits
 

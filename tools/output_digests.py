@@ -1,17 +1,19 @@
 """SHA-256 of every file the ``pseirs`` CLI writes for the shipped configs.
 
-Runs 16 commands against the package and configs of one checkout:
+Runs 18 commands against the package and configs of one checkout:
 ``simulate`` on each of the six configs, ``analyze`` of each stored
 trajectory with its own config, a 2-value ``params.p`` sweep of
 ``seirs_low_immunity``, a 3-value ``params.gamma`` sweep of
 ``seirs_baseline`` whose threshold probe gives ``decaying``, ``marginal``
 and ``growing`` (the shipped configs all give ``growing``), and two
-``simulate`` runs at the edges of the solver's lookup plan:
-``seirs_baseline`` at the smallest legal step (omega/4, so 4-step lags and
-2-step blocks) and ``seirs_long_latency`` at a step that puts both lags off
-the grid. Writes one JSON object mapping each output file (relative to the
-run directory) to its digest, so two checkouts that must produce the same
-bytes can be compared with ``diff``:
+``simulate`` runs at the edges of the solver's lookup plan, each followed
+by ``analyze`` of its trajectory: ``seirs_baseline`` at the smallest legal
+step (omega/4, so 4-step lags and 2-step blocks) and ``seirs_long_latency``
+at a step that puts both lags off the grid, so reconstruction is covered
+at 4-step lags and at lags off the grid too. Writes one JSON object
+mapping each output file (relative to the run directory) to its digest, so
+two checkouts that must produce the same bytes can be compared with
+``diff``:
 
     python tools/output_digests.py --src <checkout> --out digests.json
 
@@ -38,7 +40,7 @@ EDGE_STEPS = (("seirs_baseline", "0.0375"), ("seirs_long_latency", "0.0071"))
 
 
 def commands(configs: Path, out: Path) -> list:
-    """(output directory, CLI argv) for each of the 16 commands, in order."""
+    """(output directory, CLI argv) for each of the 18 commands, in order."""
     cmds = []
     for name in CONFIGS:
         config = str(configs / f"{name}.json")
@@ -52,9 +54,12 @@ def commands(configs: Path, out: Path) -> list:
                      ["sweep", "--config", str(configs / f"{name}.json"),
                       "--param", param, "--values", values]))
     for name, step in EDGE_STEPS:
-        cmds.append((out / "simulate-step" / f"{name}-{step}",
-                     ["simulate", "--config", str(configs / f"{name}.json"),
-                      "--step", step]))
+        config = str(configs / f"{name}.json")
+        sim = out / "simulate-step" / f"{name}-{step}"
+        cmds.append((sim, ["simulate", "--config", config, "--step", step]))
+        cmds.append((out / "analyze-step" / f"{name}-{step}",
+                     ["analyze", "--config", config,
+                      "--trajectory", str(sim / "trajectory.csv")]))
     return cmds
 
 
