@@ -354,6 +354,17 @@ def _undershoot(t: float, floor: float, state) -> StepTooLarge:
                         f"at t={t}; reduce the step")
 
 
+def _checked_kappa(params: PseirsParams, history: HistoryFunction) -> float:
+    """kappa(params), once the parameters are valid and the history covers
+    [-kappa, 0]; called before any delayed lookup."""
+    validate_pseirs(params)
+    kap = kappa(params)
+    if not history.covers(kap):
+        raise InvalidParameter("history", history.domain_start(),
+                               f"history must cover [-{kap}, 0]")
+    return kap
+
+
 def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
                     horizon: float, step: float | None = None, *,
                     e0: float | None = None,
@@ -367,11 +378,7 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     population-balance identity), and with ZeroPopulation, naming t, when
     the current or the lagged population N reaches zero.
     """
-    validate_pseirs(params)
-    kap = kappa(params)
-    if not history.covers(kap):
-        raise InvalidParameter("history", history.domain_start(),
-                               f"history must cover [-{kap}, 0]")
+    kap = _checked_kappa(params, history)
     if step is None:
         step = default_step(params)
     h = float(step)
@@ -509,7 +516,7 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     stage 1 only, a block of rows at a time), so analyses run on the
     reconstruction match the original run.
     """
-    validate_pseirs(params)
+    kap = _checked_kappa(params, history)
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     _require(times.ndim == 1 and len(times) >= 2 and times[0] == 0.0,
@@ -540,4 +547,4 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
                     states[0, 3] == r_consistent)
     return Trajectory(times=times, states=states, derivs=derivs,
                       step=h, labels=PSEIRS_LABELS, history=history,
-                      kappa=kappa(params), init_override=override)
+                      kappa=kap, init_override=override)

@@ -28,7 +28,8 @@ from .errors import InvalidParameter, PseirsError, TrajectoryTooShort
 from .integro import verify_integral_equivalence
 from .netgen import (degree_histogram, edge_list_text, gamma_from_graph,
                      generate_ba, graph_to_dict, mean_degree, powerlaw_slope)
-from .sir import simulate_sir, sir_derivatives, sir_r0
+# sir_derivatives stays importable here: bench/tracer.py wraps this name
+from .sir import simulate_sir, sir_derivative_rows, sir_derivatives, sir_r0
 from .stats import compartment_stats, csv_row_blocks, phase_plane
 from .threshold import classify_equilibrium, r0_linearized, r0_nominal, stability_probe
 
@@ -369,9 +370,9 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
     if config.model == "sir":
         _require(labels == ("S", "I", "R"), "trajectory", labels,
                  "S, I, R columns for a sir config")
-        derivs = np.array([sir_derivatives(SirState(*row), params) for row in states])
         step = float((times[-1] - times[0]) / (len(times) - 1))
-        traj = Trajectory(times=times, states=states, derivs=derivs,
+        traj = Trajectory(times=times, states=states,
+                          derivs=sir_derivative_rows(states, params),
                           step=step, labels=labels)
     else:
         _require(labels == ("S", "E", "I", "R"), "trajectory", labels,

@@ -212,11 +212,17 @@ class TestSimulate:
             simulate_pseirs(params, baseline_history(), 10.0, step=-0.01)
 
     def test_history_coverage_required(self):
-        from pseirs import SampledHistory
+        # kappa = 30 > 10: both entry points refuse the history before any
+        # delayed lookup (reconstruction used to end in OutOfDomain)
         hist = SampledHistory(np.array([-10.0, 0.0]),
                               np.array([[63.0, 0, 7, 0], [63.0, 0, 7, 0]]))
-        with pytest.raises(InvalidParameter):
-            simulate_pseirs(baseline_pseirs(), hist, 10.0)  # kappa = 30 > 10
+        with pytest.raises(InvalidParameter, match=r"cover \[-30.0, 0\]") as sim:
+            simulate_pseirs(baseline_pseirs(), hist, 10.0)
+        times = np.arange(11) * default_step(baseline_pseirs())
+        states = np.tile([63.0, 0.0, 7.0, 0.0], (11, 1))
+        with pytest.raises(InvalidParameter) as rec:
+            reconstruct_trajectory(baseline_pseirs(), hist, times, states)
+        assert str(rec.value) == str(sim.value)
 
     def test_negativity_abort(self):
         # strong delayed outflow from R with small p drives R negative

@@ -14,6 +14,24 @@ from pseirs.scenario import (ScenarioConfig, read_trajectory_csv, run_scenario,
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+MALFORMED_PSEIRS = {
+    "ragged_row": ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,0.0,7.0"],
+    "non_numeric_cell": ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,x,7.0,0.0,70.0"],
+    "too_few_columns": ["0.0,63.0,0.0,7.0,0.0", "0.0075,63.0,0.0,7.0,0.0"],
+    "no_samples": [],
+    "nan_cell": ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,nan,7.0,0.0,70.0"],
+    "inf_cell": ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,0.0,inf,0.0,70.0"],
+}
+MALFORMED_SIR = {
+    "ragged_row": ["0.0,11.0,1.0,0.0", "0.01,11.0,1.0"],
+    "non_numeric_cell": ["0.0,11.0,1.0,0.0", "0.01,11.0,x,0.0"],
+    "too_few_columns": ["0.0,11.0,1.0", "0.01,11.0,1.0"],
+    "no_samples": [],
+    "nan_cell": ["0.0,11.0,1.0,0.0", "0.01,11.0,nan,0.0"],
+    "inf_cell": ["0.0,11.0,1.0,0.0", "0.01,inf,1.0,0.0"],
+}
+
+
 def load_config(name):
     return json.loads((CONFIG_DIR / name).read_text())
 
@@ -238,20 +256,19 @@ class TestCli:
         assert record["error"]["type"] == "InvalidParameter"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("rows", [
-        ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,0.0,7.0"],
-        ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,x,7.0,0.0,70.0"],
-        ["0.0,63.0,0.0,7.0,0.0", "0.0075,63.0,0.0,7.0,0.0"],
-        [],
-        ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,nan,7.0,0.0,70.0"],
-        ["0.0,63.0,0.0,7.0,0.0,70.0", "0.0075,63.0,0.0,inf,0.0,70.0"],
-    ], ids=["ragged_row", "non_numeric_cell", "too_few_columns", "no_samples",
-            "nan_cell", "inf_cell"])
-    def test_analyze_malformed_trajectory(self, tmp_path, capsys, rows):
+    @pytest.mark.parametrize("config, header, rows", [
+        *(pytest.param("seirs_baseline.json", "t,S,E,I,R,N", rows, id=case)
+          for case, rows in MALFORMED_PSEIRS.items()),
+        # the SIR branch builds its derivative rows without a per-row check
+        *(pytest.param("sir_low_infectivity.json", "t,S,I,R", rows,
+                       id=f"sir_{case}")
+          for case, rows in MALFORMED_SIR.items()),
+    ])
+    def test_analyze_malformed_trajectory(self, tmp_path, capsys, config,
+                                          header, rows):
         csv = tmp_path / "trajectory.csv"
-        csv.write_text("\n".join(["t,S,E,I,R,N", *rows]) + "\n")
-        code = main(["analyze", "--config",
-                     str(CONFIG_DIR / "seirs_baseline.json"),
+        csv.write_text("\n".join([header, *rows]) + "\n")
+        code = main(["analyze", "--config", str(CONFIG_DIR / config),
                      "--trajectory", str(csv), "--out", str(tmp_path / "re")])
         assert code == 1
         record = json.loads(capsys.readouterr().err)

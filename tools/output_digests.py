@@ -1,19 +1,22 @@
 """SHA-256 of every file the ``pseirs`` CLI writes for the shipped configs.
 
-Runs 18 commands against the package and configs of one checkout:
+Runs 20 commands against the package and configs of one checkout:
 ``simulate`` on each of the six configs, ``analyze`` of each stored
 trajectory with its own config, a 2-value ``params.p`` sweep of
 ``seirs_low_immunity``, a 3-value ``params.gamma`` sweep of
 ``seirs_baseline`` whose threshold probe gives ``decaying``, ``marginal``
-and ``growing`` (the shipped configs all give ``growing``), and two
-``simulate`` runs at the edges of the solver's lookup plan, each followed
-by ``analyze`` of its trajectory: ``seirs_baseline`` at the smallest legal
-step (omega/4, so 4-step lags and 2-step blocks) and ``seirs_long_latency``
-at a step that puts both lags off the grid, so reconstruction is covered
-at 4-step lags and at lags off the grid too. Writes one JSON object
-mapping each output file (relative to the run directory) to its digest, so
-two checkouts that must produce the same bytes can be compared with
-``diff``:
+and ``growing`` (the shipped configs all give ``growing``), and three
+``simulate`` runs at non-default steps, each followed by ``analyze`` of its
+trajectory. Two sit at the edges of the solver's lookup plan:
+``seirs_baseline`` at the smallest legal step (omega/4, so 4-step lags and
+2-step blocks) and ``seirs_long_latency`` at a step that puts both lags off
+the grid, so reconstruction is covered at 4-step lags and at lags off the
+grid too. The third is ``sir_high_infectivity`` at step 0.07, which does
+not divide the horizon (the last sample is at t = 200.06), so the SIR
+derivative rows of ``simulate`` and ``analyze`` are covered on a second
+grid. Writes one JSON object mapping each output file (relative to the
+run directory) to its digest, so two checkouts that must produce the same
+bytes can be compared with ``diff``:
 
     python tools/output_digests.py --src <checkout> --out digests.json
 
@@ -36,11 +39,12 @@ CONFIGS = ("scale_free_5000", "seirs_baseline", "seirs_long_latency",
            "seirs_low_immunity", "sir_high_infectivity", "sir_low_infectivity")
 SWEEPS = (("seirs_low_immunity", "params.p", "0.5,1"),
           ("seirs_baseline", "params.gamma", "0.02,0.1061,0.308"))
-EDGE_STEPS = (("seirs_baseline", "0.0375"), ("seirs_long_latency", "0.0071"))
+EDGE_STEPS = (("seirs_baseline", "0.0375"), ("seirs_long_latency", "0.0071"),
+              ("sir_high_infectivity", "0.07"))
 
 
 def commands(configs: Path, out: Path) -> list:
-    """(output directory, CLI argv) for each of the 18 commands, in order."""
+    """(output directory, CLI argv) for each of the 20 commands, in order."""
     cmds = []
     for name in CONFIGS:
         config = str(configs / f"{name}.json")
