@@ -151,6 +151,12 @@ class HistoryFunction(ABC):
     def domain_start(self) -> float:
         """Leftmost time the history is defined for."""
 
+    def rows_at(self, x: np.ndarray) -> np.ndarray:
+        """``raw_at`` of every time in ``x``, as (len(x), 4) rows with the
+        same bits; subclasses replace the loop with numpy."""
+        return np.array([self.raw_at(t) for t in np.asarray(x).tolist()],
+                        dtype=float).reshape(-1, 4)
+
     def state_at(self, t: float) -> CompartmentState:
         return CompartmentState(*self.raw_at(t))
 
@@ -172,6 +178,9 @@ class ConstantHistory(HistoryFunction):
     def raw_at(self, t):
         st = self.state
         return (st.s, st.e, st.i, st.r)
+
+    def rows_at(self, x):
+        return np.tile(self.raw_at(0.0), (len(x), 1))
 
     def domain_start(self):
         return -math.inf
@@ -220,6 +229,22 @@ class SampledHistory(HistoryFunction):
         w = (t - t0) / (t1 - t0)
         a, b = self.states[j], self.states[j + 1]
         return tuple(float(a[k] + w * (b[k] - a[k])) for k in range(4))
+
+    def rows_at(self, x):
+        # raw_at's operations on every time at once, so the same bits
+        x = np.asarray(x, dtype=float)
+        times = self.times
+        early = x < times[0]
+        if early.any():
+            raise OutOfDomain(f"history evaluation at t={float(x[early][0])} "
+                              f"before {times[0]}")
+        j = np.minimum(np.searchsorted(times, x, side="right") - 1,
+                       len(times) - 2)
+        w = ((x - times[j]) / (times[j + 1] - times[j]))[:, None]
+        a, b = self.states[j], self.states[j + 1]
+        rows = a + w * (b - a)
+        rows[x >= 0.0] = self.states[-1]
+        return rows
 
     def domain_start(self):
         return float(self.times[0])

@@ -36,9 +36,20 @@ one at a time:
   only the undelayed RK4 arithmetic.
 
 Reconstruction (``reconstruct_trajectory``) rebuilds the derivative rows of
-stored states through the same plan, with stage 1's two lookups only, a
-block of rows at a time (``_derivative_rows``); the solver's last sample
-takes its derivative row from the same function.
+stored states with stage 1's two lookups only (``_derivative_rows``; the
+solver's last sample takes its derivative row from the same function).  As
+every stored state is known up front, only the lag-omega lookups depend on
+the rows just rebuilt, so the work splits by lag:
+
+- For a chunk of ``PLAN_CHUNK`` rows, the undelayed arithmetic runs once:
+  N and its zero mask, the current incidence, beta*N - mu*S - incidence,
+  mu*E, (mu+epsilon+alpha)*I, p*alpha*I and mu*R.
+- Each lag has its own lookup plan and its own blocks.  One gather per
+  tau block gives the return term and fills the dS and dR columns; where
+  tau/h exceeds ``PLAN_CHUNK`` (4,000 steps on three of the four shipped
+  pSEIRS configs) that is one block per chunk.  An omega block, which
+  ends no later than the tau block, gives the lagged incidence, checks the
+  current and the lagged N, and fills the dE and dI columns.
 
 Every bit matches evaluating each lookup on its own with a scalar cubic
 Hermite (kept as the test reference): numpy does the same IEEE-754
@@ -63,14 +74,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (CompartmentState, ConstantHistory, HistoryFunction,
-                   PseirsParams, Trajectory, _require, kappa, step_count,
-                   validate_pseirs)
+from .core import (CompartmentState, HistoryFunction, PseirsParams,
+                   Trajectory, _require, kappa, step_count, validate_pseirs)
 from .errors import InvalidParameter, OutOfDomain, StepTooLarge, ZeroPopulation
 from .quadrature import adaptive_simpson
 
@@ -149,27 +158,17 @@ def _recovered_integrand(at, t: float, params: PseirsParams):
     return f
 
 
-def _history_rows(history: HistoryFunction, x: np.ndarray) -> np.ndarray:
-    """``history.raw_at`` of every node, as (n, 4) rows."""
-    if isinstance(history, ConstantHistory):
-        return np.tile(history.raw_at(0.0), (len(x), 1))
-    return np.array([history.raw_at(v) for v in x.tolist()],
-                    dtype=float).reshape(-1, 4)
-
-
 def consistent_initial_exposed(history: HistoryFunction,
                                params: PseirsParams) -> float:
     """E(0) integral of the history over [-omega, 0]."""
-    at = partial(_history_rows, history)
-    return adaptive_simpson(_exposed_integrand(at, 0.0, params),
+    return adaptive_simpson(_exposed_integrand(history.rows_at, 0.0, params),
                             -params.omega, 0.0)
 
 
 def consistent_initial_recovered(history: HistoryFunction,
                                  params: PseirsParams) -> float:
     """R(0) integral of the history over [-tau, 0]."""
-    at = partial(_history_rows, history)
-    return adaptive_simpson(_recovered_integrand(at, 0.0, params),
+    return adaptive_simpson(_recovered_integrand(history.rows_at, 0.0, params),
                             -params.tau, 0.0)
 
 
@@ -184,7 +183,7 @@ def _hermite_weights(th, h):
 
 def _eval_raw(traj: Trajectory, x: np.ndarray) -> np.ndarray:
     """(S, E, I, R) rows at an array of times in [-kappa, horizon]: history
-    on the left (``history.raw_at``), Hermite interpolant of the stored
+    on the left (``history.rows_at``), Hermite interpolant of the stored
     samples on the right.
 
     Each row has the bits of the scalar cubic Hermite lookup at that time:
@@ -217,7 +216,7 @@ def _eval_raw(traj: Trajectory, x: np.ndarray) -> np.ndarray:
     v = ((h00 * rows + h01 * st[j + 1]) + h10 * dv[j]) + h11 * dv[j + 1]
     v = np.where(th == 0.0, rows, v)
     if any_left:
-        v[left] = _history_rows(traj.history, x[left])
+        v[left] = traj.history.rows_at(x[left])
     return v
 
 
@@ -247,29 +246,29 @@ _ROW_STAGES = _RK4_STAGES[:1]
 
 
 class _LookupPlan:
-    """The delayed lookups of steps c0 <= k < c1: one at lag omega for each
-    of ``stages``, then one at lag tau for each, at t = k*h + offset*h.
-    Each is worked out with the operations of a scalar cubic Hermite
+    """The delayed lookups of steps c0 <= k < c1: for each of ``lags`` in
+    turn, one for each of ``stages``, at t = k*h + offset*h - lag.  The
+    solver plans (omega, tau); reconstruction plans each lag on its own.
+    Each lookup is worked out with the operations of a scalar cubic Hermite
     lookup: history for x < -1e-9*h (x <= 1e-9*h at a left limit, read at
     min(x, 0)), else cell ``int(x/h)`` of the samples with x snapped to 0
     within 1e-9*h, and the stored row itself at ``th == 0``.  No cell is
     clamped: every lag is at least 4 steps."""
 
     def __init__(self, params: PseirsParams, history: HistoryFunction,
-                 h: float, c0: int, c1: int, stages: tuple):
+                 h: float, c0: int, c1: int, stages: tuple, lags: tuple):
         self.c0, self.c1, self.h = c0, c1, h
         self.n_stages = len(stages)
-        om, tau = params.omega, params.tau
         self.beta, self.mu, self.gamma = params.beta, params.mu, params.gamma
         self.alpha = params.alpha
         self.b = params.mu + params.epsilon + params.alpha
         self.pa = params.p * params.alpha
-        self.decay_w = math.exp(-params.mu * om)
-        self.decay_t = math.exp(-params.mu * tau)
+        self.decay_w = math.exp(-params.mu * params.omega)
+        self.decay_t = math.exp(-params.mu * params.tau)
         t = np.arange(c0, c1, dtype=float) * h
         ts = [t + offset * h for offset, _ in stages]
-        x = np.stack([u - om for u in ts] + [u - tau for u in ts])
-        left = np.array([lim for _, lim in stages] * 2)[:, None]
+        x = np.stack([u - lag for lag in lags for u in ts])
+        left = np.array([lim for _, lim in stages] * len(lags))[:, None]
         snap = 1e-9 * h  # stage times t-lag can miss t=0 by ~1 ulp
         hist = np.where(left, x <= snap, x < -snap)
         xs = np.where(x < snap, 0.0, x)  # history lookups get j = 0, th = 0
@@ -288,11 +287,8 @@ class _LookupPlan:
         if self.any_hist[0]:
             self.hist = hist[:, :, None]
             self.hist_rows = np.zeros(x.shape + (4,))
-            if isinstance(history, ConstantHistory):
-                self.hist_rows[hist] = history.raw_at(0.0)
-            else:
-                at = np.where(left & (x > 0.0), 0.0, x)[hist]  # min(x, 0)
-                self.hist_rows[hist] = [history.raw_at(a) for a in at.tolist()]
+            at = np.where(left & (x > 0.0), 0.0, x)[hist]  # min(x, 0)
+            self.hist_rows[hist] = history.rows_at(at)
 
     def block_end(self, k0: int, stop: int) -> int:
         """End of the block starting at k0: its lookups read rows <= k0-1.
@@ -300,9 +296,9 @@ class _LookupPlan:
         c0 = self.c0
         return min(bisect_right(self.need, k0 - 1, k0 - c0) + c0, stop)
 
-    def lagged(self, states: np.ndarray, derivs: np.ndarray, k0: int, k1: int):
-        """(incidence, return term, lagged N <= 0) of steps k0 <= k < k1:
-        three (stages, k1-k0) arrays whose rows are the stages."""
+    def rows(self, states: np.ndarray, derivs: np.ndarray, k0: int, k1: int):
+        """The (S, E, I, R) rows looked up for steps k0 <= k < k1: a
+        (lookups, k1-k0, 4) array."""
         sl = slice(k0 - self.c0, k1 - self.c0)
         cells = self.cells[:, :, sl]
         # take, not fancy indexing: the same rows, 3-5x faster per block
@@ -314,37 +310,77 @@ class _LookupPlan:
         np.copyto(v, values[0], where=self.exact[:, sl])
         if self.any_hist[sl.start]:
             np.copyto(v, self.hist_rows[:, sl], where=self.hist[:, sl])
-        n = self.n_stages
-        w = v[:n]
+        return v
+
+    def incidence(self, w: np.ndarray):
+        """(gamma*(S/N)*I*exp(-mu*omega), N <= 0) of rows at lag omega."""
         n_w = ((w[..., 0] + w[..., 1]) + w[..., 2]) + w[..., 3]
         inc = self.gamma * (w[..., 0] / n_w) * w[..., 2] * self.decay_w
-        ret = self.alpha * v[n:, :, 2] * self.decay_t
-        return inc, ret, n_w <= 0.0
+        return inc, n_w <= 0.0
+
+    def return_term(self, v: np.ndarray) -> np.ndarray:
+        """alpha*I*exp(-mu*tau) of rows at lag tau."""
+        return self.alpha * v[..., 2] * self.decay_t
+
+    def lagged(self, states: np.ndarray, derivs: np.ndarray, k0: int, k1: int):
+        """(incidence, return term, lagged N <= 0) of steps k0 <= k < k1 of
+        an (omega, tau) plan: three (stages, k1-k0) arrays whose rows are
+        the stages."""
+        v = self.rows(states, derivs, k0, k1)
+        n = self.n_stages
+        inc, lag_zero = self.incidence(v[:n])
+        return inc, self.return_term(v[n:]), lag_zero
 
 
-def _derivative_rows(plan: _LookupPlan, states: np.ndarray,
-                     derivs: np.ndarray, k0: int, k1: int) -> None:
+def _derivative_rows(params: PseirsParams, history: HistoryFunction, h: float,
+                     states: np.ndarray, derivs: np.ndarray, k0: int,
+                     k1: int) -> None:
     """Fill ``derivs[k0:k1]``, the model rows at the stored states of rows
-    k0 <= k < k1 and the plan's stage-1 lookups, with the solver's stage-1
-    arithmetic; rows k0..k1-1 must form a block of the plan.  Raises
+    k0 <= k < k1 and their stage-1 lookups, with the solver's stage-1
+    arithmetic; the rows before k0 must be complete.  Raises
     ZeroPopulation, naming t, at the first row whose current N, or else
-    lagged N(t - omega), is <= 0.  Call it under np.errstate(all="ignore").
-    """
-    inc, ret, lag_zero = plan.lagged(states, derivs, k0, k1)
-    s, e, i, r = states[k0:k1].T
-    n = s + e + i + r
-    zero = n <= 0.0
-    bad = zero | lag_zero[0]
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise _zero_population((k0 + k) * plan.h, lagged=not zero[k])
-    lw, lt, mu = inc[0], ret[0], plan.mu
-    inc_now = plan.gamma * (s / n) * i
-    rows = derivs[k0:k1]
-    rows[:, 0] = plan.beta * n - mu * s - inc_now + lt
-    rows[:, 1] = inc_now - lw - mu * e
-    rows[:, 2] = lw - plan.b * i
-    rows[:, 3] = plan.pa * i - lt - mu * r
+    lagged N(t - omega), is <= 0.
+
+    A chunk of ``PLAN_CHUNK`` rows at a time: the undelayed terms of the
+    whole chunk first, then a lookup plan and a block schedule per lag.  A
+    tau block fills the dS and dR columns of its rows, and the omega blocks
+    inside it fill dE and dI, so every lookup reads finished rows."""
+    with np.errstate(all="ignore"):
+        for c0 in range(k0, k1, PLAN_CHUNK):
+            c1 = min(c0 + PLAN_CHUNK, k1)
+            w_plan = _LookupPlan(params, history, h, c0, c1, _ROW_STAGES,
+                                 (params.omega,))
+            t_plan = _LookupPlan(params, history, h, c0, c1, _ROW_STAGES,
+                                 (params.tau,))
+            mu = w_plan.mu
+            s, e, i, r = states[c0:c1].T
+            n = s + e + i + r
+            zero = n <= 0.0
+            inc_now = w_plan.gamma * (s / n) * i
+            ds = w_plan.beta * n - mu * s - inc_now
+            mu_e, b_i = mu * e, w_plan.b * i
+            pa_i, mu_r = w_plan.pa * i, mu * r
+            rows = derivs[c0:c1]
+            k = kt = c0
+            while k < c1:
+                if k == kt:
+                    kt = t_plan.block_end(k, c1)
+                    v = t_plan.rows(states, derivs, k, kt)
+                    lt = t_plan.return_term(v)[0]
+                    sl = slice(k - c0, kt - c0)
+                    rows[sl, 0] = ds[sl] + lt
+                    rows[sl, 3] = pa_i[sl] - lt - mu_r[sl]
+                kw = w_plan.block_end(k, kt)
+                v = w_plan.rows(states, derivs, k, kw)
+                lw, lag_zero = w_plan.incidence(v[0])
+                sl = slice(k - c0, kw - c0)
+                bad = zero[sl] | lag_zero
+                if bad.any():
+                    m = int(np.argmax(bad))
+                    raise _zero_population((k + m) * h, lagged=not zero[sl][m])
+                rows[sl, 1] = inc_now[sl] - lw - mu_e[sl]
+                rows[sl, 2] = lw - b_i[sl]
+                k = kw
 
 
 def _undershoot(t: float, floor: float, state) -> StepTooLarge:
@@ -407,16 +443,17 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     derivs = np.zeros((n_steps + 1, 4))
     states[0] = (s, e, i, r)
     k0 = 0
+    lags = (params.omega, params.tau)
     # numpy stays as quiet as the scalar float arithmetic it replaces
     with np.errstate(all="ignore"):
         plan = _LookupPlan(params, history, h, 0,
-                           min(PLAN_CHUNK, n_steps + 1), _RK4_STAGES)
+                           min(PLAN_CHUNK, n_steps + 1), _RK4_STAGES, lags)
         beta, mu, gamma, b, pa = plan.beta, plan.mu, plan.gamma, plan.b, plan.pa
         while True:
             if k0 == plan.c1:
                 plan = _LookupPlan(params, history, h, k0,
                                    min(k0 + PLAN_CHUNK, n_steps + 1),
-                                   _RK4_STAGES)
+                                   _RK4_STAGES, lags)
             if k0 == n_steps:
                 break
             k1 = plan.block_end(k0, min(plan.c1, n_steps))
@@ -495,7 +532,8 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
             k0 = k1
 
         # the derivative row of the last sample: stage 1 of a step not taken
-        _derivative_rows(plan, states, derivs, n_steps, n_steps + 1)
+        _derivative_rows(params, history, h, states, derivs, n_steps,
+                         n_steps + 1)
 
     times = np.arange(n_steps + 1, dtype=float) * h
     # copies made after the solve: holding the arrays allocated before the
@@ -512,9 +550,9 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     state samples, e.g. a trajectory CSV written by an earlier run.
 
     Derivatives are recomputed by evaluating the model rows at every sample,
-    resolving delayed lookups exactly as the solver did (its lookup plan,
-    stage 1 only, a block of rows at a time), so analyses run on the
-    reconstruction match the original run.
+    resolving delayed lookups exactly as the solver did (its lookup plans,
+    stage 1 only, one plan per lag), so analyses run on the reconstruction
+    match the original run.
     """
     kap = _checked_kappa(params, history)
     times = np.asarray(times, dtype=float)
@@ -529,17 +567,8 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     _require(h > 0 and h <= min(params.omega, params.tau) / 4.0, "step", h,
              "0 < step <= min(omega, tau)/4")
 
-    n_rows = len(times)
-    derivs = np.zeros((n_rows, 4))
-    k0 = 0
-    with np.errstate(all="ignore"):
-        while k0 < n_rows:
-            c1 = min(k0 + PLAN_CHUNK, n_rows)
-            plan = _LookupPlan(params, history, h, k0, c1, _ROW_STAGES)
-            while k0 < c1:
-                k1 = plan.block_end(k0, c1)
-                _derivative_rows(plan, states, derivs, k0, k1)
-                k0 = k1
+    derivs = np.zeros((len(times), 4))
+    _derivative_rows(params, history, h, states, derivs, 0, len(times))
 
     e_consistent = consistent_initial_exposed(history, params)
     r_consistent = consistent_initial_recovered(history, params)

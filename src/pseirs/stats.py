@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Trajectory, _require
-from .errors import EmptyWindow, GridMismatch
+from .errors import EmptyWindow, GridMismatch, ZeroPopulation
 
 
 # rows per formatted block: bounds the temporary floats and strings
@@ -96,8 +96,14 @@ def phase_plane(traj: Trajectory, axes, window=None,
     if window is None:
         window = (float(traj.times[0]), traj.horizon)
     mask = _window_mask(traj, window)
-    data = traj.fractions() if proportions else traj.states
-    cols = [data[mask, traj.labels.index(a)] for a in axes]
+    cols = [traj.states[mask, traj.labels.index(a)] for a in axes]
+    if proportions:
+        n = traj.totals()[mask]
+        if not (n > 0.0).all():
+            t = float(traj.times[mask][np.argmin(n > 0.0)])
+            raise ZeroPopulation(f"population N reached zero at t={t}; "
+                                 "proportions are undefined")
+        cols = [c / n for c in cols]  # the columns of Trajectory.fractions
     labels = tuple(a.lower() for a in axes) if proportions else axes
     return PhasePlaneSeries(labels=labels, points=np.column_stack(cols))
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pseirs import (CompartmentState, ConstantHistory, InvalidParameter,
-                    OutOfDomain, PseirsParams, SampledHistory, SirParams,
-                    SirState, Trajectory, kappa, validate_pseirs)
+from pseirs import (CompartmentState, ConstantHistory, HistoryFunction,
+                    InvalidParameter, OutOfDomain, PseirsParams,
+                    SampledHistory, SirParams, SirState, Trajectory, kappa,
+                    validate_pseirs)
 
 finite_counts = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
 
@@ -16,6 +17,20 @@ def make_params(**overrides):
                 gamma=0.308, omega=0.15, tau=30.0, p=1.0)
     base.update(overrides)
     return PseirsParams(**base)
+
+
+class _RawAtOnly(HistoryFunction):
+    """A sampled history that defines raw_at only: its rows_at is the base
+    class's loop."""
+
+    def __init__(self, times, states):
+        self._sampled = SampledHistory(times, states)
+
+    def raw_at(self, t):
+        return self._sampled.raw_at(t)
+
+    def domain_start(self):
+        return self._sampled.domain_start()
 
 
 class TestPseirsParams:
@@ -111,6 +126,32 @@ class TestHistories:
         assert mid == pytest.approx((3.0, 0.0, 1.5, 0.0))
         with pytest.raises(OutOfDomain):
             hist.raw_at(-2.5)
+
+    @pytest.mark.parametrize("kind", ["sampled", "constant", "raw_at_only"])
+    def test_rows_at_matches_raw_at(self, kind):
+        # node by node, including the sample times, both zeros, t > 0 and
+        # the left end
+        times = np.linspace(-30.0, 0.0, 13)
+        wave = np.sin(times / 4.0)
+        states = np.column_stack([63.0 + 2.0 * wave, 0.5 + 0.25 * wave,
+                                  7.0 - 1.5 * wave, 3.0 + np.cos(times / 7.0)])
+        hist = {"sampled": SampledHistory(times, states),
+                "constant": ConstantHistory(CompartmentState(63.0, 0.0, -0.0, 0.0)),
+                "raw_at_only": _RawAtOnly(times, states)}[kind]
+        inner = np.random.default_rng(5).uniform(-30.0, 0.0, 200)
+        x = np.concatenate([times, inner, [-0.0, 5e-324, 0.5, -5e-324, -30.0]])
+        want = np.array([hist.raw_at(t) for t in x.tolist()], dtype=float)
+        assert hist.rows_at(x).tobytes() == want.tobytes()
+        assert hist.rows_at(x[:0]).shape == (0, 4)
+
+    @pytest.mark.parametrize("cls", [SampledHistory, _RawAtOnly])
+    def test_rows_at_out_of_domain_names_the_first_time(self, cls):
+        hist = cls(np.array([-2.0, -1.0, 0.0]), np.ones((3, 4)))
+        with pytest.raises(OutOfDomain) as want:
+            hist.raw_at(-2.5)
+        with pytest.raises(OutOfDomain) as got:
+            hist.rows_at(np.array([-1.0, -2.5, -3.0]))
+        assert str(got.value) == str(want.value)
 
     def test_sampled_history_validation(self):
         good_states = np.ones((3, 4))

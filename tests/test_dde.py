@@ -420,6 +420,11 @@ class _LeftLimitHistory(SampledHistory):
             raise OutOfDomain(f"history evaluation at t={t} > 0")
         return super().raw_at(t)
 
+    def rows_at(self, x):
+        if (x > 0.0).any():
+            raise OutOfDomain(f"history evaluation at t={float(x.max())} > 0")
+        return super().rows_at(x)
+
 
 def _sampled_history(kind=SampledHistory):
     times = np.linspace(-30.0, 0.0, 13)
@@ -458,6 +463,11 @@ PINNED_RUNS = {
     "signed_zero_history": (baseline_pseirs(),
                             ConstantHistory(CompartmentState(63.0, 0.0, -0.0, 0.0)),
                             None, {}, 1.0),
+    # lags of 20 and 400 steps: reconstruction's tau blocks end inside each
+    # plan chunk, and the run spans more than three chunks
+    "tau_inside_a_chunk": (dataclasses.replace(baseline_pseirs(), omega=0.15,
+                                               tau=3.0),
+                           baseline_history(), None, {}, 25.0),
 }
 
 
@@ -541,7 +551,8 @@ def test_reconstruct_abort_matches_reference_loop(hist, zero_rows, t, lagged):
 
 
 @pytest.mark.parametrize("rows", [2, PLAN_CHUNK, PLAN_CHUNK + 1])
-@pytest.mark.parametrize("name", ["p_1", "minimum_step", "off_grid_step"])
+@pytest.mark.parametrize("name", ["p_1", "minimum_step", "off_grid_step",
+                                  "tau_inside_a_chunk"])
 def test_reconstruct_bits_at_plan_edges(name, rows):
     # a plan of 2 rows, exactly one full plan, and one row into a second
     params, hist, step, init, horizon = PINNED_RUNS[name]
@@ -551,6 +562,39 @@ def test_reconstruct_bits_at_plan_edges(name, rows):
     assert _same_bits(rebuilt.derivs,
                       reference_reconstruct(params, hist, times, states))
     assert _same_bits(rebuilt.derivs, traj.derivs[:rows])
+
+
+# Lags of 21.1 and 422.5 steps (omega 0.15, tau 3, step 0.0071): row 1101
+# lies in the first tau block of the second plan chunk, row 1501 in its
+# second one.  The (63, 0, 7, 0) rows keep N flat, the S = 1 rows grow it
+# at 1e4 per unit time, and the Hermite lookup 0.87 into a cell after them
+# dips below zero: the lagged N of the row 21 after the first S = 1 row.
+EDGE_PARAMS = PseirsParams(beta=1e4, mu=0.0, epsilon=1e5, alpha=0.0,
+                           gamma=0.0, omega=0.15, tau=3.0, p=1.0)
+EDGE_STEP = 0.0071
+
+
+@pytest.mark.parametrize("row", [1101, 1501])
+@pytest.mark.parametrize("current, lagged", [
+    (True, False), (False, True),
+    # the current population is named first
+    (True, True),
+], ids=["current_zero", "lagged_zero", "current_before_lagged"])
+def test_reconstruct_abort_past_the_first_chunk(row, current, lagged):
+    states = np.tile(np.array(_ROW), (1600, 1))
+    if lagged:
+        states[row - 21:row - 11] = [1.0, 0.0, 0.0, 0.0]
+    if current:
+        states[row] = 0.0
+    times = np.arange(1600) * EDGE_STEP
+    hist = ConstantHistory(CompartmentState(*_ROW))
+    with pytest.raises(ZeroPopulation) as got:
+        reconstruct_trajectory(EDGE_PARAMS, hist, times, states)
+    with pytest.raises(ZeroPopulation) as want:
+        reference_reconstruct(EDGE_PARAMS, hist, times, states)
+    assert str(got.value) == str(want.value)
+    assert _abort_time(got.value) == repr(row * EDGE_STEP)
+    assert ("lagged" in str(got.value)) == (not current)
 
 
 @pytest.mark.parametrize("shape", [(11, 3), (10, 4), (11, 4, 1)])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pseirs import (EmptyWindow, GridMismatch, InvalidParameter, Trajectory,
-                    compare_runs, compartment_stats, phase_plane,
-                    simulate_pseirs, simulate_sir)
+                    ZeroPopulation, compare_runs, compartment_stats,
+                    phase_plane, simulate_pseirs, simulate_sir)
 from pseirs.presets import (baseline_history, baseline_pseirs,
                             sir_high_infectivity, sir_low_infectivity,
                             sir_twelve_node_init)
@@ -77,6 +77,27 @@ class TestPhasePlane:
                              proportions=True)
         diameter = series.points.max(axis=0) - series.points.min(axis=0)
         assert np.all(diameter <= 1e-3)
+
+    def test_proportions_match_fractions_bitwise(self, canonical_run):
+        series = phase_plane(canonical_run, ("S", "E", "I"), window=(1.0, 9.0),
+                             proportions=True)
+        mask = (canonical_run.times >= 1.0) & (canonical_run.times <= 9.0)
+        want = canonical_run.fractions()[mask][:, :3]
+        assert series.points.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_proportions_refuse_zero_population(self):
+        # a SIR trajectory may hold N = 0 rows; only a row inside the window
+        # makes the proportions undefined
+        times = np.arange(11, dtype=float)
+        states = np.full((11, 3), 2.0)
+        states[[2, 7]] = 0.0
+        traj = Trajectory(times=times, states=states, derivs=np.zeros((11, 3)),
+                          step=1.0, labels=("S", "I", "R"))
+        with pytest.raises(ZeroPopulation, match=r"at t=7\.0; proportions"):
+            phase_plane(traj, ("S", "I"), window=(4.0, 10.0), proportions=True)
+        series = phase_plane(traj, ("S", "I"), window=(3.0, 6.0),
+                             proportions=True)
+        assert np.all(series.points == 1.0 / 3.0)
 
     def test_axis_validation(self, canonical_run):
         with pytest.raises(InvalidParameter):
