@@ -108,13 +108,19 @@ def kappa(params: PseirsParams) -> float:
     return max(params.tau, params.omega)
 
 
-# largest step count a scenario may ask for: the delayed solver's arrays
+# largest step count of a run (``step_count``): the delayed solver's arrays
 # and their copies take about 1.3 GB at 1e7 steps
 MAX_STEPS = 10**7
 
 
 def step_count(horizon: float, h: float) -> int:
-    """Steps of a run; its last sample is at ``step_count(horizon, h) * h``."""
+    """Steps of a run; its last sample is at ``step_count(horizon, h) * h``.
+    Raises InvalidParameter, naming ``step``, past MAX_STEPS steps."""
+    # near 1e7, the -1e-12 below is under half an ulp of the quotient, so
+    # the bound on the quotient bounds the count; an infinite quotient (an
+    # infinite horizon, or step 5e-324) fails here instead of in ceil()
+    _require(horizon / h <= MAX_STEPS, "step", h,
+             f"at most {MAX_STEPS} steps over the horizon")
     return int(math.ceil(horizon / h - 1e-12))
 
 

@@ -9,54 +9,36 @@ The system (four compartments, two constant delays) is
 
 integrated by the method of steps with fixed-step RK4 (Bellen & Zennaro,
 *Numerical Methods for Delay Differential Equations*, 2003, ch. 3-4).
-Delayed lookups resolve through the prescribed history for t < 0 and
-through cubic Hermite interpolation of the stored (state, derivative)
-samples for t >= 0.  The step must not exceed min(omega, tau)/4 so that
-every stage lookup lands in already-computed territory.
+Every delayed lookup is one cubic Hermite lookup, ``_HermiteLookup``, into
+the stored (state, derivative) samples: the solver's RK4 stages,
+reconstruction's derivative rows, and the integral forms and
+``history_eval`` through ``_eval_raw``.  A time within 1e-9*h of t = 0
+reads the stored row 0 (stage times t - lag can miss 0 by about an ulp);
+left of that it reads the prescribed history, right of it cell
+``int(t/h)``, clamped to the last cell, with the stored row itself where
+the cell fraction is 0.  Stage 4 integrates the branch left of any
+breaking point, so it reads the history up to t = 1e-9*h (E and R may
+jump at t = 0 under consistent init).  The step must not exceed
+min(omega, tau)/4, so every stage lookup lands in already-computed
+territory.
 
-Block method of steps.  Each RK4 step makes six delayed lookups: at stage
-1, at the stage-2/3 midpoint and at stage 4, each at lag omega and at lag
-tau.  As both lags are constant, those lookups read only rows the solver
-finished earlier, so ``simulate_pseirs`` computes them in numpy instead of
-one at a time:
+Block method of steps.  The lags are constant, so the six lookups of an
+RK4 step (stage 1, the stage-2/3 midpoint and stage 4, at lags omega and
+tau) read rows finished earlier.  ``_LookupPlan`` works them out for a
+chunk of ``PLAN_CHUNK`` steps, and the steps advance in blocks: a block
+starting at step k0 may read cells up to [k0-2, k0-1] (row k0's
+derivative is its first stage), about min(omega, tau)/h - 2 steps.  One
+gather per block gives the lagged terms of all its steps, and the Python
+loop does only the undelayed arithmetic.  Reconstruction
+(``_derivative_rows``, which also gives the solver's last derivative row)
+needs stage 1 only and has every state up front: per chunk it runs the
+undelayed arithmetic once and plans each lag on its own, so only the
+omega lookups go a block at a time.
 
-- For a chunk of ``PLAN_CHUNK`` steps, ``_LookupPlan`` computes each
-  lookup's time, whether it falls in the history (and the history value),
-  its cell ``j`` and its Hermite weights.
-- The steps then advance in blocks.  A block is the longest run of steps
-  whose lookups read only finished rows: a block starting at step k0 has
-  the states of rows 0..k0 but the derivatives of rows 0..k0-1 only (row
-  k0's derivative is its first stage), so it may read cells up to
-  [k0-2, k0-1].  Step k's stage-4 lookup at lag L reads the cell about
-  k + 1 - L/h, which limits a block to about min(omega, tau)/h - 2 steps:
-  18 at the default step, 2 at the smallest legal one.
-- For each block, one gather and one Hermite evaluation give the lagged
-  incidence gamma*(S_w/N_w)*I_w*exp(-mu*omega) and the return term
-  alpha*I_tau*exp(-mu*tau) of all its steps; the Python loop then does
-  only the undelayed RK4 arithmetic.
-
-Reconstruction (``reconstruct_trajectory``) rebuilds the derivative rows of
-stored states with stage 1's two lookups only (``_derivative_rows``; the
-solver's last sample takes its derivative row from the same function).  As
-every stored state is known up front, only the lag-omega lookups depend on
-the rows just rebuilt, so the work splits by lag:
-
-- For a chunk of ``PLAN_CHUNK`` rows, the undelayed arithmetic runs once:
-  N and its zero mask, the current incidence, beta*N - mu*S - incidence,
-  mu*E, (mu+epsilon+alpha)*I, p*alpha*I and mu*R.
-- Each lag has its own lookup plan and its own blocks.  One gather per
-  tau block gives the return term and fills the dS and dR columns; where
-  tau/h exceeds ``PLAN_CHUNK`` (4,000 steps on three of the four shipped
-  pSEIRS configs) that is one block per chunk.  An omega block, which
-  ends no later than the tau block, gives the lagged incidence, checks the
-  current and the lagged N, and fills the dE and dI columns.
-
-Every bit matches evaluating each lookup on its own with a scalar cubic
-Hermite (kept as the test reference): numpy does the same IEEE-754
-operations in the same order and does not fuse a multiply and an add, both
-decay factors are ``math.exp`` values computed once, and the plan repeats
-the scalar lookup's ``1e-9*h`` snap at t = 0, its ``int(x/h)`` truncation
-and its exact-row branch at ``th == 0``.
+Every bit matches a scalar cubic Hermite lookup taken one at a time (the
+tests' reference): numpy does the same IEEE-754 operations in the same
+order and fuses no multiply and add, and both decay factors are
+``math.exp`` values computed once per run (``_Rates``).
 
 Consistent initialization: E(0) and R(0) default to the integrals of the
 supplied history,
@@ -172,52 +154,80 @@ def consistent_initial_recovered(history: HistoryFunction,
                             -params.tau, 0.0)
 
 
-def _hermite_weights(th, h):
-    """The cubic Hermite weights h00, h01, h10, h11 of an array of cell
-    fractions ``th``, in the operation order of the scalar lookup."""
-    t2 = th * th
-    t3 = t2 * th
-    return (2.0 * t3 - 3.0 * t2 + 1.0, 3.0 * t2 - 2.0 * t3,
-            (t3 - 2.0 * t2 + th) * h, (t3 - t2) * h)
+class _HermiteLookup:
+    """Cubic Hermite lookups into the samples at an (m, n) array of times
+    ``x``, one per row and column, with the module's conventions: row 0
+    within 1e-9*h of t = 0, the history left of it (up to 1e-9*h in a row
+    whose ``left`` flag asks for the left limit, read at min(x, 0)), cell
+    ``int(x/h)`` clamped to ``last`` right of it, and the stored row itself
+    at ``th == 0``.  Each value has the bits of the scalar lookup
+    ``((h00*S[j] + h01*S[j+1]) + h10*dS[j]) + h11*dS[j+1]``."""
+
+    def __init__(self, x: np.ndarray, left, h: float,
+                 history: HistoryFunction | None, last: int):
+        snap = 1e-9 * h  # times t-lag can miss t=0 by ~1 ulp
+        hist = np.where(left, x <= snap, x < -snap)
+        xs = np.where(x < snap, 0.0, x)  # history lookups get j = 0, th = 0
+        # xs >= 0: truncation is int()
+        j = np.minimum((xs / h).astype(np.int64), last)
+        th = ((xs - j * h) / h)[..., None]  # one weight per (S, E, I, R) row
+        t2 = th * th
+        t3 = t2 * th
+        # axes (row j or j+1, lookup, column, -), as the gathered rows;
+        # np.array, not np.stack: 2-3x less overhead per call (numpy 2.4),
+        # which shows at the 129-257 nodes of a verifier call
+        self.cells = np.array((j, j + 1))
+        self.value_weights = np.array((2.0 * t3 - 3.0 * t2 + 1.0,
+                                       3.0 * t2 - 2.0 * t3))
+        self.slope_weights = np.array(((t3 - 2.0 * t2 + th) * h,
+                                       (t3 - t2) * h))
+        self.exact = th == 0.0
+        self.hist = hist[..., None]
+        cols = np.flatnonzero(hist.any(axis=0))
+        # no column from hist_end on reads the history: an O(1) test per block
+        self.hist_end = int(cols[-1]) + 1 if len(cols) else 0
+        if self.hist_end:
+            self.hist_rows = np.zeros(x.shape + (4,))
+            at = np.where(left & (x > 0.0), 0.0, x)[hist]  # min(x, 0)
+            self.hist_rows[hist] = history.rows_at(at)
+
+    def rows(self, states: np.ndarray, derivs: np.ndarray, sl: slice):
+        """The (S, E, I, R) rows looked up in columns ``sl`` (a slice with
+        a start) of the samples ``states``, ``derivs``: an (m, columns, 4)
+        array."""
+        cells = self.cells[:, :, sl]
+        # take, not fancy indexing: the same rows, 3-5x faster per block
+        # (numpy 2.4)
+        values = states.take(cells, axis=0)
+        a = self.value_weights[:, :, sl] * values
+        d = self.slope_weights[:, :, sl] * derivs.take(cells, axis=0)
+        v = ((a[0] + a[1]) + d[0]) + d[1]
+        np.copyto(v, values[0], where=self.exact[:, sl])
+        if sl.start < self.hist_end:
+            np.copyto(v, self.hist_rows[:, sl], where=self.hist[:, sl])
+        return v
 
 
 def _eval_raw(traj: Trajectory, x: np.ndarray) -> np.ndarray:
-    """(S, E, I, R) rows at an array of times in [-kappa, horizon]: history
-    on the left (``history.rows_at``), Hermite interpolant of the stored
-    samples on the right.
-
-    Each row has the bits of the scalar cubic Hermite lookup at that time:
-    the same cell ``int(t / h)``, clamped to the last cell, the same
-    operation order ``((h00*S[j] + h01*S[j+1]) + h10*dS[j]) + h11*dS[j+1]``
-    and the exact-row branch at ``th == 0``.  So it is not an exact lookup at
-    grid points: ``int(t / h)`` can pick the cell to the left of a grid
-    time, and the interpolant then misses the stored row by rounding (at
-    770 of the 40,001 grid points of the baseline run).  ``history_eval``
-    is the exact lookup; the integral forms use this one for all the
-    nodes of a quadrature level at once."""
+    """(S, E, I, R) rows at an array of times in [-kappa, horizon], read
+    through the solver's ``_HermiteLookup`` and its conventions.  Not exact
+    at grid points: ``int(t / h)`` can pick the cell left of a grid time,
+    whose interpolant misses the stored row by rounding (at 770 of the
+    40,001 grid points of the baseline run).  ``history_eval`` is the exact
+    lookup; the integral forms use this one for all the nodes of a
+    quadrature level at once."""
     x = np.asarray(x, dtype=float)
-    times = traj.times
     h = traj.step
-    left = x < 0.0
-    any_left = left.any()
-    if any_left:
-        t = float(x[left].min())
-        if traj.history is None or t < -traj.kappa:
-            raise OutOfDomain(f"t={t} outside [-{traj.kappa}, {traj.horizon}]")
-    if len(x) and not x.max() <= times[-1] + 1e-9 * h:  # NaN fails too
-        raise OutOfDomain(f"t={float(x.max())} beyond the last computed "
-                          f"sample {times[-1]}")
-    xs = np.where(left, 0.0, x)  # history rows are replaced below
-    j = np.minimum((xs / h).astype(np.int64), len(times) - 2)
-    th = ((xs - j * h) / h)[:, None]
-    h00, h01, h10, h11 = _hermite_weights(th, h)
-    st, dv = traj.states, traj.derivs
-    rows = st[j]
-    v = ((h00 * rows + h01 * st[j + 1]) + h10 * dv[j]) + h11 * dv[j + 1]
-    v = np.where(th == 0.0, rows, v)
-    if any_left:
-        v[left] = traj.history.rows_at(x[left])
-    return v
+    if len(x):
+        lo, hi = float(x.min()), float(x.max())
+        if lo < -1e-9 * h and (traj.history is None or lo < -traj.kappa):
+            raise OutOfDomain(f"t={lo} outside [-{traj.kappa}, {traj.horizon}]")
+        if not hi <= traj.times[-1] + 1e-9 * h:  # NaN fails too
+            raise OutOfDomain(f"t={hi} beyond the last computed sample "
+                              f"{traj.times[-1]}")
+    lookup = _HermiteLookup(x[None], False, h, traj.history,
+                            len(traj.times) - 2)
+    return lookup.rows(traj.states, traj.derivs, slice(0, len(x)))[0]
 
 
 def history_eval(traj: Trajectory, t: float) -> CompartmentState:
@@ -238,57 +248,30 @@ def default_step(params: PseirsParams) -> float:
 
 # Lookup stages as (offset in steps, left limit): RK4's stage 1, its
 # stage-2/3 midpoint and stage 4 for the solver; stage 1 alone for a
-# derivative row.  Stage 4 integrates the branch left of any breaking point,
-# so its lookup reads the history at t=0 (E and R may jump there under
-# consistent init).
+# derivative row.
 _RK4_STAGES = ((0.0, False), (0.5, False), (1.0, True))
 _ROW_STAGES = _RK4_STAGES[:1]
 
 
-class _LookupPlan:
-    """The delayed lookups of steps c0 <= k < c1: for each of ``lags`` in
-    turn, one for each of ``stages``, at t = k*h + offset*h - lag.  The
-    solver plans (omega, tau); reconstruction plans each lag on its own.
-    Each lookup is worked out with the operations of a scalar cubic Hermite
-    lookup: history for x < -1e-9*h (x <= 1e-9*h at a left limit, read at
-    min(x, 0)), else cell ``int(x/h)`` of the samples with x snapped to 0
-    within 1e-9*h, and the stored row itself at ``th == 0``.  No cell is
-    clamped: every lag is at least 4 steps."""
+class _LookupPlan(_HermiteLookup):
+    """The delayed lookups of steps c0 <= k < c1 in columns k - c0: for
+    each of ``lags`` in turn, one for each of ``stages``, at
+    t = k*h + offset*h - lag; and the block schedule over them.  The solver
+    plans (omega, tau), reconstruction each lag on its own.  The clamp to
+    cell ``last`` never fires: every lag is at least 4 steps."""
 
-    def __init__(self, params: PseirsParams, history: HistoryFunction,
-                 h: float, c0: int, c1: int, stages: tuple, lags: tuple):
-        self.c0, self.c1, self.h = c0, c1, h
-        self.n_stages = len(stages)
-        self.beta, self.mu, self.gamma = params.beta, params.mu, params.gamma
-        self.alpha = params.alpha
-        self.b = params.mu + params.epsilon + params.alpha
-        self.pa = params.p * params.alpha
-        self.decay_w = math.exp(-params.mu * params.omega)
-        self.decay_t = math.exp(-params.mu * params.tau)
+    def __init__(self, history: HistoryFunction, h: float, last: int,
+                 c0: int, c1: int, stages: tuple, lags: tuple):
         t = np.arange(c0, c1, dtype=float) * h
         ts = [t + offset * h for offset, _ in stages]
         x = np.stack([u - lag for lag in lags for u in ts])
         left = np.array([lim for _, lim in stages] * len(lags))[:, None]
-        snap = 1e-9 * h  # stage times t-lag can miss t=0 by ~1 ulp
-        hist = np.where(left, x <= snap, x < -snap)
-        xs = np.where(x < snap, 0.0, x)  # history lookups get j = 0, th = 0
-        j = (xs / h).astype(np.int64)  # xs >= 0: truncation is int()
-        th = (xs - j * h) / h
-        h00, h01, h10, h11 = _hermite_weights(th, h)
-        # axes (row j or j+1, lookup, step, -), as the gathered rows
-        self.cells = np.stack([j, j + 1])
-        self.value_weights = np.stack([h00, h01])[..., None]
-        self.slope_weights = np.stack([h10, h11])[..., None]
-        self.exact = (th == 0.0)[:, :, None]
+        super().__init__(x, left, h, history, last)
+        self.c0, self.c1 = c0, c1
         # the newest row a step reads; non-decreasing in k, so a block is
         # a bisection
-        self.need = np.where(hist, -1, j + 1).max(axis=0).tolist()
-        self.any_hist = hist.any(axis=0).tolist()
-        if self.any_hist[0]:
-            self.hist = hist[:, :, None]
-            self.hist_rows = np.zeros(x.shape + (4,))
-            at = np.where(left & (x > 0.0), 0.0, x)[hist]  # min(x, 0)
-            self.hist_rows[hist] = history.rows_at(at)
+        self.need = np.where(self.hist[..., 0], -1,
+                             self.cells[1]).max(axis=0).tolist()
 
     def block_end(self, k0: int, stop: int) -> int:
         """End of the block starting at k0: its lookups read rows <= k0-1.
@@ -296,21 +279,19 @@ class _LookupPlan:
         c0 = self.c0
         return min(bisect_right(self.need, k0 - 1, k0 - c0) + c0, stop)
 
-    def rows(self, states: np.ndarray, derivs: np.ndarray, k0: int, k1: int):
-        """The (S, E, I, R) rows looked up for steps k0 <= k < k1: a
-        (lookups, k1-k0, 4) array."""
-        sl = slice(k0 - self.c0, k1 - self.c0)
-        cells = self.cells[:, :, sl]
-        # take, not fancy indexing: the same rows, 3-5x faster per block
-        # (numpy 2.4)
-        values = states.take(cells, axis=0)
-        a = self.value_weights[:, :, sl] * values
-        d = self.slope_weights[:, :, sl] * derivs.take(cells, axis=0)
-        v = ((a[0] + a[1]) + d[0]) + d[1]
-        np.copyto(v, values[0], where=self.exact[:, sl])
-        if self.any_hist[sl.start]:
-            np.copyto(v, self.hist_rows[:, sl], where=self.hist[:, sl])
-        return v
+
+class _Rates:
+    """The model's delays and rate constants, worked out once per run, and
+    its two delayed terms of looked-up rows."""
+
+    def __init__(self, params: PseirsParams):
+        self.omega, self.tau = params.omega, params.tau
+        self.beta, self.mu, self.gamma = params.beta, params.mu, params.gamma
+        self.alpha = params.alpha
+        self.b = params.mu + params.epsilon + params.alpha
+        self.pa = params.p * params.alpha
+        self.decay_w = math.exp(-params.mu * params.omega)
+        self.decay_t = math.exp(-params.mu * params.tau)
 
     def incidence(self, w: np.ndarray):
         """(gamma*(S/N)*I*exp(-mu*omega), N <= 0) of rows at lag omega."""
@@ -322,17 +303,8 @@ class _LookupPlan:
         """alpha*I*exp(-mu*tau) of rows at lag tau."""
         return self.alpha * v[..., 2] * self.decay_t
 
-    def lagged(self, states: np.ndarray, derivs: np.ndarray, k0: int, k1: int):
-        """(incidence, return term, lagged N <= 0) of steps k0 <= k < k1 of
-        an (omega, tau) plan: three (stages, k1-k0) arrays whose rows are
-        the stages."""
-        v = self.rows(states, derivs, k0, k1)
-        n = self.n_stages
-        inc, lag_zero = self.incidence(v[:n])
-        return inc, self.return_term(v[n:]), lag_zero
 
-
-def _derivative_rows(params: PseirsParams, history: HistoryFunction, h: float,
+def _derivative_rows(rates: _Rates, history: HistoryFunction, h: float,
                      states: np.ndarray, derivs: np.ndarray, k0: int,
                      k1: int) -> None:
     """Fill ``derivs[k0:k1]``, the model rows at the stored states of rows
@@ -345,35 +317,35 @@ def _derivative_rows(params: PseirsParams, history: HistoryFunction, h: float,
     whole chunk first, then a lookup plan and a block schedule per lag.  A
     tau block fills the dS and dR columns of its rows, and the omega blocks
     inside it fill dE and dI, so every lookup reads finished rows."""
+    last = len(states) - 2
+    mu = rates.mu
     with np.errstate(all="ignore"):
         for c0 in range(k0, k1, PLAN_CHUNK):
             c1 = min(c0 + PLAN_CHUNK, k1)
-            w_plan = _LookupPlan(params, history, h, c0, c1, _ROW_STAGES,
-                                 (params.omega,))
-            t_plan = _LookupPlan(params, history, h, c0, c1, _ROW_STAGES,
-                                 (params.tau,))
-            mu = w_plan.mu
+            w_plan = _LookupPlan(history, h, last, c0, c1, _ROW_STAGES,
+                                 (rates.omega,))
+            t_plan = _LookupPlan(history, h, last, c0, c1, _ROW_STAGES,
+                                 (rates.tau,))
             s, e, i, r = states[c0:c1].T
             n = s + e + i + r
             zero = n <= 0.0
-            inc_now = w_plan.gamma * (s / n) * i
-            ds = w_plan.beta * n - mu * s - inc_now
-            mu_e, b_i = mu * e, w_plan.b * i
-            pa_i, mu_r = w_plan.pa * i, mu * r
+            inc_now = rates.gamma * (s / n) * i
+            ds = rates.beta * n - mu * s - inc_now
+            mu_e, b_i = mu * e, rates.b * i
+            pa_i, mu_r = rates.pa * i, mu * r
             rows = derivs[c0:c1]
             k = kt = c0
             while k < c1:
                 if k == kt:
                     kt = t_plan.block_end(k, c1)
-                    v = t_plan.rows(states, derivs, k, kt)
-                    lt = t_plan.return_term(v)[0]
                     sl = slice(k - c0, kt - c0)
+                    lt = rates.return_term(t_plan.rows(states, derivs, sl))[0]
                     rows[sl, 0] = ds[sl] + lt
                     rows[sl, 3] = pa_i[sl] - lt - mu_r[sl]
                 kw = w_plan.block_end(k, kt)
-                v = w_plan.rows(states, derivs, k, kw)
-                lw, lag_zero = w_plan.incidence(v[0])
                 sl = slice(k - c0, kw - c0)
+                lw, lag_zero = rates.incidence(
+                    w_plan.rows(states, derivs, sl)[0])
                 bad = zero[sl] | lag_zero
                 if bad.any():
                     m = int(np.argmax(bad))
@@ -422,6 +394,7 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     _require(h <= min(params.omega, params.tau) / 4.0, "step", h,
              "step <= min(omega, tau)/4")
     _require(horizon >= h, "horizon", horizon, "horizon >= step")
+    n_steps = step_count(horizon, h)
 
     override = e0 is not None or r0 is not None
     e_init = consistent_initial_exposed(history, params) if e0 is None else e0
@@ -434,7 +407,6 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
         raise ZeroPopulation("initial population is zero")
     floor = -1e-9 * n0
 
-    n_steps = step_count(horizon, h)
     hh = 0.5 * h
     h6 = h / 6.0
     # a block fills the derivative rows of its steps and the state rows
@@ -443,21 +415,25 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     derivs = np.zeros((n_steps + 1, 4))
     states[0] = (s, e, i, r)
     k0 = 0
+    rates = _Rates(params)
+    beta, mu, gamma, b, pa = rates.beta, rates.mu, rates.gamma, rates.b, rates.pa
     lags = (params.omega, params.tau)
     # numpy stays as quiet as the scalar float arithmetic it replaces
     with np.errstate(all="ignore"):
-        plan = _LookupPlan(params, history, h, 0,
+        plan = _LookupPlan(history, h, n_steps - 1, 0,
                            min(PLAN_CHUNK, n_steps + 1), _RK4_STAGES, lags)
-        beta, mu, gamma, b, pa = plan.beta, plan.mu, plan.gamma, plan.b, plan.pa
         while True:
             if k0 == plan.c1:
-                plan = _LookupPlan(params, history, h, k0,
+                plan = _LookupPlan(history, h, n_steps - 1, k0,
                                    min(k0 + PLAN_CHUNK, n_steps + 1),
                                    _RK4_STAGES, lags)
             if k0 == n_steps:
                 break
             k1 = plan.block_end(k0, min(plan.c1, n_steps))
-            inc, ret, zero = plan.lagged(states, derivs, k0, k1)
+            # rows: the three RK4 stages at lag omega, then at lag tau
+            v = plan.rows(states, derivs, slice(k0 - plan.c0, k1 - plan.c0))
+            inc, zero = rates.incidence(v[:3])
+            ret = rates.return_term(v[3:])
             lag_zero = None
             if zero.any():
                 # stop the block at the first step whose lagged N <= 0; NaN
@@ -532,7 +508,7 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
             k0 = k1
 
         # the derivative row of the last sample: stage 1 of a step not taken
-        _derivative_rows(params, history, h, states, derivs, n_steps,
+        _derivative_rows(rates, history, h, states, derivs, n_steps,
                          n_steps + 1)
 
     times = np.arange(n_steps + 1, dtype=float) * h
@@ -568,7 +544,8 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
              "0 < step <= min(omega, tau)/4")
 
     derivs = np.zeros((len(times), 4))
-    _derivative_rows(params, history, h, states, derivs, 0, len(times))
+    _derivative_rows(_Rates(params), history, h, states, derivs, 0,
+                     len(times))
 
     e_consistent = consistent_initial_exposed(history, params)
     r_consistent = consistent_initial_recovered(history, params)

@@ -7,7 +7,10 @@ from hypothesis import given, strategies as st
 from pseirs import (CompartmentState, ConstantHistory, HistoryFunction,
                     InvalidParameter, OutOfDomain, PseirsParams,
                     SampledHistory, SirParams, SirState, Trajectory, kappa,
-                    validate_pseirs)
+                    simulate_pseirs, simulate_sir, validate_pseirs)
+from pseirs.core import MAX_STEPS
+from pseirs.dde import default_step
+from pseirs.presets import baseline_history
 
 finite_counts = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
 
@@ -190,3 +193,19 @@ class TestTrajectory:
         assert np.all(traj.column("I") == 1.0)
         assert np.all(traj.totals() == 4.0)
         assert np.all(traj.fractions() == 0.25)
+
+
+@pytest.mark.parametrize("steps", [math.inf, MAX_STEPS + 1, 1e30])
+def test_solvers_refuse_more_than_max_steps(steps):
+    # the limit the config parser applies, raised before any allocation:
+    # an infinite horizon used to end in OverflowError from ceil(), and
+    # simulate_sir at 1e30 steps looped, growing its lists
+    params = make_params()
+    h = default_step(params)
+    with pytest.raises(InvalidParameter) as err:
+        simulate_pseirs(params, baseline_history(), steps * h, h)
+    assert err.value.name == "step"
+    with pytest.raises(InvalidParameter) as err:
+        simulate_sir(SirParams(beta=0.001, alpha=0.1),
+                     SirState(s=990.0, i=10.0, r=0.0), steps * 0.01, 0.01)
+    assert err.value.name == "step"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,7 +9,7 @@ from pseirs import (CompartmentState, ConstantHistory, InconsistentInit,
                     OutOfDomain, Trajectory, consistent_initial_exposed,
                     exposed_integral, history_eval, kappa, recovered_integral,
                     simulate_pseirs, verify_integral_equivalence)
-from pseirs.dde import _eval_raw
+from pseirs.dde import _eval_raw, _HermiteLookup
 from pseirs.presets import baseline_history, baseline_pseirs
 
 from reference_dde import _interp4
@@ -53,6 +54,10 @@ class TestExposedIntegral:
         traj = _frozen_trajectory()
         with pytest.raises(OutOfDomain):
             exposed_integral(traj, 100.0, canonical_params)
+        # a window reaching below t = 0 needs the history
+        bare = dataclasses.replace(traj, history=None)
+        with pytest.raises(OutOfDomain):
+            exposed_integral(bare, 0.07, canonical_params)
 
     def test_all_zero_states_give_exact_zero_without_warning(self,
                                                            canonical_params):
@@ -189,37 +194,50 @@ def test_eval_raw_bits_match_scalar_lookup(name):
     assert _same_bits(_eval_raw(traj, x), want)
 
 
-def reference_exposed_integral(at, t, params):
+def _reference_window(integrand, traj, t, lag):
+    # a window across x = 0 is split there, the part left of it read from
+    # the history
+    f = integrand(reference_lookup(traj))
+    if not t - lag < 0.0 < t:
+        return adaptive_simpson(f, t - lag, t)
+    return (adaptive_simpson(integrand(traj.history.raw_at), t - lag, 0.0)
+            + adaptive_simpson(f, 0.0, t))
+
+
+def reference_exposed_integral(traj, t, params):
     gamma, mu = params.gamma, params.mu
 
-    def f(x):
-        s, e, i, r = at(x)
-        if s == 0.0 or i == 0.0 or gamma == 0.0:
-            return 0.0
-        return gamma * (s / (s + e + i + r)) * i * math.exp(-mu * (t - x))
+    def integrand(at):
+        def f(x):
+            s, e, i, r = at(x)
+            if s == 0.0 or i == 0.0 or gamma == 0.0:
+                return 0.0
+            return gamma * (s / (s + e + i + r)) * i * math.exp(-mu * (t - x))
+        return f
 
-    return adaptive_simpson(f, t - params.omega, t)
+    return _reference_window(integrand, traj, t, params.omega)
 
 
-def reference_recovered_integral(at, t, params):
+def reference_recovered_integral(traj, t, params):
     p, alpha, mu = params.p, params.alpha, params.mu
 
-    def f(x):
-        return p * alpha * at(x)[2] * math.exp(-mu * (t - x))
+    def integrand(at):
+        def f(x):
+            return p * alpha * at(x)[2] * math.exp(-mu * (t - x))
+        return f
 
-    return adaptive_simpson(f, t - params.tau, t)
+    return _reference_window(integrand, traj, t, params.tau)
 
 
 def _assert_bits_match_reference(name, times):
     params, hist, step, init, horizon = PINNED_RUNS[name]
     traj = simulate_pseirs(params, hist, horizon, step, **init)
-    at = reference_lookup(traj)
     for t in times(params, traj):
         for integral, reference in (
                 (exposed_integral, reference_exposed_integral),
                 (recovered_integral, reference_recovered_integral)):
             got = integral(traj, t, params)
-            want = reference(at, t, params)
+            want = reference(traj, t, params)
             assert _same_bits(np.float64(got), np.float64(want)), (t, got, want)
 
 
@@ -235,3 +253,33 @@ def test_integral_bits_match_scalar_reference_in_the_history(name):
     # before kappa, the nodes of one or both integrals fall in the history
     # (at t = 0 all but the last one)
     _assert_bits_match_reference(name, lambda params, traj: [0.0, 0.07, 10.0])
+
+
+def test_exposed_integral_across_the_breaking_point():
+    # before t = omega the window holds x = 0, where N jumps (consistent
+    # E(0) against the history's E = 0); split there, the integral meets
+    # the solver's E(t), where adaptive Simpson over the jump missed it by
+    # up to 2.7e-7 relative at 2^18-2^19 panels
+    params, hist, step, init, horizon = PINNED_RUNS["omega_30"]
+    traj = simulate_pseirs(params, hist, horizon, step, **init)
+    for t in (0.07, 10.0, 29.0):
+        got, want = exposed_integral(traj, t, params), history_eval(traj, t).e
+        assert abs(got - want) <= 1e-8 * abs(want), (t, got, want)
+
+
+@pytest.mark.parametrize("name", ["p_1", "sampled_history"])
+def test_eval_raw_reads_through_the_solver_lookup(name):
+    # within 1e-9*h of t = 0 both read the stored row 0 (consistent E(0)
+    # and R(0), not the history's), and both clamp the horizon to the last
+    # cell
+    params, hist, step, init, horizon = PINNED_RUNS[name]
+    traj = simulate_pseirs(params, hist, horizon, step, **init)
+    h = traj.step
+    x = np.array([-1e-12 * h, 0.0, 1e-12 * h, traj.horizon])
+    lookup = _HermiteLookup(x[None], False, h, traj.history,
+                            len(traj.times) - 2)
+    got = _eval_raw(traj, x)
+    assert _same_bits(got, lookup.rows(traj.states, traj.derivs,
+                                       slice(0, len(x)))[0])
+    assert _same_bits(got[:3], np.tile(traj.states[0], (3, 1)))
+    assert history_eval(traj, -1e-12 * h).as_tuple() == tuple(traj.states[0])
