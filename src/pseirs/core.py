@@ -147,21 +147,23 @@ class CompartmentState:
 
 
 class HistoryFunction(ABC):
-    """Prescribed solution values on [-kappa, 0] needed to start the DDE."""
+    """Prescribed solution values on [-kappa, 0] needed to start the DDE.
+
+    A history implements ``rows_at`` and ``domain_start``; every read,
+    ``raw_at`` and ``state_at`` too, goes through ``rows_at``."""
 
     @abstractmethod
-    def raw_at(self, t: float) -> tuple[float, float, float, float]:
-        """(S, E, I, R) at time t <= 0."""
+    def rows_at(self, x: np.ndarray) -> np.ndarray:
+        """(S, E, I, R) at every time t <= 0 of ``x``, as (len(x), 4) rows;
+        raises OutOfDomain naming the first time before ``domain_start``."""
 
     @abstractmethod
     def domain_start(self) -> float:
         """Leftmost time the history is defined for."""
 
-    def rows_at(self, x: np.ndarray) -> np.ndarray:
-        """``raw_at`` of every time in ``x``, as (len(x), 4) rows with the
-        same bits; subclasses replace the loop with numpy."""
-        return np.array([self.raw_at(t) for t in np.asarray(x).tolist()],
-                        dtype=float).reshape(-1, 4)
+    def raw_at(self, t: float) -> tuple[float, float, float, float]:
+        """(S, E, I, R) at time t <= 0: the one row of ``rows_at``."""
+        return tuple(self.rows_at(np.array([t], dtype=float))[0].tolist())
 
     def state_at(self, t: float) -> CompartmentState:
         return CompartmentState(*self.raw_at(t))
@@ -181,12 +183,8 @@ class ConstantHistory(HistoryFunction):
             _require(getattr(self.state, name) >= 0, f"history.{name}",
                      getattr(self.state, name), "history states must be non-negative")
 
-    def raw_at(self, t):
-        st = self.state
-        return (st.s, st.e, st.i, st.r)
-
     def rows_at(self, x):
-        return np.tile(self.raw_at(0.0), (len(x), 1))
+        return np.tile(self.state.as_tuple(), (len(x), 1))
 
     def domain_start(self):
         return -math.inf
@@ -221,23 +219,9 @@ class SampledHistory(HistoryFunction):
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
-    def raw_at(self, t):
-        times = self.times
-        if t < times[0]:
-            raise OutOfDomain(f"history evaluation at t={t} before {times[0]}")
-        if t >= 0.0:
-            row = self.states[-1]
-            return (row[0], row[1], row[2], row[3])
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        if j >= len(times) - 1:
-            j = len(times) - 2
-        t0, t1 = times[j], times[j + 1]
-        w = (t - t0) / (t1 - t0)
-        a, b = self.states[j], self.states[j + 1]
-        return tuple(float(a[k] + w * (b[k] - a[k])) for k in range(4))
-
     def rows_at(self, x):
-        # raw_at's operations on every time at once, so the same bits
+        # a + w*(b - a) in the cell [times[j], times[j+1]] holding t, the
+        # last cell for t at 0 and the last row for t >= 0
         x = np.asarray(x, dtype=float)
         times = self.times
         early = x < times[0]

@@ -399,9 +399,9 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     override = e0 is not None or r0 is not None
     e_init = consistent_initial_exposed(history, params) if e0 is None else e0
     r_init = consistent_initial_recovered(history, params) if r0 is None else r0
-    s0_t = history.raw_at(0.0)
+    s0_t = history.rows_at(np.zeros(1))[0].tolist()
     # Python floats: the same bits as numpy scalars, faster in the loop
-    s, e, i, r = float(s0_t[0]), float(e_init), float(s0_t[2]), float(r_init)
+    s, e, i, r = s0_t[0], float(e_init), s0_t[2], float(r_init)
     n0 = s + e + i + r
     if n0 <= 0.0:
         raise ZeroPopulation("initial population is zero")

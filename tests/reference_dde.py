@@ -1,10 +1,44 @@
 """The scalar delayed-lookup core as it was before reconstruction went
 through the solver's lookup plan, kept unchanged as the reference: one
-cubic Hermite lookup per call (``_interp4``) and the four model rows at one
-point (``_pseirs_rhs``).  The block lookups, the solver and reconstruction
-must give the same bits."""
+cubic Hermite lookup per call (``_interp4``), the four model rows at one
+point (``_pseirs_rhs``) and one history row at a time (``history_reader``,
+with the linear interpolation ``SampledHistory`` had as a scalar
+``raw_at``).  The block lookups, the solver, reconstruction and
+``rows_at`` must give the same bits."""
 
+import numpy as np
+
+from pseirs import ConstantHistory, SampledHistory
 from pseirs.dde import _zero_population
+from pseirs.errors import OutOfDomain
+
+
+def sampled_raw_at(history, t):
+    """(S, E, I, R) of a SampledHistory at one time t."""
+    times = history.times
+    if t < times[0]:
+        raise OutOfDomain(f"history evaluation at t={t} before {times[0]}")
+    if t >= 0.0:
+        row = history.states[-1]
+        return (row[0], row[1], row[2], row[3])
+    j = int(np.searchsorted(times, t, side="right")) - 1
+    if j >= len(times) - 1:
+        j = len(times) - 2
+    t0, t1 = times[j], times[j + 1]
+    w = (t - t0) / (t1 - t0)
+    a, b = history.states[j], history.states[j + 1]
+    return tuple(float(a[k] + w * (b[k] - a[k])) for k in range(4))
+
+
+def history_reader(history):
+    """A function of one time t <= 0 giving the history's (S, E, I, R) with
+    scalar arithmetic, for a ConstantHistory or a SampledHistory."""
+    if isinstance(history, ConstantHistory):
+        row = history.state.as_tuple()
+        return lambda t: row
+    if isinstance(history, SampledHistory):
+        return lambda t: sampled_raw_at(history, t)
+    raise TypeError(f"no scalar reader for {type(history).__name__}")
 
 
 def _interp4(j, th, h, S, E, I, R, dS, dE, dI, dR):

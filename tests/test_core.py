@@ -12,6 +12,8 @@ from pseirs.core import MAX_STEPS
 from pseirs.dde import default_step
 from pseirs.presets import baseline_history
 
+from reference_dde import sampled_raw_at
+
 finite_counts = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
 
 
@@ -22,18 +24,32 @@ def make_params(**overrides):
     return PseirsParams(**base)
 
 
-class _RawAtOnly(HistoryFunction):
-    """A sampled history that defines raw_at only: its rows_at is the base
-    class's loop."""
+class _RowsAtOnly(HistoryFunction):
+    """A sampled history that defines only the two abstract methods."""
 
     def __init__(self, times, states):
         self._sampled = SampledHistory(times, states)
 
-    def raw_at(self, t):
-        return self._sampled.raw_at(t)
+    def rows_at(self, x):
+        return self._sampled.rows_at(x)
 
     def domain_start(self):
         return self._sampled.domain_start()
+
+
+def _wave_history():
+    times = np.linspace(-30.0, 0.0, 13)
+    wave = np.sin(times / 4.0)
+    states = np.column_stack([63.0 + 2.0 * wave, 0.5 + 0.25 * wave,
+                              7.0 - 1.5 * wave, 3.0 + np.cos(times / 7.0)])
+    return times, states
+
+
+def _history_times(times):
+    # the sample times, both zeros, the smallest subnormals, t > 0, the left
+    # end and 200 random times inside
+    inner = np.random.default_rng(5).uniform(-30.0, 0.0, 200)
+    return np.concatenate([times, inner, [-0.0, 5e-324, 0.5, -5e-324, -30.0]])
 
 
 class TestPseirsParams:
@@ -130,30 +146,46 @@ class TestHistories:
         with pytest.raises(OutOfDomain):
             hist.raw_at(-2.5)
 
-    @pytest.mark.parametrize("kind", ["sampled", "constant", "raw_at_only"])
-    def test_rows_at_matches_raw_at(self, kind):
-        # node by node, including the sample times, both zeros, t > 0 and
-        # the left end
-        times = np.linspace(-30.0, 0.0, 13)
-        wave = np.sin(times / 4.0)
-        states = np.column_stack([63.0 + 2.0 * wave, 0.5 + 0.25 * wave,
-                                  7.0 - 1.5 * wave, 3.0 + np.cos(times / 7.0)])
-        hist = {"sampled": SampledHistory(times, states),
-                "constant": ConstantHistory(CompartmentState(63.0, 0.0, -0.0, 0.0)),
-                "raw_at_only": _RawAtOnly(times, states)}[kind]
-        inner = np.random.default_rng(5).uniform(-30.0, 0.0, 200)
-        x = np.concatenate([times, inner, [-0.0, 5e-324, 0.5, -5e-324, -30.0]])
-        want = np.array([hist.raw_at(t) for t in x.tolist()], dtype=float)
+    def test_rows_at_matches_scalar_reference(self):
+        hist = SampledHistory(*_wave_history())
+        x = _history_times(hist.times)
+        want = np.array([sampled_raw_at(hist, t) for t in x.tolist()],
+                        dtype=float)
         assert hist.rows_at(x).tobytes() == want.tobytes()
         assert hist.rows_at(x[:0]).shape == (0, 4)
 
-    @pytest.mark.parametrize("cls", [SampledHistory, _RawAtOnly])
+    @pytest.mark.parametrize("kind", ["sampled", "constant", "rows_at_only"])
+    def test_rows_at_matches_raw_at(self, kind):
+        times, states = _wave_history()
+        hist = {"sampled": SampledHistory(times, states),
+                "constant": ConstantHistory(CompartmentState(63.0, 0.0, -0.0, 0.0)),
+                "rows_at_only": _RowsAtOnly(times, states)}[kind]
+        x = _history_times(times)
+        rows = hist.rows_at(x)
+        raw = [hist.raw_at(t) for t in x.tolist()]
+        assert np.array(raw, dtype=float).tobytes() == rows.tobytes()
+        states_at = [hist.state_at(t).as_tuple() for t in x.tolist()]
+        assert np.array(states_at).tobytes() == rows.tobytes()
+
+    def test_rows_at_and_domain_start_make_a_history(self):
+        assert HistoryFunction.__abstractmethods__ == {"rows_at", "domain_start"}
+        hist = _RowsAtOnly(*_wave_history())
+        assert hist.covers(30.0) and not hist.covers(30.5)
+        assert hist.raw_at(-30.0) == tuple(hist.rows_at(np.array([-30.0]))[0])
+        assert all(type(v) is float for v in hist.raw_at(-1.0))
+        assert hist.state_at(0.0) == CompartmentState(*hist._sampled.states[-1])
+
+    @pytest.mark.parametrize("cls", [SampledHistory, _RowsAtOnly])
     def test_rows_at_out_of_domain_names_the_first_time(self, cls):
-        hist = cls(np.array([-2.0, -1.0, 0.0]), np.ones((3, 4)))
+        times, states = np.array([-2.0, -1.0, 0.0]), np.ones((3, 4))
+        hist = cls(times, states)
         with pytest.raises(OutOfDomain) as want:
-            hist.raw_at(-2.5)
+            sampled_raw_at(SampledHistory(times, states), -2.5)
         with pytest.raises(OutOfDomain) as got:
             hist.rows_at(np.array([-1.0, -2.5, -3.0]))
+        assert str(got.value) == str(want.value)
+        with pytest.raises(OutOfDomain) as got:
+            hist.raw_at(-2.5)
         assert str(got.value) == str(want.value)
 
     def test_sampled_history_validation(self):

@@ -14,7 +14,7 @@ from pseirs import (CompartmentState, ConstantHistory, InvalidParameter,
 from pseirs.dde import PLAN_CHUNK, default_step
 from pseirs.presets import baseline_history, baseline_pseirs
 
-from reference_dde import _interp4, _pseirs_rhs
+from reference_dde import _interp4, _pseirs_rhs, history_reader
 from reference_quadrature import adaptive_simpson
 
 # frozen hand evaluations of the derivative rows at the baseline point
@@ -307,10 +307,7 @@ class TestReconstruct:
 
 def _reference_lookups(params, history, h, Ss, Es, Is, Rs, dSs, dEs, dIs, dRs,
                        clamp_to):
-    hist_raw = history.raw_at
-    if isinstance(history, ConstantHistory):
-        const_row = hist_raw(0.0)
-        hist_raw = lambda x: const_row  # noqa: E731
+    hist_raw = history_reader(history)
     snap = 1e-9 * h
 
     def past(x):
@@ -343,7 +340,7 @@ def reference_simulate(params, history, horizon, step=None, e0=None, r0=None):
     h = float(step if step is not None else default_step(params))
     e_init = consistent_initial_exposed(history, params) if e0 is None else float(e0)
     r_init = consistent_initial_recovered(history, params) if r0 is None else float(r0)
-    s0_t = history.raw_at(0.0)
+    s0_t = history_reader(history)(0.0)
     Ss, Es, Is, Rs = [s0_t[0]], [e_init], [s0_t[2]], [r_init]
     floor = -1e-9 * (Ss[0] + Es[0] + Is[0] + Rs[0])
     dSs, dEs, dIs, dRs = [], [], [], []
@@ -414,11 +411,6 @@ def reference_reconstruct(params, history, times, states):
 class _LeftLimitHistory(SampledHistory):
     """Refuses t > 0, where a history is not defined: a lookup that lands
     just right of t = 0 at stage 4 must read the history at t = 0."""
-
-    def raw_at(self, t):
-        if t > 0.0:
-            raise OutOfDomain(f"history evaluation at t={t} > 0")
-        return super().raw_at(t)
 
     def rows_at(self, x):
         if (x > 0.0).any():
@@ -613,8 +605,10 @@ def test_reconstruct_rejects_misshapen_states(shape):
 def reference_initial_exposed(history, params):
     gamma, mu = params.gamma, params.mu
 
+    at = history_reader(history)
+
     def f(x):
-        s, e, i, r = history.raw_at(x)
+        s, e, i, r = at(x)
         if s == 0.0 or i == 0.0 or gamma == 0.0:
             return 0.0
         return gamma * (s / (s + e + i + r)) * i * math.exp(mu * x)
@@ -625,8 +619,10 @@ def reference_initial_exposed(history, params):
 def reference_initial_recovered(history, params):
     p, alpha, mu = params.p, params.alpha, params.mu
 
+    at = history_reader(history)
+
     def f(x):
-        i = history.raw_at(x)[2]
+        i = at(x)[2]
         return p * alpha * i * math.exp(mu * x)
 
     return adaptive_simpson(f, -params.tau, 0.0)

@@ -12,7 +12,7 @@ from pseirs import (CompartmentState, ConstantHistory, InconsistentInit,
 from pseirs.dde import _eval_raw, _HermiteLookup
 from pseirs.presets import baseline_history, baseline_pseirs
 
-from reference_dde import _interp4
+from reference_dde import _interp4, history_reader
 from reference_quadrature import adaptive_simpson
 from test_dde import PINNED_RUNS, _same_bits
 
@@ -168,10 +168,11 @@ def reference_lookup(traj):
     bits of numpy scalars, faster."""
     h, last = traj.step, len(traj.times) - 2
     columns = traj.states.T.tolist() + traj.derivs.T.tolist()
+    hist_raw = history_reader(traj.history)
 
     def at(t):
         if t < 0.0:
-            return traj.history.raw_at(t)
+            return hist_raw(t)
         j = int(t / h)
         if j > last:
             j = last
@@ -200,7 +201,7 @@ def _reference_window(integrand, traj, t, lag):
     f = integrand(reference_lookup(traj))
     if not t - lag < 0.0 < t:
         return adaptive_simpson(f, t - lag, t)
-    return (adaptive_simpson(integrand(traj.history.raw_at), t - lag, 0.0)
+    return (adaptive_simpson(integrand(history_reader(traj.history)), t - lag, 0.0)
             + adaptive_simpson(f, 0.0, t))
 
 
