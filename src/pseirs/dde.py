@@ -2,10 +2,10 @@
 
 The system (four compartments, two constant delays) is
 
-    dS/dt = beta*N - mu*S - gamma*S*I/N + alpha*I(t-tau)*exp(-mu*tau)
+    dS/dt = beta*N - mu*S - gamma*S*I/N + p*alpha*I(t-tau)*exp(-mu*tau)
     dE/dt = gamma*S*I/N - gamma*(S*I/N)(t-omega)*exp(-mu*omega) - mu*E
     dI/dt = gamma*(S*I/N)(t-omega)*exp(-mu*omega) - (mu+epsilon+alpha)*I
-    dR/dt = p*alpha*I - alpha*I(t-tau)*exp(-mu*tau) - mu*R
+    dR/dt = p*alpha*I - p*alpha*I(t-tau)*exp(-mu*tau) - mu*R
 
 integrated by the method of steps with fixed-step RK4 (Bellen & Zennaro,
 *Numerical Methods for Delay Differential Equations*, 2003, ch. 3-4).
@@ -98,7 +98,7 @@ def pseirs_derivatives(now: CompartmentState, at_lag_omega: CompartmentState,
     inc_now = gamma * (s / n) * i
     inc_lag = (gamma * (at_lag_omega.s / n_w) * at_lag_omega.i
                * math.exp(-mu * params.omega))
-    ret = alpha * at_lag_tau.i * math.exp(-mu * params.tau)
+    ret = params.p * alpha * at_lag_tau.i * math.exp(-mu * params.tau)
     return DerivativeSample(beta * n - mu * s - inc_now + ret,
                             inc_now - inc_lag - mu * e,
                             inc_lag - (mu + params.epsilon + alpha) * i,
@@ -287,7 +287,6 @@ class _Rates:
     def __init__(self, params: PseirsParams):
         self.omega, self.tau = params.omega, params.tau
         self.beta, self.mu, self.gamma = params.beta, params.mu, params.gamma
-        self.alpha = params.alpha
         self.b = params.mu + params.epsilon + params.alpha
         self.pa = params.p * params.alpha
         self.decay_w = math.exp(-params.mu * params.omega)
@@ -300,8 +299,8 @@ class _Rates:
         return inc, n_w <= 0.0
 
     def return_term(self, v: np.ndarray) -> np.ndarray:
-        """alpha*I*exp(-mu*tau) of rows at lag tau."""
-        return self.alpha * v[..., 2] * self.decay_t
+        """p*alpha*I*exp(-mu*tau) of rows at lag tau."""
+        return self.pa * v[..., 2] * self.decay_t
 
 
 def _derivative_rows(rates: _Rates, history: HistoryFunction, h: float,

@@ -106,15 +106,9 @@ class ScenarioConfig:
                      "init only valid for the sir model")
         if step is None:
             step = 0.01 if model == "sir" else default_step(params)
-        end = step_count(horizon, step) * step  # rejects a step count too large
+        step_count(horizon, step)  # rejects a step count too large
 
         analyses = _parse_analyses(raw.get("analyses", {}), model)
-        if model == "pseirs" and ("classify" in analyses
-                                  or "integral_equivalence" in analyses):
-            # the analyses' own check, on the horizon the solver will reach
-            kap = kappa(params)
-            if end <= kap:
-                raise TrajectoryTooShort(f"horizon {end} must exceed kappa {kap}")
         network = None
         if raw.get("network") is not None:
             net = _block(raw, "network", {"n", "m0", "m", "seed", "per_contact_prob"})
@@ -328,6 +322,14 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     The solve and every analysis finish before anything touches the
     filesystem, so a config that fails writes no files.
     """
+    if config.model == "pseirs" and ("classify" in config.analyses
+                                     or "integral_equivalence" in config.analyses):
+        # the analyses' own check, on the horizon the solver will reach,
+        # before the network and the solve
+        end = step_count(config.horizon, config.step) * config.step
+        kap = kappa(config.params)
+        if end <= kap:
+            raise TrajectoryTooShort(f"horizon {end} must exceed kappa {kap}")
     graph = None
     network_info = None
     params = config.params
@@ -366,7 +368,8 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
     if config.model == "sir":
         _require(labels == ("S", "I", "R"), "trajectory", labels,
                  "S, I, R columns for a sir config")
-        step = float((times[-1] - times[0]) / (len(times) - 1))
+        # the step of the stored grid, as reconstruct_trajectory takes it
+        step = float(times[1] - times[0])
         traj = Trajectory(times=times, states=states,
                           derivs=sir_derivative_rows(states, params),
                           step=step, labels=labels)

@@ -72,7 +72,7 @@ def _pseirs_rhs(t, s, e, i, r, s_w, e_w, i_w, r_w, i_tau,
         raise _zero_population(t, lagged=True)
     inc_now = gamma * (s / n) * i
     inc_lag = gamma * (s_w / n_w) * i_w * decay_w
-    ret = alpha * i_tau * decay_t
+    ret = p * alpha * i_tau * decay_t
     return (beta * n - mu * s - inc_now + ret,
             inc_now - inc_lag - mu * e,
             inc_lag - (mu + epsilon + alpha) * i,

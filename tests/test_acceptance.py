@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pseirs import (CompartmentState, StabilityClass, degree_histogram,
                     generate_ba, pseirs_derivatives, mean_degree, powerlaw_slope,
@@ -104,6 +105,16 @@ def test_criterion_05_integral_equivalence():
     ok = report.max_residual <= 1e-4 and elapsed < 5.0
     _report(5, ok, f"max residual = {report.max_residual:.2e} over 20 "
                    f"checkpoints, {elapsed:.2f}s")
+
+
+@pytest.mark.parametrize("p", [0.05, 0.4])
+def test_integral_equivalence_below_p_1(p):
+    # criterion 05 at p < 1: the solver returns only the recovered share
+    # p*alpha*I(t-tau) to S, as the integral form of R integrates it
+    params = baseline_pseirs(p=p)
+    traj = simulate_pseirs(params, baseline_history(), 300.0)
+    report = verify_integral_equivalence(traj, params, 20)
+    assert report.max_residual <= 1e-4, report.max_residual
 
 
 def test_criterion_06_probe_formula_agreement():

@@ -225,12 +225,15 @@ class TestSimulate:
         assert str(rec.value) == str(sim.value)
 
     def test_negativity_abort(self):
-        # strong delayed outflow from R with small p drives R negative
+        # E(0) = 0 overrides the consistent value while the lagged
+        # incidence of I = 100 before t = -0.5 drains E: E goes negative
         params = PseirsParams(beta=0.0, mu=0.1, epsilon=0.0, alpha=0.04,
-                              gamma=0.0, omega=4.0, tau=4.0, p=0.1)
-        hist = ConstantHistory(CompartmentState(63.0, 0.0, 100.0, 0.0))
+                              gamma=0.5, omega=4.0, tau=4.0, p=0.1)
+        hist = SampledHistory(np.array([-4.0, -0.5, 0.0]),
+                              np.array([[63.0, 0.0, 100.0, 0.0]] * 2
+                                       + [[63.0, 0.0, 0.0, 0.0]]))
         with pytest.raises(StepTooLarge):
-            simulate_pseirs(params, hist, 10.0, step=1.0)
+            simulate_pseirs(params, hist, 10.0, step=1.0, e0=0.0)
 
     def test_zero_population_abort(self):
         hist = ConstantHistory(CompartmentState(0.0, 0.0, 0.0, 0.0))
@@ -486,31 +489,40 @@ def _abort_time(error):
     return re.search(r"at t=([^;]+);", str(error)).group(1)
 
 
-# the abort case of TestSimulate.test_negativity_abort, and the same model
-# from a history whose population is zero at t = -1: the stage-4 lookup of
-# the step [2, 3] reads it, inside the first block
+# a model whose population is zero at t = -1 in the history: the stage-4
+# lookup of the step [2, 3] reads it, inside the first block
 ABORT_PARAMS = PseirsParams(beta=0.0, mu=0.1, epsilon=0.0, alpha=0.04,
                             gamma=0.0, omega=4.0, tau=4.0, p=0.1)
 _ROW = [63.0, 0.0, 100.0, 0.0]
 GAP_HISTORY = SampledHistory(np.array([-4.0, -1.5, -1.0, 0.0]),
                              np.array([_ROW, _ROW, [0.0] * 4, _ROW]))
+# the abort case of TestSimulate.test_negativity_abort: with E(0) = 0 the
+# lagged incidence of I = 100 drains E below the floor in the first step,
+# and with the gap history before the lagged N = 0 too
+NEGATIVITY_PARAMS = dataclasses.replace(ABORT_PARAMS, gamma=0.5)
+_I_OFF = [63.0, 0.0, 0.0, 0.0]
+NEGATIVITY_HISTORY = SampledHistory(np.array([-4.0, -0.5, 0.0]),
+                                    np.array([_ROW, _ROW, _I_OFF]))
+NEGATIVITY_GAP_HISTORY = SampledHistory(
+    np.array([-4.0, -1.5, -1.0, -0.5, 0.0]),
+    np.array([_ROW, _ROW, [0.0] * 4, _ROW, _I_OFF]))
 
 
-@pytest.mark.parametrize("p, hist, error, lagged", [
-    (0.1, ConstantHistory(CompartmentState(*_ROW)), StepTooLarge, False),
-    # R falls below the floor in the first step, before the lagged N = 0
-    (0.1, GAP_HISTORY, StepTooLarge, False),
-    (1.0, GAP_HISTORY, ZeroPopulation, True),
+@pytest.mark.parametrize("params, hist, init, error, lagged", [
+    (NEGATIVITY_PARAMS, NEGATIVITY_HISTORY, {"e0": 0.0}, StepTooLarge, False),
+    (NEGATIVITY_PARAMS, NEGATIVITY_GAP_HISTORY, {"e0": 0.0}, StepTooLarge,
+     False),
+    (dataclasses.replace(ABORT_PARAMS, p=1.0), GAP_HISTORY, {},
+     ZeroPopulation, True),
 ], ids=["negativity", "negativity_before_lagged_zero", "lagged_zero"])
-def test_abort_matches_reference_loop(p, hist, error, lagged):
-    params = dataclasses.replace(ABORT_PARAMS, p=p)
+def test_abort_matches_reference_loop(params, hist, init, error, lagged):
     with pytest.raises(error) as got:
-        simulate_pseirs(params, hist, 10.0, step=1.0)
+        simulate_pseirs(params, hist, 10.0, step=1.0, **init)
     with pytest.raises(error) as want:
-        reference_simulate(params, hist, 10.0, step=1.0)
+        reference_simulate(params, hist, 10.0, step=1.0, **init)
     if error is StepTooLarge:
         assert _abort_time(got.value) == _abort_time(want.value) == "1.0"
-        assert str(got.value).startswith("compartment R=")
+        assert str(got.value).startswith("compartment E=")
     else:
         # stage 4 of the step at t = 2
         assert _abort_time(got.value) == _abort_time(want.value) == "3.0"

@@ -97,7 +97,8 @@ def test_network_scenario(tmp_path):
 
 
 def test_invalid_config_writes_nothing(tmp_path):
-    # the first two fail to parse; the third solves, then fails in the analyses
+    # the first fails to parse, the second before the solve; the third
+    # solves, then fails in the analyses
     for path, value, error in [("params.p", 2.0, InvalidParameter),
                                ("horizon", 20, TrajectoryTooShort),
                                ("analyses.stats", {"window": [400, 500]}, EmptyWindow)]:
@@ -307,6 +308,32 @@ class TestCli:
                          "--out", str(tmp_path / name / "re")]) == 0
         assert ((tmp_path / "a" / "re" / "summary.json").read_bytes()
                 == (tmp_path / "b" / "re" / "summary.json").read_bytes())
+
+    def test_analyze_judges_the_stored_horizon(self, tmp_path, capsys):
+        # the analyses read the stored times, not the config's horizon: a
+        # 40-long run analysed with --horizon 20 < kappa = 30 passes, and a
+        # 20-long one analysed with the config's 300 fails
+        from pseirs import simulate_pseirs
+        from pseirs.presets import baseline_history, baseline_pseirs
+        config = str(CONFIG_DIR / "seirs_baseline.json")
+        assert main(["simulate", "--config", config, "--horizon", "40",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert main(["analyze", "--config", config, "--horizon", "20",
+                     "--trajectory", str(tmp_path / "run" / "trajectory.csv"),
+                     "--out", str(tmp_path / "re")]) == 0
+        summary = json.loads((tmp_path / "re" / "summary.json").read_text())
+        assert summary["integral_equivalence"]["max_residual"] <= 1e-4
+        short = tmp_path / "short.csv"
+        write_trajectory_csv(simulate_pseirs(baseline_pseirs(),
+                                             baseline_history(), 20.0), short)
+        capsys.readouterr()
+        assert main(["analyze", "--config", config, "--trajectory", str(short),
+                     "--out", str(tmp_path / "short")]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "TrajectoryTooShort"
+        end = float(read_trajectory_csv(short)[0][-1])
+        assert error["message"] == f"horizon {end!r} must exceed kappa 30.0"
+        assert not (tmp_path / "short").exists()
 
     def test_sweep_cli(self, tmp_path):
         code = main(["sweep", "--config",
