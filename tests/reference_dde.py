@@ -8,7 +8,7 @@ with the linear interpolation ``SampledHistory`` had as a scalar
 
 import numpy as np
 
-from pseirs import ConstantHistory, SampledHistory
+from pseirs import ConstantHistory
 from pseirs.dde import _zero_population
 from pseirs.errors import OutOfDomain
 
@@ -31,14 +31,12 @@ def sampled_raw_at(history, t):
 
 
 def history_reader(history):
-    """A function of one time t <= 0 giving the history's (S, E, I, R) with
-    scalar arithmetic, for a ConstantHistory or a SampledHistory."""
+    """A function of one time t <= 0 giving the (S, E, I, R) of a
+    ConstantHistory or a SampledHistory with scalar arithmetic."""
     if isinstance(history, ConstantHistory):
         row = history.state.as_tuple()
         return lambda t: row
-    if isinstance(history, SampledHistory):
-        return lambda t: sampled_raw_at(history, t)
-    raise TypeError(f"no scalar reader for {type(history).__name__}")
+    return lambda t: sampled_raw_at(history, t)
 
 
 def _interp4(j, th, h, S, E, I, R, dS, dE, dI, dR):

@@ -227,13 +227,9 @@ class TestSimulate:
     def test_negativity_abort(self):
         # E(0) = 0 overrides the consistent value while the lagged
         # incidence of I = 100 before t = -0.5 drains E: E goes negative
-        params = PseirsParams(beta=0.0, mu=0.1, epsilon=0.0, alpha=0.04,
-                              gamma=0.5, omega=4.0, tau=4.0, p=0.1)
-        hist = SampledHistory(np.array([-4.0, -0.5, 0.0]),
-                              np.array([[63.0, 0.0, 100.0, 0.0]] * 2
-                                       + [[63.0, 0.0, 0.0, 0.0]]))
         with pytest.raises(StepTooLarge):
-            simulate_pseirs(params, hist, 10.0, step=1.0, e0=0.0)
+            simulate_pseirs(NEGATIVITY_PARAMS, NEGATIVITY_HISTORY, 10.0,
+                            step=1.0, e0=0.0)
 
     def test_zero_population_abort(self):
         hist = ConstantHistory(CompartmentState(0.0, 0.0, 0.0, 0.0))
@@ -616,7 +612,6 @@ def test_reconstruct_rejects_misshapen_states(shape):
 
 def reference_initial_exposed(history, params):
     gamma, mu = params.gamma, params.mu
-
     at = history_reader(history)
 
     def f(x):
@@ -630,7 +625,6 @@ def reference_initial_exposed(history, params):
 
 def reference_initial_recovered(history, params):
     p, alpha, mu = params.p, params.alpha, params.mu
-
     at = history_reader(history)
 
     def f(x):

@@ -201,8 +201,8 @@ def _reference_window(integrand, traj, t, lag):
     f = integrand(reference_lookup(traj))
     if not t - lag < 0.0 < t:
         return adaptive_simpson(f, t - lag, t)
-    return (adaptive_simpson(integrand(history_reader(traj.history)), t - lag, 0.0)
-            + adaptive_simpson(f, 0.0, t))
+    past = integrand(history_reader(traj.history))
+    return adaptive_simpson(past, t - lag, 0.0) + adaptive_simpson(f, 0.0, t)
 
 
 def reference_exposed_integral(traj, t, params):
