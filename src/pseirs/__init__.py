@@ -6,9 +6,9 @@ generation, threshold analysis and reporting tools."""
 from .core import (CompartmentState, ConstantHistory, HistoryFunction,
                    PseirsParams, SampledHistory, SirParams, SirState,
                    Trajectory, kappa, validate_pseirs)
-from .dde import (DerivativeSample, consistent_initial_exposed,
-                  consistent_initial_recovered, default_step, history_eval,
-                  pseirs_derivatives, reconstruct_trajectory, simulate_pseirs)
+from .dde import (consistent_initial_exposed, consistent_initial_recovered,
+                  default_step, history_eval, reconstruct_trajectory,
+                  simulate_pseirs)
 from .errors import (EmptyWindow, GridMismatch, InconsistentInit,
                      InsufficientTail, InvalidGraphParams, InvalidParameter,
                      NoPeak, NotEndemic, OutOfDomain, PseirsError,

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,38 +70,9 @@ PSEIRS_LABELS = ("S", "E", "I", "R")
 PLAN_CHUNK = 1024
 
 
-class DerivativeSample(NamedTuple):
-    ds: float
-    de: float
-    di: float
-    dr: float
-
-
 def _zero_population(t: float, lagged: bool = False) -> ZeroPopulation:
     which = "lagged population N(t - omega)" if lagged else "population N"
     return ZeroPopulation(f"{which} reached zero at t={t}; S*I/N is undefined")
-
-
-def pseirs_derivatives(now: CompartmentState, at_lag_omega: CompartmentState,
-                   at_lag_tau: CompartmentState,
-                   params: PseirsParams) -> DerivativeSample:
-    """Evaluate the four rows at one point given the two lagged states.
-    The point carries no time, so a ZeroPopulation it raises names t=nan."""
-    s, e, i, r = now.as_tuple()
-    n, n_w = now.n, at_lag_omega.n
-    if n <= 0.0:
-        raise _zero_population(math.nan)
-    if n_w <= 0.0:
-        raise _zero_population(math.nan, lagged=True)
-    beta, mu, alpha, gamma = params.beta, params.mu, params.alpha, params.gamma
-    inc_now = gamma * (s / n) * i
-    inc_lag = (gamma * (at_lag_omega.s / n_w) * at_lag_omega.i
-               * math.exp(-mu * params.omega))
-    ret = params.p * alpha * at_lag_tau.i * math.exp(-mu * params.tau)
-    return DerivativeSample(beta * n - mu * s - inc_now + ret,
-                            inc_now - inc_lag - mu * e,
-                            inc_lag - (mu + params.epsilon + alpha) * i,
-                            params.p * alpha * i - ret - mu * r)
 
 
 def _decay(mu: float, t: float, x: np.ndarray) -> np.ndarray:

@@ -59,9 +59,9 @@ def _interp4(j, th, h, S, E, I, R, dS, dE, dI, dR):
 def _pseirs_rhs(t, s, e, i, r, s_w, e_w, i_w, r_w, i_tau,
             beta, mu, epsilon, alpha, gamma, p, decay_w, decay_t):
     """The four derivative rows at time t from the current and the two lagged
-    states, for pseirs_derivatives and reconstruction; the solver does the
-    same arithmetic in its loop.  decay_w/decay_t are
-    exp(-mu*omega)/exp(-mu*tau); t only names the time in a ZeroPopulation."""
+    states, as the solver's loop and reconstruction's ``_derivative_rows``
+    compute them.  decay_w/decay_t are exp(-mu*omega)/exp(-mu*tau); t only
+    names the time in a ZeroPopulation."""
     n = s + e + i + r
     n_w = s_w + e_w + i_w + r_w
     if n <= 0.0:

@@ -10,7 +10,7 @@ from pseirs import (CompartmentState, ConstantHistory, InvalidParameter,
                     OutOfDomain, PseirsParams, SampledHistory, StepTooLarge,
                     Trajectory, ZeroPopulation, consistent_initial_exposed,
                     consistent_initial_recovered, history_eval,
-                    pseirs_derivatives, reconstruct_trajectory, simulate_pseirs)
+                    reconstruct_trajectory, simulate_pseirs)
 from pseirs.dde import PLAN_CHUNK, default_step
 from pseirs.presets import baseline_history, baseline_pseirs
 
@@ -36,65 +36,62 @@ BASE_STATE = CompartmentState(63.0, 0.0, 7.0, 0.0)
 positive_states = st.floats(min_value=1e-3, max_value=1e6)
 
 
+def _first_row(params, state):
+    """Row 0 of the derivatives of a reconstruction whose first row and
+    history are ``state``: at t = 0 every lookup reads the history, so this
+    is f(state, state, state)."""
+    h = default_step(params)
+    traj = reconstruct_trajectory(params, ConstantHistory(state),
+                                  np.array([0.0, h]),
+                                  np.array([state.as_tuple()] * 2))
+    return traj.derivs[0]
+
+
 class TestDerivativeRows:
     def test_infected_row_frozen_value(self):
-        d = pseirs_derivatives(BASE_STATE, BASE_STATE, BASE_STATE, baseline_pseirs())
-        assert d.di == pytest.approx(DI_BASELINE, abs=1e-9)
+        d = _first_row(baseline_pseirs(), BASE_STATE)
+        assert d[2] == pytest.approx(DI_BASELINE, abs=1e-9)
 
     def test_recovered_row_frozen_value(self):
-        d = pseirs_derivatives(BASE_STATE, BASE_STATE, BASE_STATE, baseline_pseirs())
-        assert d.dr == pytest.approx(DR_BASELINE, abs=1e-9)
+        d = _first_row(baseline_pseirs(), BASE_STATE)
+        assert d[3] == pytest.approx(DR_BASELINE, abs=1e-9)
 
     def test_infection_free_flow(self):
         params = baseline_pseirs()
-        state = CompartmentState(70.0, 0.0, 0.0, 0.0)
-        d = pseirs_derivatives(state, state, state, params)
-        assert d.ds == pytest.approx(params.beta * 70.0 - params.mu * 70.0, rel=1e-12)
-        assert (d.de, d.di, d.dr) == (0.0, 0.0, 0.0)
-
-    def test_zero_population_rejected(self):
-        zero = CompartmentState(0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ZeroPopulation):
-            pseirs_derivatives(zero, BASE_STATE, BASE_STATE, baseline_pseirs())
-        with pytest.raises(ZeroPopulation):
-            pseirs_derivatives(BASE_STATE, zero, BASE_STATE, baseline_pseirs())
-
-    @settings(max_examples=200)
-    @given(s=positive_states, e=positive_states, i=positive_states,
-           r=positive_states, sw=positive_states, iw=positive_states,
-           itau=positive_states, p=st.floats(0.0, 1.0))
-    def test_row_sum_identity(self, s, e, i, r, sw, iw, itau, p):
-        # summing the four rows: the delayed terms cancel, leaving
-        # dN/dt = (beta-mu)*N - (epsilon + (1-p)*alpha)*I
-        params = baseline_pseirs(p=p)
-        now = CompartmentState(s, e, i, r)
-        lag_w = CompartmentState(sw, 1.0, iw, 1.0)
-        lag_t = CompartmentState(1.0, 1.0, itau, 1.0)
-        d = pseirs_derivatives(now, lag_w, lag_t, params)
-        lhs = d.ds + d.de + d.di + d.dr
-        rhs = (params.beta - params.mu) * now.n \
-            - (params.epsilon + (1.0 - p) * params.alpha) * i
-        # relative to the largest term entering the sum: the delayed terms
-        # cancel analytically but leave rounding at their own magnitude
-        scale = max(abs(rhs), params.gamma * (s / now.n) * i,
-                    params.gamma * (sw / lag_w.n) * iw,
-                    params.alpha * itau, params.beta * now.n, 1.0)
-        assert abs(lhs - rhs) <= 1e-12 * scale
+        d = _first_row(params, CompartmentState(70.0, 0.0, 0.0, 0.0))
+        assert d[0] == pytest.approx(params.beta * 70.0 - params.mu * 70.0, rel=1e-12)
+        assert tuple(d[1:]) == (0.0, 0.0, 0.0)
 
     @settings(max_examples=200)
     @given(now=st.tuples(*[positive_states] * 4),
            lag_w=st.tuples(*[positive_states] * 4), itau=positive_states,
            p=st.floats(0.0, 1.0))
-    def test_bits_match_reference_rows(self, now, lag_w, itau, p):
-        params = baseline_pseirs(p=p)
-        d = pseirs_derivatives(CompartmentState(*now), CompartmentState(*lag_w),
-                               CompartmentState(1.0, 1.0, itau, 1.0), params)
-        want = _pseirs_rhs(math.nan, *now, *lag_w, itau, params.beta,
-                           params.mu, params.epsilon, params.alpha,
-                           params.gamma, p,
-                           math.exp(-params.mu * params.omega),
-                           math.exp(-params.mu * params.tau))
-        assert _same_bits(np.array(d), np.array(want))
+    def test_row_sum_identity(self, now, lag_w, itau, p):
+        # summing the four rows: the delayed terms cancel, leaving
+        # dN/dt = (beta-mu)*N - (epsilon + (1-p)*alpha)*I; row 32 of the
+        # reconstruction reads now, and rows 16 and 0 at its two lags:
+        # omega = 2 and tau = 4 are 16 and 32 steps of 0.125, so each
+        # lookup returns a stored row exactly
+        params = dataclasses.replace(baseline_pseirs(p=p), omega=2.0, tau=4.0)
+        h = 0.125
+        states = np.ones((33, 4))
+        states[0, 2] = itau
+        states[16] = lag_w
+        states[32] = now
+        traj = reconstruct_trajectory(params, baseline_history(),
+                                      np.arange(33) * h, states)
+        ds, de, di, dr = traj.derivs[32].tolist()
+        lhs = ds + de + di + dr
+        s, e, i, r = now
+        n = s + e + i + r
+        rhs = (params.beta - params.mu) * n \
+            - (params.epsilon + (1.0 - p) * params.alpha) * i
+        # relative to the largest term entering the sum: the delayed terms
+        # cancel analytically but leave rounding at their own magnitude
+        scale = max(abs(rhs), params.gamma * (s / n) * i,
+                    params.gamma * (lag_w[0] / sum(lag_w)) * lag_w[2],
+                    params.alpha * itau, params.beta * n, 1.0)
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 class TestConsistentInitialization:
