@@ -16,15 +16,20 @@ import time
 from pathlib import Path
 
 from .errors import InvalidParameter, PseirsError
-from .netgen import (degree_histogram, edge_list_text, generate_ba,
-                     graph_to_dict, mean_degree, powerlaw_slope)
-from .scenario import (ScenarioConfig, _json_text, analyze_stored,
+from .netgen import degree_histogram, generate_ba, mean_degree, powerlaw_slope
+from .scenario import (ScenarioConfig, _write_network, analyze_stored,
                        run_scenario, sweep_scenario)
 
 
 def _load_config(path: str, args) -> dict:
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError:
+        raise InvalidParameter("config", path, "UTF-8 text") from None
+    except RecursionError:
+        raise InvalidParameter("config", path,
+                               "JSON nested within the recursion limit") from None
     if not isinstance(raw, dict):
         raise InvalidParameter("config", type(raw).__name__, "JSON object")
     if not isinstance(raw.get("out_dir") or "", str):
@@ -78,8 +83,7 @@ def _cmd_generate_network(args) -> int:
     graph = generate_ba(args.nodes, args.m0, args.m, args.seed)
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "edges.txt").write_text(edge_list_text(graph))
-    (out / "graph.json").write_text(_json_text(graph_to_dict(graph)))
+    _write_network(graph, out)
     print(f"nodes: {graph.n}")
     print(f"edges: {len(graph.edges)}")
     print(f"mean degree: {mean_degree(graph)!r}")

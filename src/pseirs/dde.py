@@ -331,10 +331,14 @@ def _undershoot(t: float, floor: float, state) -> StepTooLarge:
                         f"at t={t}; reduce the step")
 
 
-def _checked_kappa(params: PseirsParams, history: HistoryFunction) -> float:
-    """kappa(params), once the parameters are valid and the history covers
-    [-kappa, 0]; called before any delayed lookup."""
+def _checked_kappa(params: PseirsParams, history: HistoryFunction,
+                   h: float) -> float:
+    """kappa(params), once the parameters are valid, the step h is at most
+    min(omega, tau)/4 and the history covers [-kappa, 0]; called before any
+    delayed lookup."""
     validate_pseirs(params)
+    _require(0 < h <= min(params.omega, params.tau) / 4.0, "step", h,
+             "0 < step <= min(omega, tau)/4")
     kap = kappa(params)
     if not history.covers(kap):
         raise InvalidParameter("history", history.domain_start(),
@@ -355,13 +359,8 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     population-balance identity), and with ZeroPopulation, naming t, when
     the current or the lagged population N reaches zero.
     """
-    kap = _checked_kappa(params, history)
-    if step is None:
-        step = default_step(params)
-    h = float(step)
-    _require(h > 0, "step", h, "step > 0")
-    _require(h <= min(params.omega, params.tau) / 4.0, "step", h,
-             "step <= min(omega, tau)/4")
+    h = float(default_step(params) if step is None else step)
+    kap = _checked_kappa(params, history, h)
     _require(horizon >= h, "horizon", horizon, "horizon >= step")
     n_steps = step_count(horizon, h)
 
@@ -499,7 +498,6 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     stage 1 only, one plan per lag), so analyses run on the reconstruction
     match the original run.
     """
-    kap = _checked_kappa(params, history)
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     _require(times.ndim == 1 and len(times) >= 2 and times[0] == 0.0,
@@ -509,8 +507,7 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     # times[1] is exactly 1*step as written by the solver, so this recovers
     # the original step bit-for-bit (uniformity is re-checked by Trajectory)
     h = float(times[1] - times[0])
-    _require(h > 0 and h <= min(params.omega, params.tau) / 4.0, "step", h,
-             "0 < step <= min(omega, tau)/4")
+    kap = _checked_kappa(params, history, h)
 
     derivs = np.zeros((len(times), 4))
     _derivative_rows(_Rates(params), history, h, states, derivs, 0,

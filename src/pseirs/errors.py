@@ -57,7 +57,8 @@ class GridMismatch(PseirsError):
 
 
 class InvalidGraphParams(PseirsError):
-    """Graph generation parameters violate m0 >= 1, 1 <= m <= m0, n >= m0."""
+    """Graph generation parameters violate m0 >= 1, 1 <= m <= m0, n >= m0
+    or seed >= 0 (numpy seeds only non-negative integers)."""
 
 
 class InsufficientTail(PseirsError):

@@ -39,9 +39,10 @@ class DegreeHistogram:
 
 
 def generate_ba(n: int, m0: int, m: int, seed: int) -> Graph:
-    if not (m0 >= 1 and 1 <= m <= m0 and n >= m0):
+    if not (m0 >= 1 and 1 <= m <= m0 and n >= m0 and seed >= 0):
         raise InvalidGraphParams(
-            f"need m0 >= 1, 1 <= m <= m0, n >= m0; got n={n}, m0={m0}, m={m}")
+            f"need m0 >= 1, 1 <= m <= m0, n >= m0, seed >= 0; got n={n}, "
+            f"m0={m0}, m={m}, seed={seed}")
     rng = np.random.default_rng(int(seed))
     edges = [(i, j) for i in range(m0) for j in range(i + 1, m0)]
     pool = []

@@ -247,8 +247,11 @@ def _json_text(obj) -> str:
 
 
 def _prepare_network(config: ScenarioConfig):
-    """(graph, params with the graph's gamma, summary network block)"""
+    """(graph, params with the graph's gamma, summary network block), or
+    (None, config.params, None) without a network block"""
     net = config.network
+    if net is None:
+        return None, config.params, None
     graph = generate_ba(net["n"], net["m0"], net["m"], net["seed"])
     md = mean_degree(graph)
     gamma = gamma_from_graph(graph, net["per_contact_prob"])
@@ -261,6 +264,12 @@ def _prepare_network(config: ScenarioConfig):
             "edge_count": len(graph.edges), "mean_degree": md,
             "derived_gamma": gamma, "powerlaw_exponent": exponent}
     return graph, dataclasses.replace(config.params, gamma=gamma), info
+
+
+def _write_network(graph, out: Path) -> None:
+    """Write the graph's ``edges.txt`` and ``graph.json`` into ``out``."""
+    (out / "edges.txt").write_text(edge_list_text(graph))
+    (out / "graph.json").write_text(_json_text(graph_to_dict(graph)))
 
 
 def _run_analyses(config: ScenarioConfig, traj: Trajectory, params,
@@ -330,12 +339,9 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
         kap = kappa(config.params)
         if end <= kap:
             raise TrajectoryTooShort(f"horizon {end} must exceed kappa {kap}")
-    graph = None
-    network_info = None
-    params = config.params
+    graph, params, network_info = _prepare_network(config)
     outputs = {"trajectory": "trajectory.csv"}
-    if config.network is not None:
-        graph, params, network_info = _prepare_network(config)
+    if graph is not None:
         outputs["network"] = ["edges.txt", "graph.json"]
     simulate = simulate_sir if config.model == "sir" else simulate_pseirs
     traj = simulate(params, config.init, config.horizon, config.step)
@@ -345,8 +351,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out / "trajectory.csv")
     if graph is not None:
-        (out / "edges.txt").write_text(edge_list_text(graph))
-        (out / "graph.json").write_text(_json_text(graph_to_dict(graph)))
+        _write_network(graph, out)
     _write_run(out, summary, planes)
     return summary
 
@@ -361,10 +366,7 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
     Nothing is written unless the trajectory and every analysis are valid.
     """
     times, states, labels = read_trajectory_csv(trajectory_csv)
-    params = config.params
-    network_info = None
-    if config.network is not None:
-        _, params, network_info = _prepare_network(config)
+    _, params, network_info = _prepare_network(config)
     if config.model == "sir":
         _require(labels == ("S", "I", "R"), "trajectory", labels,
                  "S, I, R columns for a sir config")

@@ -416,3 +416,56 @@ class TestCli:
                      "--seed", "3", "--out", str(tmp_path)])
         assert code == 1
         assert "network" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],
+        ["sweep", "--param", "params.p", "--values", "0.5"],
+        ["analyze", "--trajectory", "trajectory.csv"],
+    ], ids=["simulate", "sweep", "analyze"])
+    @pytest.mark.parametrize("text, error", [
+        (b"\xff\xfe{}", "InvalidParameter"),
+        (b"[" * 100_000 + b"]" * 100_000, "InvalidParameter"),
+        (b"{", "JSONDecodeError"),
+    ], ids=["not_utf8", "nested_too_deep", "malformed_json"])
+    def test_unreadable_config_is_an_error_record(self, tmp_path, capsys,
+                                                  monkeypatch, argv, text,
+                                                  error):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)  # the default output directory is ./out
+        code = main([argv[0], "--config", str(path), *argv[1:]])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["type"] == error
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "negative_seed.json"],
+        ["simulate", "--config", str(CONFIG_DIR / "scale_free_5000.json"),
+         "--seed", "-5"],
+        ["generate-network", "--nodes", "10", "--m0", "3", "--m", "2",
+         "--seed", "-1"],
+    ], ids=["config_seed", "simulate_seed", "generate_network_seed"])
+    def test_negative_network_seed_is_an_error_record(self, tmp_path, capsys,
+                                                      monkeypatch, argv):
+        raw = load_config("scale_free_5000.json")
+        raw["network"]["seed"] = -1
+        (tmp_path / "negative_seed.json").write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        code = main([*argv, "--out", "out"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["type"] == "InvalidGraphParams"
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_records_a_negative_network_seed(self, tmp_path):
+        code = main(["sweep", "--config",
+                     str(CONFIG_DIR / "scale_free_5000.json"),
+                     "--param", "network.seed", "--values", "3,-1",
+                     "--horizon", "40", "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "sweep.json").read_text())
+        assert [e["status"] for e in doc] == ["ok", "error"]
+        assert doc[1]["error"]["type"] == "InvalidGraphParams"
