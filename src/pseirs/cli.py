@@ -143,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--config", required=True)
     ana.add_argument("--trajectory", required=True, help="trajectory CSV path")
     ana.add_argument("--out", help="output directory")
-    ana.add_argument("--step", type=float, help="override the config step")
     ana.add_argument("--horizon", type=float, help="override the config horizon")
     ana.set_defaults(func=_cmd_analyze)
     return parser

@@ -63,3 +63,7 @@ class InvalidGraphParams(PseirsError):
 
 class InsufficientTail(PseirsError):
     """Fewer than four distinct degrees available for the power-law fit."""
+
+
+class WorkerDied(PseirsError):
+    """A sweep worker process exited without returning its run."""

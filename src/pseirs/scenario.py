@@ -14,8 +14,11 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from .core import (CompartmentState, ConstantHistory, HistoryFunction,
                    PseirsParams, SirParams, SirState, Trajectory, _require,
                    kappa, step_count)
 from .dde import default_step, reconstruct_trajectory, simulate_pseirs
-from .errors import InvalidParameter, PseirsError, TrajectoryTooShort
+from .errors import InvalidParameter, PseirsError, TrajectoryTooShort, WorkerDied
 from .integro import verify_integral_equivalence
 from .netgen import (degree_histogram, edge_list_text, gamma_from_graph,
                      generate_ba, graph_to_dict, mean_degree, powerlaw_slope)
@@ -402,30 +405,82 @@ def _resolve_path(raw: dict, dotted: str):
     return node, parts[-1]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
+def _sweep_member(base_config: dict, parameter: str, idx: int, value,
+                  out_dir: Path) -> dict:
+    """Run one sweep member into ``out_dir/run_<idx>`` and return its entry.
+
+    A ``PseirsError`` becomes the entry's error record here, inside the
+    worker: ``InvalidParameter`` cannot be rebuilt from its ``args``, so
+    only entries and other exceptions (``OSError``) cross the pipe.
+    """
+    raw = copy.deepcopy(base_config)
+    node, leaf = _resolve_path(raw, parameter)
+    node[leaf] = value
+    run_dir = out_dir / f"run_{idx:03d}"
+    entry = {"parameter": parameter, "value": value, "out_dir": run_dir.name}
+    try:
+        cfg = ScenarioConfig.from_dict(raw)
+        entry["summary"] = run_scenario(cfg, run_dir)
+        entry["status"] = "ok"
+    except PseirsError as exc:
+        entry["status"] = "error"
+        entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
+    return entry
+
+
+def _map_members(workers: int, members: tuple) -> list:
+    """``list(map(*members))``, with the calls spread over ``workers``
+    forked processes where there are two or more and ``fork`` exists."""
+    if workers > 1:
+        # imported here: multiprocessing adds to every command's start-up
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+            try:
+                with ProcessPoolExecutor(
+                        workers, multiprocessing.get_context("fork")) as pool:
+                    with warnings.catch_warnings():
+                        if threading.active_count() == 1:
+                            # Python 3.12+ warns on fork() from a process
+                            # with OS threads, such as numpy's BLAS pool; no
+                            # Python thread can hold a lock a worker needs
+                            warnings.filterwarnings(
+                                "ignore", r"This process \(pid=\d+\) is "
+                                r"multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+                        entries = pool.map(*members)  # forks every worker
+                    return list(entries)  # leaving waits for every worker
+            except BrokenProcessPool as exc:
+                raise WorkerDied("a sweep worker exited without returning "
+                                 f"its run: {exc}") from None
+    return list(map(*members))
+
+
 def sweep_scenario(base_config: dict, parameter: str, values, out_dir) -> list:
     """Run one scenario per value of ``parameter`` (a dotted config path).
 
-    Per-run failures are recorded in the corresponding entry and the sweep
-    continues; results keep the input order.  Writes ``sweep.json``.
+    Members run in forked worker processes, one per usable CPU and at most
+    one per value; with one CPU, one value or no ``fork`` start method
+    they run one after another in this process.  Both ways write the same
+    bytes.  Per-run failures are recorded in the corresponding entry and
+    the sweep continues; results keep the input order.  Writes
+    ``sweep.json``.  A worker that dies without returning its entry stops
+    the sweep with ``WorkerDied``.
     """
     _resolve_path(base_config, parameter)  # fail fast on a bad path
+    values = list(values)
     out = Path(out_dir)
-    results = []
-    for idx, value in enumerate(values):
-        raw = copy.deepcopy(base_config)
-        node, leaf = _resolve_path(raw, parameter)
-        node[leaf] = value
-        run_dir = out / f"run_{idx:03d}"
-        entry = {"parameter": parameter, "value": value,
-                 "out_dir": run_dir.name}
-        try:
-            cfg = ScenarioConfig.from_dict(raw)
-            entry["summary"] = run_scenario(cfg, run_dir)
-            entry["status"] = "ok"
-        except PseirsError as exc:
-            entry["status"] = "error"
-            entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        results.append(entry)
+    members = (_sweep_member, repeat(base_config), repeat(parameter),
+               range(len(values)), values, repeat(out))
+    results = _map_members(min(len(values), _usable_cpus()), members)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.json").write_text(_json_text(results))
     return results

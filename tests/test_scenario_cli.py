@@ -1,4 +1,10 @@
+import concurrent.futures
+import contextlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +17,8 @@ from pseirs.errors import EmptyWindow, InvalidParameter, TrajectoryTooShort
 from pseirs.scenario import (ScenarioConfig, read_trajectory_csv, run_scenario,
                              sweep_scenario, write_trajectory_csv)
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 MALFORMED_PSEIRS = {
@@ -34,6 +41,48 @@ MALFORMED_SIR = {
 
 def load_config(name):
     return json.loads((CONFIG_DIR / name).read_text())
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    yield
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The arguments of every process pool a sweep starts."""
+    started = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    return started
+
+
+def tree_bytes(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+_sweep_member = scenario._sweep_member
+
+
+def exit_at_second_member(base_config, parameter, idx, value, out_dir):
+    """A sweep member whose worker dies at the second value."""
+    if idx == 1:
+        os._exit(3)
+    return _sweep_member(base_config, parameter, idx, value, out_dir)
+
+
+def run_cli(argv, stderr_path):
+    """Process target: the CLI's exit code, or 4 if it left a child."""
+    with open(stderr_path, "w") as fh, contextlib.redirect_stderr(fh):
+        code = main(argv)
+    sys.exit(4 if multiprocessing.active_children() else code)
 
 
 def set_path(raw, dotted, value):
@@ -173,23 +222,81 @@ def test_trajectory_csv_round_trip(tmp_path, canonical_params,
     assert path.read_text() == first
 
 
-def test_sweep_orders_and_continues_on_error(tmp_path):
+def test_sweep_orders_and_continues_on_error(tmp_path, monkeypatch, pools):
     raw = load_config("seirs_baseline.json")
     raw["horizon"] = 40
     del raw["analyses"]["integral_equivalence"]
-    results = sweep_scenario(raw, "params.p", [0.25, 2.0, 0.75], tmp_path)
-    assert [r["value"] for r in results] == [0.25, 2.0, 0.75]
-    assert [r["status"] for r in results] == ["ok", "error", "ok"]
-    assert results[1]["error"]["type"] == "InvalidParameter"
-    doc = json.loads((tmp_path / "sweep.json").read_text())
-    assert len(doc) == 3
+    trees = []
+    for cpus in (2, 1):  # a pool of two workers, then the plain map
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda n=cpus: n)
+        out = tmp_path / f"cpus{cpus}"
+        results = sweep_scenario(raw, "params.p", [0.25, 2.0, 0.75], out)
+        assert [r["value"] for r in results] == [0.25, 2.0, 0.75]
+        assert [r["status"] for r in results] == ["ok", "error", "ok"]
+        assert results[1]["error"]["type"] == "InvalidParameter"
+        doc = json.loads((out / "sweep.json").read_text())
+        assert len(doc) == 3
+        trees.append(tree_bytes(out))
+        assert len(pools) == 1
+    assert {"run_000/trajectory.csv", "run_002/summary.json",
+            "sweep.json"} <= set(trees[0])
+    assert trees[0] == trees[1]
 
 
-def test_sweep_empty_values(tmp_path):
+def test_sweep_empty_values(tmp_path, pools):
     raw = load_config("seirs_baseline.json")
     results = sweep_scenario(raw, "params.p", [], tmp_path)
     assert results == []
     assert json.loads((tmp_path / "sweep.json").read_text()) == []
+    assert pools == []
+
+
+def test_sweep_worker_death_is_one_error_record(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenario, "_sweep_member", exit_at_second_member)
+    monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
+    stderr_path = tmp_path / "stderr.txt"
+    argv = ["sweep", "--config", str(CONFIG_DIR / "seirs_long_latency.json"),
+            "--param", "params.p", "--values", "0.25,0.5,0.75",
+            "--horizon", "40", "--out", str(tmp_path / "out")]
+    proc = multiprocessing.get_context("fork").Process(
+        target=run_cli, args=(argv, stderr_path))
+    proc.start()
+    proc.join(timeout=120)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("the sweep did not end after its worker died")
+    assert proc.exitcode == 1
+    record = json.loads(stderr_path.read_text())
+    assert record["error"]["type"] == "WorkerDied"
+    assert not (tmp_path / "out" / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["pool", "serial"])
+def test_sweep_worker_os_error_is_an_error_record(tmp_path, capsys,
+                                                  monkeypatch, cpus):
+    # a run directory under a regular file: the members' mkdir fails
+    monkeypatch.setattr(scenario, "_usable_cpus", lambda: cpus)
+    (tmp_path / "out").write_text("")
+    code = main(["sweep", "--config", str(CONFIG_DIR / "seirs_long_latency.json"),
+                 "--param", "params.p", "--values", "0.25,0.5",
+                 "--horizon", "40", "--out", str(tmp_path / "out")])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "NotADirectoryError"
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # the sweep imports them when it starts workers; every command pays
+    # for what `import pseirs.cli` imports
+    code = ("import sys, pseirs.cli; print([m for m in ('multiprocessing', "
+            "'concurrent.futures') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_bad_path_fails_fast(tmp_path):
@@ -334,6 +441,16 @@ class TestCli:
         end = float(read_trajectory_csv(short)[0][-1])
         assert error["message"] == f"horizon {end!r} must exceed kappa 30.0"
         assert not (tmp_path / "short").exists()
+
+    def test_analyze_takes_no_step(self, tmp_path, capsys):
+        # the stored trajectory's grid sets the step
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--config", str(CONFIG_DIR / "seirs_baseline.json"),
+                  "--trajectory", "trajectory.csv", "--step", "1",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --step 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_cli(self, tmp_path):
         code = main(["sweep", "--config",
