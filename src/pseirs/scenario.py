@@ -10,12 +10,11 @@ other file, so re-running a config byte-reproduces every output.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import json
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -23,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _fork
 from .core import (CompartmentState, ConstantHistory, HistoryFunction,
                    PseirsParams, SirParams, SirState, Trajectory, _require,
                    kappa, step_count)
@@ -214,15 +214,21 @@ def _parse_analyses(block, model: str) -> dict:
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    """``t``, the states and, for four compartments, ``N = ((S+E)+I)+R``."""
+    """``t``, the states and, for four compartments, ``N = ((S+E)+I)+R``.
+
+    The rows come from ``csv_row_blocks``, so a large trajectory is
+    formatted on up to one process per usable CPU.  A write that fails
+    part-way closes the blocks, which reaps those processes, and leaves a
+    partial file."""
     header = ["t", *traj.labels]
     columns = [traj.times, *traj.states.T]
     if len(traj.labels) == 4:
         header.append("N")
         columns.append(columns[1] + columns[2] + columns[3] + columns[4])
-    with open(path, "w") as f:
+    with open(path, "w") as f, \
+            contextlib.closing(csv_row_blocks(np.column_stack(columns))) as rows:
         f.write(",".join(header) + "\n")
-        f.writelines(csv_row_blocks(np.column_stack(columns)))
+        f.writelines(rows)
 
 
 def read_trajectory_csv(path: Path):
@@ -405,13 +411,6 @@ def _resolve_path(raw: dict, dotted: str):
     return node, parts[-1]
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call outside Linux
-        return os.cpu_count() or 1
-
-
 def _sweep_member(base_config: dict, parameter: str, idx: int, value,
                   out_dir: Path) -> dict:
     """Run one sweep member into ``out_dir/run_<idx>`` and return its entry.
@@ -437,30 +436,21 @@ def _sweep_member(base_config: dict, parameter: str, idx: int, value,
 
 def _map_members(workers: int, members: tuple) -> list:
     """``list(map(*members))``, with the calls spread over ``workers``
-    forked processes where there are two or more and ``fork`` exists."""
+    forked processes where there are two or more."""
     if workers > 1:
         # imported here: multiprocessing adds to every command's start-up
         import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
-            try:
-                with ProcessPoolExecutor(
-                        workers, multiprocessing.get_context("fork")) as pool:
-                    with warnings.catch_warnings():
-                        if threading.active_count() == 1:
-                            # Python 3.12+ warns on fork() from a process
-                            # with OS threads, such as numpy's BLAS pool; no
-                            # Python thread can hold a lock a worker needs
-                            warnings.filterwarnings(
-                                "ignore", r"This process \(pid=\d+\) is "
-                                r"multi-threaded, use of fork\(\)",
-                                DeprecationWarning)
-                        entries = pool.map(*members)  # forks every worker
-                    return list(entries)  # leaving waits for every worker
-            except BrokenProcessPool as exc:
-                raise WorkerDied("a sweep worker exited without returning "
-                                 f"its run: {exc}") from None
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     initializer=_fork.enter_worker) as pool:
+                with _fork.fork_warning_filtered():
+                    entries = pool.map(*members)  # forks every worker
+                return list(entries)  # leaving waits for every worker
+        except BrokenProcessPool as exc:
+            raise WorkerDied("a sweep worker exited without returning "
+                             f"its run: {exc}") from None
     return list(map(*members))
 
 
@@ -468,19 +458,19 @@ def sweep_scenario(base_config: dict, parameter: str, values, out_dir) -> list:
     """Run one scenario per value of ``parameter`` (a dotted config path).
 
     Members run in forked worker processes, one per usable CPU and at most
-    one per value; with one CPU, one value or no ``fork`` start method
-    they run one after another in this process.  Both ways write the same
-    bytes.  Per-run failures are recorded in the corresponding entry and
-    the sweep continues; results keep the input order.  Writes
-    ``sweep.json``.  A worker that dies without returning its entry stops
-    the sweep with ``WorkerDied``.
+    one per value; with one CPU, one value or no ``os.fork`` they run one
+    after another in this process.  A worker formats its CSV text alone,
+    forking nothing.  Both ways write the same bytes.  Per-run failures
+    are recorded in the corresponding entry and the sweep continues;
+    results keep the input order.  Writes ``sweep.json``.  A worker that
+    dies without returning its entry stops the sweep with ``WorkerDied``.
     """
     _resolve_path(base_config, parameter)  # fail fast on a bad path
     values = list(values)
     out = Path(out_dir)
     members = (_sweep_member, repeat(base_config), repeat(parameter),
                range(len(values)), values, repeat(out))
-    results = _map_members(min(len(values), _usable_cpus()), members)
+    results = _map_members(_fork.fork_width(len(values)), members)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.json").write_text(_json_text(results))
     return results

@@ -1,5 +1,7 @@
 import concurrent.futures
 import contextlib
+import errno
+import io
 import json
 import multiprocessing
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseirs import scenario
+from pseirs import _fork, scenario, stats
 from pseirs.cli import main
 from pseirs.core import MAX_STEPS
 from pseirs.errors import EmptyWindow, InvalidParameter, TrajectoryTooShort
@@ -78,11 +80,87 @@ def exit_at_second_member(base_config, parameter, idx, value, out_dir):
     return _sweep_member(base_config, parameter, idx, value, out_dir)
 
 
+def exit_csv_child(fd, table, row, inherited):
+    """A CSV formatting child that dies before it writes."""
+    os._exit(3)
+
+
+def short_csv_child(fd, table, row, inherited):
+    """A CSV formatting child that sends one line of its range, exit 0."""
+    os.write(fd, b"0.0\n")
+    os._exit(0)
+
+
+def member_counting_forks(base_config, parameter, idx, value, out_dir):
+    """A sweep member whose entry records how often its run forked."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    os.fork = counting_fork
+    try:
+        entry = _sweep_member(base_config, parameter, idx, value, out_dir)
+    finally:
+        os.fork = real_fork
+    entry["forks"] = len(forks)
+    return entry
+
+
+class FullDisk(io.RawIOBase):
+    """A file that takes ``room`` bytes, then fails as a full disk does."""
+
+    def __init__(self, room):
+        self.room = room
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if len(data) > self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return len(data)
+
+
+def children_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+def run_forked(target, *args):
+    """Exit code of ``target(*args)`` run in a forked process, which must
+    end within 120 s."""
+    proc = multiprocessing.get_context("fork").Process(target=target, args=args)
+    proc.start()
+    proc.join(timeout=120)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail(f"{target.__name__} did not end within 120 s")
+    return proc.exitcode
+
+
 def run_cli(argv, stderr_path):
     """Process target: the CLI's exit code, or 4 if it left a child."""
     with open(stderr_path, "w") as fh, contextlib.redirect_stderr(fh):
         code = main(argv)
-    sys.exit(4 if multiprocessing.active_children() else code)
+    sys.exit(4 if children_left() else code)
+
+
+def write_to_full_disk(traj, path):
+    """Process target: 0 once writing ``traj`` failed with OSError and left
+    no child, 4 if it left one, 5 if the write did not fail."""
+    try:
+        write_trajectory_csv(traj, path)
+    except OSError:
+        sys.exit(4 if children_left() else 0)
+    sys.exit(5)
 
 
 def set_path(raw, dotted, value):
@@ -228,7 +306,7 @@ def test_sweep_orders_and_continues_on_error(tmp_path, monkeypatch, pools):
     del raw["analyses"]["integral_equivalence"]
     trees = []
     for cpus in (2, 1):  # a pool of two workers, then the plain map
-        monkeypatch.setattr(scenario, "_usable_cpus", lambda n=cpus: n)
+        monkeypatch.setattr(_fork, "usable_cpus", lambda n=cpus: n)
         out = tmp_path / f"cpus{cpus}"
         results = sweep_scenario(raw, "params.p", [0.25, 2.0, 0.75], out)
         assert [r["value"] for r in results] == [0.25, 2.0, 0.75]
@@ -253,20 +331,12 @@ def test_sweep_empty_values(tmp_path, pools):
 
 def test_sweep_worker_death_is_one_error_record(tmp_path, monkeypatch):
     monkeypatch.setattr(scenario, "_sweep_member", exit_at_second_member)
-    monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     stderr_path = tmp_path / "stderr.txt"
     argv = ["sweep", "--config", str(CONFIG_DIR / "seirs_long_latency.json"),
             "--param", "params.p", "--values", "0.25,0.5,0.75",
             "--horizon", "40", "--out", str(tmp_path / "out")]
-    proc = multiprocessing.get_context("fork").Process(
-        target=run_cli, args=(argv, stderr_path))
-    proc.start()
-    proc.join(timeout=120)
-    if proc.is_alive():
-        proc.kill()
-        proc.join()
-        pytest.fail("the sweep did not end after its worker died")
-    assert proc.exitcode == 1
+    assert run_forked(run_cli, argv, stderr_path) == 1
     record = json.loads(stderr_path.read_text())
     assert record["error"]["type"] == "WorkerDied"
     assert not (tmp_path / "out" / "sweep.json").exists()
@@ -276,7 +346,7 @@ def test_sweep_worker_death_is_one_error_record(tmp_path, monkeypatch):
 def test_sweep_worker_os_error_is_an_error_record(tmp_path, capsys,
                                                   monkeypatch, cpus):
     # a run directory under a regular file: the members' mkdir fails
-    monkeypatch.setattr(scenario, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
     (tmp_path / "out").write_text("")
     code = main(["sweep", "--config", str(CONFIG_DIR / "seirs_long_latency.json"),
                  "--param", "params.p", "--values", "0.25,0.5",
@@ -284,6 +354,48 @@ def test_sweep_worker_os_error_is_an_error_record(tmp_path, capsys,
     assert code == 1
     record = json.loads(capsys.readouterr().err)
     assert record["error"]["type"] == "NotADirectoryError"
+
+
+@pytest.mark.parametrize("child, config", [
+    (exit_csv_child, "seirs_long_latency.json"),  # fails in trajectory.csv
+    (short_csv_child, "seirs_baseline.json"),  # in the phase CSV, first
+], ids=["exit", "short"])
+def test_csv_child_death_is_one_error_record(tmp_path, monkeypatch, child,
+                                             config):
+    monkeypatch.setattr(stats, "_format_child", child)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    stderr_path = tmp_path / "stderr.txt"
+    argv = ["simulate", "--config", str(CONFIG_DIR / config),
+            "--out", str(tmp_path / "out")]
+    assert run_forked(run_cli, argv, stderr_path) == 1
+    record = json.loads(stderr_path.read_text())
+    assert record["error"]["type"] == "WorkerDied"
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+# the canonical trajectory splits in two at 2.3 MB of its 4.5 MB
+@pytest.mark.parametrize("room", [10**6, 4 * 10**6], ids=["parent", "child"])
+def test_full_disk_reaps_the_csv_child(tmp_path, monkeypatch, canonical_run,
+                                       room):
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(scenario, "open", raising=False, value=lambda path, mode:
+                        io.TextIOWrapper(io.BufferedWriter(FullDisk(room)),
+                                         encoding="ascii"))
+    assert run_forked(write_to_full_disk, canonical_run, tmp_path / "t.csv") == 0
+
+
+def test_sweep_workers_format_csv_serially(tmp_path, monkeypatch, pools):
+    raw = load_config("seirs_baseline.json")
+    raw["horizon"] = 120
+    del raw["analyses"]["integral_equivalence"]
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(scenario, "_sweep_member", member_counting_forks)
+    # alone, a run splits its phase CSV and its trajectory
+    alone = member_counting_forks(raw, "params.p", 0, 0.5, tmp_path / "alone")
+    assert alone["forks"] == 2
+    results = sweep_scenario(raw, "params.p", [0.5, 1.0], tmp_path / "pool")
+    assert len(pools) == 1
+    assert [r["forks"] for r in results] == [0, 0]
 
 
 def test_cli_import_leaves_out_multiprocessing():
