@@ -9,11 +9,10 @@ from .core import (CompartmentState, ConstantHistory, HistoryFunction,
 from .dde import (consistent_initial_exposed, consistent_initial_recovered,
                   default_step, history_eval, reconstruct_trajectory,
                   simulate_pseirs)
-from .errors import (EmptyWindow, GridMismatch, InconsistentInit,
-                     InsufficientTail, InvalidGraphParams, InvalidParameter,
-                     NoPeak, NotEndemic, OutOfDomain, PseirsError,
-                     QuadratureNotConverged, StepTooLarge, TrajectoryTooShort,
-                     ZeroPopulation)
+from .errors import (EmptyWindow, InconsistentInit, InsufficientTail,
+                     InvalidGraphParams, InvalidParameter, NoPeak, NotEndemic,
+                     OutOfDomain, PseirsError, QuadratureNotConverged,
+                     StepTooLarge, TrajectoryTooShort, ZeroPopulation)
 from .integro import EquivalenceReport, exposed_integral, recovered_integral, verify_integral_equivalence
 from .netgen import (DegreeHistogram, Graph, degree_histogram, edge_list_text,
                      gamma_from_graph, generate_ba, graph_to_dict, mean_degree,
@@ -21,8 +20,7 @@ from .netgen import (DegreeHistogram, Graph, degree_histogram, edge_list_text,
 from .sir import (SirDerivative, SirPrediction, simulate_sir, sir_derivatives,
                   sir_disease_free_prediction, sir_endemic_prediction,
                   sir_peak_oracle, sir_r0)
-from .stats import (ComparisonSummary, PhasePlaneSeries, StatsTable,
-                    compare_runs, compartment_stats, phase_plane)
+from .stats import PhasePlaneSeries, StatsTable, compartment_stats, phase_plane
 from .threshold import (EquilibriumClass, EquilibriumKind, StabilityClass,
                         classify_equilibrium, r0_linearized, r0_nominal,
                         stability_probe)

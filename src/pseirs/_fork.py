@@ -1,9 +1,10 @@
 """Forked processes, shared by the sweep pool (``scenario``) and the CSV
-formatter (``stats``): how many processes may share a job, and the one
+formatters (``stats``): how many processes may share a job, and the one
 filter for Python 3.12's warning on ``fork()``.
 
 Forking goes one level deep: a sweep's pool workers fork nothing of their
-own, so a run's CSV text is split over processes only outside a pool.
+own, so a run's trajectory is formatted during the solve, and a large
+phase plane split over processes, only outside a pool.
 """
 
 from __future__ import annotations

@@ -349,11 +349,13 @@ def _checked_kappa(params: PseirsParams, history: HistoryFunction,
 def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
                     horizon: float, step: float | None = None, *,
                     e0: float | None = None,
-                    r0: float | None = None) -> Trajectory:
+                    r0: float | None = None, rows_out=None) -> Trajectory:
     """Integrate the delayed system from the given history.
 
     S(0) and I(0) come from the history at t=0; E(0) and R(0) come from the
-    consistency integrals unless ``e0``/``r0`` override them.  Aborts with
+    consistency integrals unless ``e0``/``r0`` override them.  ``rows_out``,
+    if given, is called with the state rows as they are finished, in
+    order: row 0, then the rows of each block of steps.  Aborts with
     StepTooLarge, naming the compartment and t, when a compartment
     undershoots -1e-9*N(0) (no clamping: a clamp would silently break the
     population-balance identity), and with ZeroPopulation, naming t, when
@@ -382,6 +384,8 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     states = np.zeros((n_steps + 1, 4))
     derivs = np.zeros((n_steps + 1, 4))
     states[0] = (s, e, i, r)
+    if rows_out is not None:
+        rows_out(states[:1])
     k0 = 0
     rates = _Rates(params)
     beta, mu, gamma, b, pa = rates.beta, rates.mu, rates.gamma, rates.b, rates.pa
@@ -473,6 +477,8 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
             block = np.fromiter(out, float, len(out)).reshape(-1, 8)
             derivs[k0:k1] = block[:, :4]
             states[k0 + 1:k1 + 1] = block[:, 4:]
+            if rows_out is not None:
+                rows_out(states[k0 + 1:k1 + 1])
             k0 = k1
 
         # the derivative row of the last sample: stage 1 of a step not taken

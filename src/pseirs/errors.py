@@ -52,10 +52,6 @@ class EmptyWindow(PseirsError):
     """Requested time window contains no trajectory samples."""
 
 
-class GridMismatch(PseirsError):
-    """Two trajectories do not share the same time grid."""
-
-
 class InvalidGraphParams(PseirsError):
     """Graph generation parameters violate m0 >= 1, 1 <= m <= m0, n >= m0
     or seed >= 0 (numpy seeds only non-negative integers)."""
@@ -66,4 +62,5 @@ class InsufficientTail(PseirsError):
 
 
 class WorkerDied(PseirsError):
-    """A sweep worker process exited without returning its run."""
+    """A forked process, a sweep worker or a CSV formatter, exited without
+    returning its run or all of its text."""

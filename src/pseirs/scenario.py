@@ -33,7 +33,8 @@ from .netgen import (degree_histogram, edge_list_text, gamma_from_graph,
                      generate_ba, graph_to_dict, mean_degree, powerlaw_slope)
 # sir_derivatives stays importable here: bench/tracer.py wraps this name
 from .sir import simulate_sir, sir_derivative_rows, sir_derivatives, sir_r0
-from .stats import compartment_stats, csv_row_blocks, phase_plane
+from .stats import (TrajectoryStream, compartment_stats, csv_row_blocks,
+                    phase_plane, trajectory_stream, trajectory_table)
 from .threshold import classify_equilibrium, r0_linearized, r0_nominal, stability_probe
 
 SCHEMA_VERSION = 1
@@ -213,20 +214,26 @@ def _parse_analyses(block, model: str) -> dict:
     return out
 
 
-def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
+def write_trajectory_csv(traj: Trajectory, path: Path,
+                         stream: TrajectoryStream | None = None) -> None:
     """``t``, the states and, for four compartments, ``N = ((S+E)+I)+R``.
 
-    The rows come from ``csv_row_blocks``, so a large trajectory is
-    formatted on up to one process per usable CPU.  A write that fails
-    part-way closes the blocks, which reaps those processes, and leaves a
-    partial file."""
+    With ``stream``, the ``TrajectoryStream`` the solver sent ``traj``'s
+    rows to, the lines are its child's text, copied into the file in
+    chunks of at most 64 KB.  Without it they come from
+    ``csv_row_blocks``, so a large trajectory is formatted on up to one
+    process per usable CPU.  Either way a child that dies or sends too
+    few lines raises ``WorkerDied``.  A write that fails part-way closes
+    the blocks, which reaps those processes, and leaves a partial file;
+    the stream's owner reaps its child."""
     header = ["t", *traj.labels]
-    columns = [traj.times, *traj.states.T]
     if len(traj.labels) == 4:
         header.append("N")
-        columns.append(columns[1] + columns[2] + columns[3] + columns[4])
-    with open(path, "w") as f, \
-            contextlib.closing(csv_row_blocks(np.column_stack(columns))) as rows:
+    if stream is None:
+        rows = csv_row_blocks(trajectory_table(traj.times, traj.states))
+    else:
+        rows = stream.text()
+    with open(path, "w") as f, contextlib.closing(rows):
         f.write(",".join(header) + "\n")
         f.writelines(rows)
 
@@ -338,7 +345,9 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     """Simulate one scenario, write its files, return the summary.json dict.
 
     The solve and every analysis finish before anything touches the
-    filesystem, so a config that fails writes no files.
+    filesystem, so a config that fails writes no files.  Where it pays,
+    a forked child formats ``trajectory.csv`` during the solve and the
+    analyses (``trajectory_stream``); it is reaped on every path.
     """
     if config.model == "pseirs" and ("classify" in config.analyses
                                      or "integral_equivalence" in config.analyses):
@@ -353,12 +362,20 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     if graph is not None:
         outputs["network"] = ["edges.txt", "graph.json"]
     simulate = simulate_sir if config.model == "sir" else simulate_pseirs
-    traj = simulate(params, config.init, config.horizon, config.step)
-    summary, planes = _run_analyses(config, traj, params, network_info, outputs)
+    stream = trajectory_stream(config.step, 3 if config.model == "sir" else 4,
+                               step_count(config.horizon, config.step) + 1)
+    try:
+        traj = simulate(params, config.init, config.horizon, config.step,
+                        rows_out=None if stream is None else stream.send)
+        summary, planes = _run_analyses(config, traj, params, network_info,
+                                        outputs)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out / "trajectory.csv")
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_trajectory_csv(traj, out / "trajectory.csv", stream)
+    finally:
+        if stream is not None:
+            stream.close()
     if graph is not None:
         _write_network(graph, out)
     _write_run(out, summary, planes)

@@ -24,6 +24,9 @@ from .core import SirParams, SirState, Trajectory, _require, step_count
 from .errors import NoPeak, NotEndemic, StepTooLarge
 
 SIR_LABELS = ("S", "I", "R")
+# steps between calls of simulate_sir's rows_out: the check costs nothing
+# per step
+BLOCK_STEPS = 1024
 
 
 class SirDerivative(NamedTuple):
@@ -100,11 +103,13 @@ def sir_peak_oracle(params: SirParams, init: SirState) -> float:
 
 
 def simulate_sir(params: SirParams, init: SirState, horizon: float,
-                 step: float) -> Trajectory:
+                 step: float, *, rows_out=None) -> Trajectory:
     """Fixed-step explicit RK4 trajectory of the SIR system.
 
     Aborts with StepTooLarge if any compartment undershoots below
     -1e-9 * N; conservation is then guaranteed at rounding level.
+    ``rows_out``, if given, is called with the state rows as they are
+    finished, in order: row 0, then the rows of each BLOCK_STEPS steps.
     """
     _require(step > 0, "step", step, "step > 0")
     _require(horizon >= step, "horizon", horizon, "horizon >= step")
@@ -121,18 +126,23 @@ def simulate_sir(params: SirParams, init: SirState, horizon: float,
     h = step
     s, i, r = init.s, init.i, init.r
     states = [(s, i, r)]
-    for _ in range(n_steps):
-        d1 = rhs(s, i)
-        d2 = rhs(s + 0.5 * h * d1[0], i + 0.5 * h * d1[1])
-        d3 = rhs(s + 0.5 * h * d2[0], i + 0.5 * h * d2[1])
-        d4 = rhs(s + h * d3[0], i + h * d3[1])
-        s += (h / 6.0) * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
-        i += (h / 6.0) * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
-        r += (h / 6.0) * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
-        if s < floor or i < floor or r < floor:
-            raise StepTooLarge(
-                f"compartment below {floor} at t={len(states) * h}; reduce the step")
-        states.append((s, i, r))
+    if rows_out is not None:
+        rows_out(np.array(states))
+    for k0 in range(0, n_steps, BLOCK_STEPS):
+        for _ in range(min(BLOCK_STEPS, n_steps - k0)):
+            d1 = rhs(s, i)
+            d2 = rhs(s + 0.5 * h * d1[0], i + 0.5 * h * d1[1])
+            d3 = rhs(s + 0.5 * h * d2[0], i + 0.5 * h * d2[1])
+            d4 = rhs(s + h * d3[0], i + h * d3[1])
+            s += (h / 6.0) * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
+            i += (h / 6.0) * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
+            r += (h / 6.0) * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
+            if s < floor or i < floor or r < floor:
+                raise StepTooLarge(
+                    f"compartment below {floor} at t={len(states) * h}; reduce the step")
+            states.append((s, i, r))
+        if rows_out is not None:
+            rows_out(np.array(states[k0 + 1:]))
 
     states = np.array(states)
     times = np.arange(n_steps + 1, dtype=float) * h

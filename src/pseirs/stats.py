@@ -1,5 +1,7 @@
 """Per-compartment summary statistics, phase-plane series extraction and
-pairwise run comparison.
+the CSV formatting of tables: ``csv_row_blocks`` formats a whole table,
+split over forked children when it is large, and ``trajectory_stream``
+formats a run's trajectory in one forked child while the solver runs.
 
 Means are arithmetic means over the discrete samples in the window, not
 time integrals; extrema are exact over the same samples.
@@ -7,6 +9,7 @@ time integrals; extrema are exact over the same samples.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -14,7 +17,7 @@ import numpy as np
 
 from ._fork import fork_warning_filtered, fork_width
 from .core import Trajectory, _require
-from .errors import EmptyWindow, GridMismatch, WorkerDied, ZeroPopulation
+from .errors import EmptyWindow, WorkerDied, ZeroPopulation
 
 
 # rows per formatted block: bounds the temporary floats and strings
@@ -28,27 +31,80 @@ CSV_SPLIT_MIN_VALUES = 32768
 _PIPE_CHUNK = 1 << 16
 
 
-def _format_blocks(table, row):
+def _row_format(columns: int) -> str:
+    return ",".join(["%r"] * columns) + "\n"
+
+
+def _blocks(table):
     for start in range(0, len(table), CSV_BLOCK_ROWS):
-        block = table[start:start + CSV_BLOCK_ROWS]
+        yield table[start:start + CSV_BLOCK_ROWS]
+
+
+def _format_blocks(blocks, row):
+    for block in blocks:
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _format_child(fd, table, row, inherited):
-    """The life of a forked formatter: format all of ``table`` before
-    writing anything to the pipe ``fd``, so that it never waits on the
-    parent while the parent formats; exit 0 only once all of it is
-    written.  Never returns."""
+def _format_child(fd, blocks, row, inherited):
+    """The life of a forked formatter: format the table ``blocks``, an
+    iterable of 2-D blocks, before writing anything to the pipe ``fd``, so
+    that it never waits on the parent while the parent works; exit 0 only
+    once all of it is written.  ``inherited`` are the parent's pipe ends,
+    closed first.  Never returns."""
     code = 1
     try:
         for other in inherited:  # read ends: a closed one must mean EPIPE
             os.close(other)
-        text = "".join(_format_blocks(table, row)).encode("ascii")
+        text = "".join(_format_blocks(blocks, row)).encode("ascii")
         with open(fd, "wb") as pipe:
             pipe.write(text)
         code = 0
     finally:
         os._exit(code)
+
+
+class _Formatter:
+    """A forked ``_format_child`` of ``rows`` lines and the read end of its
+    text pipe."""
+
+    def __init__(self, blocks, row, rows: int, inherited):
+        r, w = os.pipe()
+        try:
+            with fork_warning_filtered():
+                pid = os.fork()
+            if pid == 0:
+                _format_child(w, blocks, row, [*inherited, r])
+        except BaseException:
+            os.close(r)
+            raise
+        finally:
+            os.close(w)
+        self.fd, self.pid, self.rows = r, pid, rows
+
+    def text(self):
+        """Its text, in table order, in chunks of at most ``_PIPE_CHUNK``
+        bytes; reaps it, and raises ``WorkerDied`` unless it exited 0 after
+        all its lines."""
+        lines = 0
+        while chunk := os.read(self.fd, _PIPE_CHUNK):
+            lines += chunk.count(b"\n")
+            yield chunk.decode("ascii")
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if code != 0 or lines != self.rows:
+            raise WorkerDied(f"a CSV formatting process exited with code "
+                             f"{code} after {lines} of its {self.rows} rows")
+
+    def close(self) -> None:
+        """Close the read end, then reap the child unless ``text`` did: a
+        child blocked on a full pipe gets EPIPE and exits, so the wait
+        cannot hang."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 def csv_row_blocks(table):
@@ -65,48 +121,119 @@ def csv_row_blocks(table):
     Closing the generator early reaps every child.
     """
     table = np.asarray(table, dtype=float)
-    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    row = _row_format(table.shape[1])
     blocks = -(-len(table) // CSV_BLOCK_ROWS)
     parts = fork_width(blocks) if table.size >= CSV_SPLIT_MIN_VALUES else 1
     if parts == 1:
-        yield from _format_blocks(table, row)
+        yield from _format_blocks(_blocks(table), row)
         return
     edges = [CSV_BLOCK_ROWS * (blocks * k // parts) for k in range(parts)]
     edges.append(len(table))
-    ranges = list(zip(edges[1:-1], edges[2:]))  # the children's rows
-    reads, pids = [], []  # one per child, in table order
+    children = []  # in table order
     try:
-        for start, stop in ranges:
-            r, w = os.pipe()
-            reads.append(r)
-            try:
-                with fork_warning_filtered():
-                    pid = os.fork()
-                if pid == 0:
-                    _format_child(w, table[start:stop], row, reads)
-            finally:
-                os.close(w)
-            pids.append(pid)
-        yield from _format_blocks(table[:edges[1]], row)
-        for k, (start, stop) in enumerate(ranges):
-            lines = 0
-            while chunk := os.read(reads[k], _PIPE_CHUNK):
-                lines += chunk.count(b"\n")
-                yield chunk.decode("ascii")
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
-            pids[k] = None
-            if code != 0 or lines != stop - start:
-                raise WorkerDied(f"a CSV formatting process exited with code "
-                                 f"{code} after {lines} of its {stop - start} "
-                                 "rows")
+        for start, stop in zip(edges[1:-1], edges[2:]):
+            children.append(_Formatter(_blocks(table[start:stop]), row,
+                                       stop - start,
+                                       [c.fd for c in children]))
+        yield from _format_blocks(_blocks(table[:edges[1]]), row)
+        for child in children:
+            yield from child.text()
     finally:
-        # the read ends first: a child blocked on a full pipe then gets
-        # EPIPE and exits, so the waits below cannot hang
-        for r in reads:
+        for child in children:
+            child.close()
+
+
+def trajectory_table(times, states):
+    """The columns of ``trajectory.csv``: t, the states and, for four
+    compartments, ``N = ((S+E)+I)+R``."""
+    columns = [times, *states.T]
+    if states.shape[1] == 4:
+        columns.append(columns[1] + columns[2] + columns[3] + columns[4])
+    return np.column_stack(columns)
+
+
+def _streamed_blocks(fd, step: float, states: int):
+    """``trajectory_table`` blocks of the float64 state rows read from the
+    pipe ``fd`` until it closes, row k at t = k*step, as the solver's
+    ``np.arange(n) * step``."""
+    k = 0
+    with open(fd, "rb") as pipe:
+        # a buffered read returns less than asked only at the end
+        while data := pipe.read(CSV_BLOCK_ROWS * states * 8):
+            block = np.frombuffer(data).reshape(-1, states)
+            times = np.arange(k, k + len(block), dtype=float) * step
+            yield trajectory_table(times, block)
+            k += len(block)
+
+
+def trajectory_stream(step: float, states: int, rows: int):
+    """A ``TrajectoryStream`` for a run of ``rows`` rows of ``states``
+    compartments, or None where ``csv_row_blocks`` is to format its table
+    after the solve: below CSV_SPLIT_MIN_VALUES values, where a fork costs
+    more than it saves, and without a second process to run it
+    (``fork_width``: one CPU, a sweep's pool worker, no ``os.fork``)."""
+    columns = 1 + states + (states == 4)  # t, the states and N
+    if rows * columns < CSV_SPLIT_MIN_VALUES or fork_width(2) == 1:
+        return None
+    return TrajectoryStream(step, states, rows, _row_format(columns))
+
+
+class TrajectoryStream:
+    """The ``trajectory.csv`` lines of a run, formatted by one forked child
+    while the solver runs.
+
+    The solver calls ``send`` with its state rows, in order, as it
+    finishes them; they reach the child in batches of CSV_BLOCK_ROWS rows
+    or more, and the pipe is closed once all ``rows`` rows are sent.  The
+    child keeps its text until then, so it never stalls the solver, and
+    ``text`` reads it back.  ``close`` reaps the child on every path.
+    """
+
+    def __init__(self, step: float, states: int, rows: int, row: str):
+        r, w = os.pipe()
+        try:
+            self._child = _Formatter(_streamed_blocks(r, step, states), row,
+                                     rows, [w])
+        except BaseException:
+            os.close(w)
+            raise
+        finally:
             os.close(r)
-        for pid in pids:
-            if pid is not None:
-                os.waitpid(pid, 0)
+        self._rows = open(w, "wb", buffering=CSV_BLOCK_ROWS * states * 8)
+        self._left = rows
+
+    def send(self, states: np.ndarray) -> None:
+        """Pass on the next finished state rows, a C-contiguous array; the
+        ``rows_out`` of ``simulate_pseirs`` and ``simulate_sir``."""
+        try:
+            self._rows.write(states)
+        except BrokenPipeError:
+            raise self._died() from None
+        self._left -= len(states)
+        if self._left <= 0:
+            self._end_rows()
+
+    def _died(self) -> WorkerDied:
+        return WorkerDied("a CSV formatting process exited before it read "
+                          f"all {self._child.rows} rows")
+
+    def _end_rows(self) -> None:
+        try:
+            self._rows.close()  # closes the pipe even if the flush fails
+        except BrokenPipeError:
+            raise self._died() from None
+
+    def text(self):
+        """The child's text in bounded chunks, as ``csv_row_blocks``
+        yields it; raises ``WorkerDied`` unless the child exited 0 after
+        one line per row."""
+        self._end_rows()  # rows not sent make the line count fall short
+        return self._child.text()
+
+    def close(self) -> None:
+        with contextlib.suppress(BrokenPipeError):
+            self._rows.close()
+        self._child.close()
 
 
 @dataclass(frozen=True)
@@ -130,20 +257,6 @@ class PhasePlaneSeries:
 
     def to_csv_text(self) -> str:
         return ",".join(self.labels) + "\n" + "".join(csv_row_blocks(self.points))
-
-
-@dataclass(frozen=True)
-class ComparisonSummary:
-    compartment: str
-    after: float
-    max_abs_gap: float
-    verdict: str  # "equal" | "a<=b" | "b<=a" | "mixed"
-    times: np.ndarray
-    differences: np.ndarray  # b - a on the shared grid
-
-    def to_dict(self) -> dict:
-        return {"compartment": self.compartment, "after": self.after,
-                "max_abs_gap": self.max_abs_gap, "verdict": self.verdict}
 
 
 def _window_mask(traj: Trajectory, window: tuple[float, float]) -> np.ndarray:
@@ -186,31 +299,3 @@ def phase_plane(traj: Trajectory, axes, window=None,
         cols = [c / n for c in cols]  # the columns of Trajectory.fractions
     labels = tuple(a.lower() for a in axes) if proportions else axes
     return PhasePlaneSeries(labels=labels, points=np.column_stack(cols))
-
-
-def compare_runs(a: Trajectory, b: Trajectory, compartment: str,
-                 after: float = 0.0) -> ComparisonSummary:
-    """Pointwise differences b - a of one compartment on identical grids,
-    plus a dominance verdict over samples with t >= after."""
-    if a.labels != b.labels or len(a.times) != len(b.times) \
-            or not np.array_equal(a.times, b.times):
-        raise GridMismatch("trajectories do not share a time grid")
-    _require(compartment in a.labels, "compartment", compartment,
-             f"one of {a.labels}")
-    diffs = b.column(compartment) - a.column(compartment)
-    mask = a.times >= after
-    if not bool(mask.any()):
-        raise EmptyWindow(f"no samples with t >= {after}")
-    window = diffs[mask]
-    max_gap = float(np.max(np.abs(window)))
-    if max_gap == 0.0:
-        verdict = "equal"
-    elif bool(np.all(window >= 0.0)):
-        verdict = "a<=b"
-    elif bool(np.all(window <= 0.0)):
-        verdict = "b<=a"
-    else:
-        verdict = "mixed"
-    return ComparisonSummary(compartment=compartment, after=float(after),
-                             max_abs_gap=max_gap, verdict=verdict,
-                             times=a.times, differences=diffs)

@@ -15,7 +15,8 @@ import pytest
 from pseirs import _fork, scenario, stats
 from pseirs.cli import main
 from pseirs.core import MAX_STEPS
-from pseirs.errors import EmptyWindow, InvalidParameter, TrajectoryTooShort
+from pseirs.errors import (EmptyWindow, InvalidParameter, TrajectoryTooShort,
+                           WorkerDied)
 from pseirs.scenario import (ScenarioConfig, read_trajectory_csv, run_scenario,
                              sweep_scenario, write_trajectory_csv)
 
@@ -49,6 +50,23 @@ def load_config(name):
 def no_process_left():
     yield
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def streams(tmp_path, monkeypatch):
+    """A file that gets one line for each trajectory stream a run opens,
+    in this process or in a forked one."""
+    log = tmp_path / "streams.txt"
+    log.write_text("")
+
+    class LoggedStream(stats.TrajectoryStream):
+        def __init__(self, *args):
+            super().__init__(*args)
+            with open(log, "a") as f:
+                f.write(f"{args}\n")
+
+    monkeypatch.setattr(stats, "TrajectoryStream", LoggedStream)
+    return log
 
 
 @pytest.fixture
@@ -89,6 +107,26 @@ def short_csv_child(fd, table, row, inherited):
     """A CSV formatting child that sends one line of its range, exit 0."""
     os.write(fd, b"0.0\n")
     os._exit(0)
+
+
+def read_all_rows(blocks, inherited):
+    for other in inherited:  # the rows' write end among them
+        os.close(other)
+    for _ in blocks:
+        pass
+
+
+def exit_after_rows_child(fd, blocks, row, inherited):
+    """A CSV formatting child that reads all its rows, then dies."""
+    read_all_rows(blocks, inherited)
+    os._exit(3)
+
+
+def short_after_rows_child(fd, blocks, row, inherited):
+    """A CSV formatting child that reads all its rows, then sends one
+    line, exit 0."""
+    read_all_rows(blocks, inherited)
+    short_csv_child(fd, blocks, row, inherited)
 
 
 def member_counting_forks(base_config, parameter, idx, value, out_dir):
@@ -151,6 +189,16 @@ def run_cli(argv, stderr_path):
     with open(stderr_path, "w") as fh, contextlib.redirect_stderr(fh):
         code = main(argv)
     sys.exit(4 if children_left() else code)
+
+
+def run_to_full_disk(config, out_dir):
+    """Process target: 0 once the run failed with OSError and left no
+    child, 4 if it left one, 5 if the run did not fail."""
+    try:
+        run_scenario(config, out_dir)
+    except OSError:
+        sys.exit(4 if children_left() else 0)
+    sys.exit(5)
 
 
 def write_to_full_disk(traj, path):
@@ -357,11 +405,16 @@ def test_sweep_worker_os_error_is_an_error_record(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("child, config", [
-    (exit_csv_child, "seirs_long_latency.json"),  # fails in trajectory.csv
-    (short_csv_child, "seirs_baseline.json"),  # in the phase CSV, first
-], ids=["exit", "short"])
-def test_csv_child_death_is_one_error_record(tmp_path, monkeypatch, child,
-                                             config):
+    # the stream of trajectory.csv fails during the solve: the child is
+    # gone before it reads the rows
+    (exit_csv_child, "seirs_long_latency.json"),
+    (short_csv_child, "seirs_baseline.json"),
+    # the copy of trajectory.csv fails: the child read every row
+    (exit_after_rows_child, "seirs_long_latency.json"),
+    (short_after_rows_child, "sir_low_infectivity.json"),
+], ids=["exit", "short", "exit-after-rows", "short-after-rows"])
+def test_csv_child_death_is_one_error_record(tmp_path, monkeypatch, streams,
+                                             child, config):
     monkeypatch.setattr(stats, "_format_child", child)
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     stderr_path = tmp_path / "stderr.txt"
@@ -371,6 +424,38 @@ def test_csv_child_death_is_one_error_record(tmp_path, monkeypatch, child,
     record = json.loads(stderr_path.read_text())
     assert record["error"]["type"] == "WorkerDied"
     assert not (tmp_path / "out" / "summary.json").exists()
+    assert len(streams.read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("child", [exit_csv_child, short_csv_child],
+                         ids=["exit", "short"])
+def test_split_csv_child_death_raises(monkeypatch, child):
+    # the phase CSV's path: a table split over this process and a child
+    monkeypatch.setattr(stats, "_format_child", child)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    with pytest.raises(WorkerDied):
+        "".join(stats.csv_row_blocks(np.ones((stats.CSV_SPLIT_MIN_VALUES, 2))))
+    assert not children_left()
+
+
+def test_solve_failing_mid_stream_leaves_no_child(tmp_path, monkeypatch,
+                                                  streams):
+    # births off and deaths at rate 1: N underflows to 0 at t = 217.525,
+    # 4,350 of the 16,001 steps in, after four batches of rows were sent
+    raw = load_config("seirs_low_immunity.json")
+    raw["params"].update(beta=0.0, mu=1.0, omega=1.0, tau=1.0)
+    raw["horizon"] = 800
+    config = tmp_path / "zero.json"
+    config.write_text(json.dumps(raw))
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    stderr_path = tmp_path / "stderr.txt"
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert run_forked(run_cli, argv, stderr_path) == 1
+    record = json.loads(stderr_path.read_text())
+    assert record["error"]["type"] == "ZeroPopulation"
+    assert "t=217.525" in record["error"]["message"]
+    assert len(streams.read_text().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 # the canonical trajectory splits in two at 2.3 MB of its 4.5 MB
@@ -384,13 +469,43 @@ def test_full_disk_reaps_the_csv_child(tmp_path, monkeypatch, canonical_run,
     assert run_forked(write_to_full_disk, canonical_run, tmp_path / "t.csv") == 0
 
 
+def test_full_disk_reaps_the_stream_child(tmp_path, monkeypatch, streams):
+    # the disk fills while the stream's text is copied, 100 kB into the
+    # 646 kB trajectory
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(scenario, "open", raising=False, value=lambda path, mode:
+                        io.TextIOWrapper(io.BufferedWriter(FullDisk(10**5)),
+                                         encoding="ascii"))
+    config = ScenarioConfig.from_dict(load_config("seirs_long_latency.json"))
+    assert run_forked(run_to_full_disk, config, tmp_path / "out") == 0
+    assert len(streams.read_text().splitlines()) == 1
+
+
+def test_streamed_runs_write_the_serial_bytes(tmp_path, monkeypatch, streams):
+    # every shipped config streams its trajectory at two CPUs; at one the
+    # whole run stays in this process
+    trees = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda n=cpus: n)
+        for path in sorted(CONFIG_DIR.glob("*.json")):
+            out = tmp_path / f"cpus{cpus}" / path.stem
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            trees[cpus, path.stem] = tree_bytes(out)
+        assert len(streams.read_text().splitlines()) == 6
+    names = sorted({stem for _, stem in trees})
+    assert len(names) == 6
+    for stem in names:
+        assert trees[2, stem] == trees[1, stem], stem
+    assert not children_left()
+
+
 def test_sweep_workers_format_csv_serially(tmp_path, monkeypatch, pools):
     raw = load_config("seirs_baseline.json")
     raw["horizon"] = 120
     del raw["analyses"]["integral_equivalence"]
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     monkeypatch.setattr(scenario, "_sweep_member", member_counting_forks)
-    # alone, a run splits its phase CSV and its trajectory
+    # alone, a run streams its trajectory and splits its phase CSV
     alone = member_counting_forks(raw, "params.p", 0, 0.5, tmp_path / "alone")
     assert alone["forks"] == 2
     results = sweep_scenario(raw, "params.p", [0.5, 1.0], tmp_path / "pool")

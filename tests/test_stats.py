@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from pseirs import (EmptyWindow, GridMismatch, InvalidParameter, Trajectory,
-                    ZeroPopulation, compare_runs, compartment_stats,
-                    phase_plane, simulate_pseirs, simulate_sir)
-from pseirs.presets import (baseline_history, baseline_pseirs,
-                            sir_high_infectivity, sir_low_infectivity,
+from pseirs import (EmptyWindow, InvalidParameter, Trajectory, ZeroPopulation,
+                    compartment_stats, phase_plane, simulate_pseirs,
+                    simulate_sir)
+from pseirs.presets import (sir_high_infectivity, sir_low_infectivity,
                             sir_twelve_node_init)
 
 
@@ -116,30 +115,3 @@ class TestPhasePlane:
                            for line in lines[1:]])
         assert np.array_equal(parsed, series.points)
 
-
-class TestCompareRuns:
-    def test_identical_runs_equal(self, canonical_run):
-        cmp = compare_runs(canonical_run, canonical_run, "R")
-        assert cmp.verdict == "equal"
-        assert cmp.max_abs_gap == 0.0
-
-    def test_low_immunity_dominated(self):
-        hist = baseline_history()
-        low = simulate_pseirs(baseline_pseirs(p=0.4), hist, 60.0)
-        high = simulate_pseirs(baseline_pseirs(p=1.0), hist, 60.0)
-        cmp = compare_runs(low, high, "R", after=30.0)
-        assert cmp.verdict == "a<=b"
-        assert cmp.max_abs_gap > 0.0
-
-    def test_grid_mismatch(self, canonical_run, canonical_params,
-                           canonical_history):
-        other = simulate_pseirs(canonical_params, canonical_history, 40.0)
-        with pytest.raises(GridMismatch):
-            compare_runs(canonical_run, other, "R")
-
-    def test_summary_serializes(self, canonical_run):
-        import json
-        cmp = compare_runs(canonical_run, canonical_run, "I", after=10.0)
-        doc = json.loads(json.dumps(cmp.to_dict()))
-        assert doc == {"compartment": "I", "after": 10.0,
-                       "max_abs_gap": 0.0, "verdict": "equal"}
