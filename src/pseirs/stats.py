@@ -22,7 +22,7 @@ from .errors import EmptyWindow, WorkerDied, ZeroPopulation
 
 # rows per formatted block: bounds the temporary floats and strings
 CSV_BLOCK_ROWS = 1024
-# smallest table, in values, whose text is split over processes.  Forking
+# smallest table, in values, whose text forked children format.  Forking
 # a 47 MB process and reading the text back cost about as much as
 # formatting 8,000 values; two ways on a 2-vCPU VM, the split broke even
 # near 16,000 values and saved 24-27% at 32,768
@@ -53,7 +53,8 @@ def _format_child(fd, blocks, row, inherited):
     closed first.  Never returns."""
     code = 1
     try:
-        for other in inherited:  # read ends: a closed one must mean EPIPE
+        # a closed read end must mean EPIPE, a closed write end EOF
+        for other in inherited:
             os.close(other)
         text = "".join(_format_blocks(blocks, row)).encode("ascii")
         with open(fd, "wb") as pipe:
@@ -185,8 +186,10 @@ class TrajectoryStream:
     The solver calls ``send`` with its state rows, in order, as it
     finishes them; they reach the child in batches of CSV_BLOCK_ROWS rows
     or more, and the pipe is closed once all ``rows`` rows are sent.  The
-    child keeps its text until then, so it never stalls the solver, and
-    ``text`` reads it back.  ``close`` reaps the child on every path.
+    child writes its text only then, so it never waits on this process
+    while the solve and the analyses run, and ``text`` reads it back.
+    ``send`` waits only while the rows pipe is full.  ``close`` reaps the
+    child on every path.
     """
 
     def __init__(self, step: float, states: int, rows: int, row: str):

@@ -441,7 +441,7 @@ def test_split_csv_child_death_raises(monkeypatch, child):
 def test_solve_failing_mid_stream_leaves_no_child(tmp_path, monkeypatch,
                                                   streams):
     # births off and deaths at rate 1: N underflows to 0 at t = 217.525,
-    # 4,350 of the 16,001 steps in, after four batches of rows were sent
+    # 4,350 of the 16,001 steps in, after some 4,000 rows went to the child
     raw = load_config("seirs_low_immunity.json")
     raw["params"].update(beta=0.0, mu=1.0, omega=1.0, tau=1.0)
     raw["horizon"] = 800
