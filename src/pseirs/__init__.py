@@ -7,8 +7,7 @@ from .core import (CompartmentState, ConstantHistory, HistoryFunction,
                    PseirsParams, SampledHistory, SirParams, SirState,
                    Trajectory, kappa, validate_pseirs)
 from .dde import (consistent_initial_exposed, consistent_initial_recovered,
-                  default_step, history_eval, reconstruct_trajectory,
-                  simulate_pseirs)
+                  default_step, reconstruct_trajectory, simulate_pseirs)
 from .errors import (EmptyWindow, InconsistentInit, InsufficientTail,
                      InvalidGraphParams, InvalidParameter, NoPeak, NotEndemic,
                      OutOfDomain, PseirsError, QuadratureNotConverged,

@@ -1,10 +1,13 @@
-"""Forked processes, shared by the sweep pool (``scenario``) and the CSV
-formatters (``stats``): how many processes may share a job, and the one
-filter for Python 3.12's warning on ``fork()``.
+"""Forked processes, shared by the sweep pool and the trajectory CSV
+reader of ``analyze`` (``scenario``) and the CSV formatters (``stats``):
+how many processes may share a job, and the one filter for Python 3.12's
+warning on ``fork()``.
 
 Forking goes one level deep: a sweep's pool workers fork nothing of their
 own, so a run's trajectory is formatted during the solve, and a large
-phase plane split over processes, only outside a pool.
+phase plane split over processes, only outside a pool.  ``analyze``
+parses a long pSEIRS trajectory in one forked child while it rebuilds
+the derivative rows.
 """
 
 from __future__ import annotations

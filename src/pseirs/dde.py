@@ -11,8 +11,8 @@ integrated by the method of steps with fixed-step RK4 (Bellen & Zennaro,
 *Numerical Methods for Delay Differential Equations*, 2003, ch. 3-4).
 Every delayed lookup is one cubic Hermite lookup, ``_HermiteLookup``, into
 the stored (state, derivative) samples: the solver's RK4 stages,
-reconstruction's derivative rows, and the integral forms and
-``history_eval`` through ``_eval_raw``.  A time within 1e-9*h of t = 0
+reconstruction's derivative rows, and the integral forms through
+``_eval_raw``.  A time within 1e-9*h of t = 0
 reads the stored row 0 (stage times t - lag can miss 0 by about an ulp);
 left of that it reads the prescribed history, right of it cell
 ``int(t/h)``, clamped to the last cell, with the stored row itself where
@@ -56,11 +56,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
-from .core import (CompartmentState, HistoryFunction, PseirsParams,
-                   Trajectory, _require, kappa, step_count, validate_pseirs)
+from .core import (HistoryFunction, PseirsParams, Trajectory,
+                   _require, kappa, step_count, validate_pseirs)
 from .errors import InvalidParameter, OutOfDomain, StepTooLarge, ZeroPopulation
 from .quadrature import adaptive_simpson
 
@@ -183,9 +184,9 @@ def _eval_raw(traj: Trajectory, x: np.ndarray) -> np.ndarray:
     through the solver's ``_HermiteLookup`` and its conventions.  Not exact
     at grid points: ``int(t / h)`` can pick the cell left of a grid time,
     whose interpolant misses the stored row by rounding (at 770 of the
-    40,001 grid points of the baseline run).  ``history_eval`` is the exact
-    lookup; the integral forms use this one for all the nodes of a
-    quadrature level at once."""
+    40,001 grid points of the baseline run); the stored rows are exact
+    there.  The integral forms read all the nodes of a quadrature level at
+    once."""
     x = np.asarray(x, dtype=float)
     h = traj.step
     if len(x):
@@ -198,18 +199,6 @@ def _eval_raw(traj: Trajectory, x: np.ndarray) -> np.ndarray:
     lookup = _HermiteLookup(x[None], False, h, traj.history,
                             len(traj.times) - 2)
     return lookup.rows(traj.states, traj.derivs, slice(0, len(x)))[0]
-
-
-def history_eval(traj: Trajectory, t: float) -> CompartmentState:
-    """Evaluate a four-compartment trajectory (or its history) at time t."""
-    _require(len(traj.labels) == 4, "trajectory", traj.labels,
-             "four-compartment trajectory required")
-    if 0.0 <= t <= traj.horizon:
-        j = int(round(t / traj.step))
-        if 0 <= j < len(traj.times) and traj.times[j] == t:
-            row = traj.states[j]
-            return CompartmentState(row[0], row[1], row[2], row[3])
-    return CompartmentState(*_eval_raw(traj, np.array([t]))[0])
 
 
 def default_step(params: PseirsParams) -> float:
@@ -495,7 +484,8 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
 
 
 def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
-                           times: np.ndarray, states: np.ndarray) -> Trajectory:
+                           times: np.ndarray, states: np.ndarray, *,
+                           rows_in=None) -> Trajectory:
     """Rebuild a full Trajectory (including derivative samples) from stored
     state samples, e.g. a trajectory CSV written by an earlier run.
 
@@ -503,9 +493,18 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     resolving delayed lookups exactly as the solver did (its lookup plans,
     stage 1 only, one plan per lag), so analyses run on the reconstruction
     match the original run.
+
+    ``rows_in``, if given, fills ``times`` and ``states`` in order while
+    they are read, as ``rows_out`` passes a solver's rows on: an iterable
+    of how many leading rows hold their values, at least 2 at first and
+    all of them at last.  Each count's derivative rows are rebuilt as soon
+    as it arrives, so a chunk of PLAN_CHUNK rows at a time does the same
+    work as one call.  Whatever ``rows_in`` raises propagates.
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
+    filled = iter(() if rows_in is None else rows_in)
+    first = next(filled, None)  # None: every row holds its values
     _require(times.ndim == 1 and len(times) >= 2 and times[0] == 0.0,
              "times", None, "uniform grid starting at 0")
     _require(states.shape == (len(times), 4), "states", states.shape,
@@ -516,8 +515,11 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     kap = _checked_kappa(params, history, h)
 
     derivs = np.zeros((len(times), 4))
-    _derivative_rows(_Rates(params), history, h, states, derivs, 0,
-                     len(times))
+    rates = _Rates(params)
+    done = 0
+    for upto in chain((len(times) if first is None else first,), filled):
+        _derivative_rows(rates, history, h, states, derivs, done, upto)
+        done = upto
 
     e_consistent = consistent_initial_exposed(history, params)
     r_consistent = consistent_initial_recovered(history, params)

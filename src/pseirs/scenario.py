@@ -13,8 +13,10 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import io
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -26,7 +28,7 @@ from . import _fork
 from .core import (CompartmentState, ConstantHistory, HistoryFunction,
                    PseirsParams, SirParams, SirState, Trajectory, _require,
                    kappa, step_count)
-from .dde import default_step, reconstruct_trajectory, simulate_pseirs
+from .dde import PLAN_CHUNK, default_step, reconstruct_trajectory, simulate_pseirs
 from .errors import InvalidParameter, PseirsError, TrajectoryTooShort, WorkerDied
 from .integro import verify_integral_equivalence
 from .netgen import (degree_histogram, edge_list_text, gamma_from_graph,
@@ -49,6 +51,21 @@ THRESHOLD_NOTE = (
     "threshold values for these scenarios (7.77 at omega=0.15, 0.3703 at "
     "omega=30, 8.621329079589127e-01 for the 5000-node run) are "
     "reproducible from neither formula.")
+
+# smallest stored pSEIRS trajectory, in rows, whose CSV body ``analyze``
+# parses in a forked child while it rebuilds the derivative rows.  In a
+# 45 MB process on a 2-vCPU VM (medians of 30-40 alternating pairs), the
+# baseline broke even near 5,000 rows and gained 6% at 8,000 and 18-20% at
+# 20,000-40,001; long latency, whose long lags make reconstruction cheap,
+# lost 10% at 6,001 rows, broke even near 9,000-18,000 and gained 7% at
+# 24,001 and 16% at 40,001
+PIPELINE_MIN_ROWS = 20000
+# bytes of CSV text per ``np.loadtxt`` call in that child: a chunk's rows
+# (about 28 KB) fit in a 64 KB pipe, so the child seldom waits on its
+# reader; 256 KB chunks made an analyze of the baseline 16% slower
+_PARSE_CHUNK = 1 << 16
+# the header ``write_trajectory_csv`` gives a pSEIRS trajectory
+_PSEIRS_HEADER = b"t,S,E,I,R,N"
 
 _TOP_KEYS = {"schema", "model", "params", "init", "history", "horizon",
              "step", "analyses", "network", "out_dir"}
@@ -238,24 +255,141 @@ def write_trajectory_csv(traj: Trajectory, path: Path,
         f.writelines(rows)
 
 
-def read_trajectory_csv(path: Path):
+def read_trajectory_csv(path: Path, data: bytes | None = None):
     """(times, states, labels); a trailing N column is dropped (recomputed).
-    Every row must hold one finite number per header column."""
+    Every row must hold one finite number per header column.  ``data`` is
+    the file's bytes where they have been read, else the file is read."""
+    text = open(path) if data is None else io.TextIOWrapper(io.BytesIO(data))
     try:
-        with open(path) as f, warnings.catch_warnings():
+        with text as f, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows: checked below
             header = f.readline().rstrip("\n").split(",")
             body = np.loadtxt(f, delimiter=",", ndmin=2)
     except ValueError as exc:  # ragged or non-numeric rows, undecodable bytes
         raise InvalidParameter("trajectory", str(path), f"numeric CSV rows ({exc})") from None
-    _require(header[0] == "t", "trajectory", header, "first column must be t")
-    _require(len(body) >= 2, "trajectory", str(path), "header plus >= 2 samples")
-    _require(body.shape[1] == len(header), "trajectory", header,
-             f"one header name per column ({body.shape[1]} in each row)")
-    _require(bool(np.isfinite(body).all()), "trajectory", str(path),
-             "finite numbers only (no nan or inf)")
-    labels = tuple(header[1:-1] if header[-1] == "N" else header[1:])
+    labels = _checked_labels(path, header, body.shape,
+                             bool(np.isfinite(body).all()))
     return body[:, 0].copy(), body[:, 1:1 + len(labels)].copy(), labels
+
+
+def _checked_labels(path, header: list, shape: tuple, finite: bool) -> tuple:
+    """The state labels of a trajectory CSV's ``header``, once its parsed
+    body, of ``shape`` and all ``finite``, holds at least two rows of one
+    number per header column."""
+    _require(header[0] == "t", "trajectory", header, "first column must be t")
+    _require(shape[0] >= 2, "trajectory", str(path), "header plus >= 2 samples")
+    _require(shape[1] == len(header), "trajectory", header,
+             f"one header name per column ({shape[1]} in each row)")
+    _require(finite, "trajectory", str(path),
+             "finite numbers only (no nan or inf)")
+    return tuple(header[1:-1] if header[-1] == "N" else header[1:])
+
+
+def _parse_child(fd, data: bytes, start: int, columns: int, inherited):
+    """The life of a forked CSV parser: parse the lines of ``data[start:]``
+    in chunks of about _PARSE_CHUNK bytes, cut after a newline, each with
+    ``read_trajectory_csv``'s ``np.loadtxt``, and write each chunk's
+    float64 rows to the pipe ``fd`` as soon as it is parsed.  Exit 0 only
+    once every line gave one row of ``columns`` numbers, so every line was
+    parsed as the serial read parses it; a chunk that is not ASCII, holds
+    a CR (a line end to the serial read's universal newlines) or gives
+    another shape ends it with exit 1, as does any error or warning.
+    ``inherited`` are the parent's pipe ends, closed first.  Never
+    returns."""
+    code = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        warnings.simplefilter("error")
+        with open(fd, "wb") as pipe:
+            while start < len(data):
+                stop = data.find(b"\n", start + _PARSE_CHUNK) + 1 or len(data)
+                chunk = data[start:stop]
+                if b"\r" in chunk:
+                    raise ValueError("a line end the serial read differs on")
+                rows = np.loadtxt(io.StringIO(chunk.decode("ascii")),
+                                  delimiter=",", ndmin=2)
+                if rows.shape != (chunk.count(b"\n"), columns):
+                    raise ValueError("not one row per line")
+                pipe.write(rows)
+                start = stop
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _ParseFailed(Exception):
+    """The forked parser ended before it sent every row."""
+
+
+class _ForkedParse:
+    """The rows of a pSEIRS trajectory CSV's body, ``data[start:]``, parsed
+    by a forked ``_parse_child`` and read back in order, PLAN_CHUNK rows
+    at a time, into the ``times`` and ``states`` that
+    ``reconstruct_trajectory`` takes; ``finite`` while every number read
+    is."""
+
+    def __init__(self, data: bytes, start: int, rows: int):
+        columns = len(_PSEIRS_HEADER.split(b","))
+        self.times = np.empty(rows)
+        self.states = np.empty((rows, 4))
+        self.finite = True
+        self._filled = 0
+        # one buffer for every read: each page this process writes while
+        # the child lives costs a copy-on-write fault
+        self._piece = np.empty((PLAN_CHUNK, columns))
+        r, w = os.pipe()
+        try:
+            with _fork.fork_warning_filtered():
+                pid = os.fork()
+            if pid == 0:
+                _parse_child(w, data, start, columns, [r])
+        except BaseException:
+            os.close(r)
+            raise
+        finally:
+            os.close(w)
+        self.pid, self._pipe = pid, open(r, "rb")
+
+    def _fill(self, stop: int) -> bool:
+        """Read the rows up to ``stop``; False if the pipe ends first."""
+        while self._filled < stop:
+            k = self._filled
+            piece = self._piece[:min(stop - k, PLAN_CHUNK)]
+            if self._pipe.readinto(piece) != piece.nbytes:
+                return False
+            self.finite = self.finite and bool(np.isfinite(piece).all())
+            self.times[k:k + len(piece)] = piece[:, 0]
+            self.states[k:k + len(piece)] = piece[:, 1:5]
+            self._filled += len(piece)
+        return True
+
+    def rows_in(self):
+        """The counts of rows read, PLAN_CHUNK more each time: the
+        ``rows_in`` of ``reconstruct_trajectory``.  Raises ``_ParseFailed``
+        if the pipe ends early."""
+        rows = len(self.times)
+        while self._filled < rows:
+            if not self._fill(min(self._filled + PLAN_CHUNK, rows)):
+                raise _ParseFailed
+            yield self._filled
+
+    def finish(self) -> bool:
+        """Read the rows not read yet and reap the child: whether it sent
+        every row and exited 0."""
+        sent = self._fill(len(self.times))
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        return sent and code == 0
+
+    def close(self) -> None:
+        """Close the pipe, then reap the child unless ``finish`` did: a
+        child blocked on a full pipe gets EPIPE and exits, so the wait
+        cannot hang."""
+        self._pipe.close()
+        if self.pid is not None:
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 def _json_text(obj) -> str:
@@ -389,9 +523,38 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
     The config supplies the parameters and history needed to resolve
     delayed lookups; derivative samples are recomputed, so interpolating
     analyses (integral_equivalence among them) match the original run.
-    Nothing is written unless the trajectory and every analysis are valid.
+    The file is read once.  Where it pays (``_pipelined``), a forked child
+    parses a pSEIRS trajectory while this process builds the network and
+    rebuilds the derivative rows as the parsed rows arrive; any file the
+    child does not parse cleanly is parsed again here, serially, so the
+    results and the errors are those of the serial read.  Nothing is
+    written unless the trajectory and every analysis are valid.
     """
-    times, states, labels = read_trajectory_csv(trajectory_csv)
+    traj, params, network_info = _rebuilt(config, trajectory_csv)
+    summary, planes = _run_analyses(config, traj, params, network_info,
+                                    {"trajectory": Path(trajectory_csv).name})
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_run(out, summary, planes)
+    return summary
+
+
+def _rebuilt(config: ScenarioConfig, path):
+    """(trajectory, params, network info) of a stored trajectory CSV, read
+    once: pipelined where ``_pipelined`` takes it, else serially."""
+    if config.model == "sir" or _fork.fork_width(2) == 1:
+        return _rebuilt_serially(config, path, None)
+    with open(path, "rb") as f:
+        data = f.read()
+    rebuilt = _pipelined(config, path, data)
+    return rebuilt or _rebuilt_serially(config, path, data)
+
+
+def _rebuilt_serially(config: ScenarioConfig, path, data: bytes | None):
+    """(trajectory, params, network info) of a stored trajectory CSV, read
+    by ``read_trajectory_csv`` from ``data``, or from ``path`` without it."""
+    times, states, labels = read_trajectory_csv(path, data)
     _, params, network_info = _prepare_network(config)
     if config.model == "sir":
         _require(labels == ("S", "I", "R"), "trajectory", labels,
@@ -405,13 +568,45 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
         _require(labels == ("S", "E", "I", "R"), "trajectory", labels,
                  "S, E, I, R columns for a pseirs config")
         traj = reconstruct_trajectory(params, config.init, times, states)
-    summary, planes = _run_analyses(config, traj, params, network_info,
-                                    {"trajectory": Path(trajectory_csv).name})
+    return traj, params, network_info
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_run(out, summary, planes)
-    return summary
+
+def _pipelined(config: ScenarioConfig, path, data: bytes):
+    """``_rebuilt_serially``'s result for the pSEIRS trajectory CSV
+    ``data``, its body parsed by a ``_ForkedParse`` while this process
+    builds the network and rebuilds the derivative rows; None where the
+    file has another header or fewer than PIPELINE_MIN_ROWS rows, or the
+    child did not parse every row.  An error of the network or the
+    reconstruction waits until the parse has ended, so a damaged file's
+    ``InvalidParameter`` wins, as in the serial read."""
+    start = len(_PSEIRS_HEADER) + 1
+    if not data.startswith(_PSEIRS_HEADER + b"\n"):
+        return None
+    rows = data.count(b"\n", start)
+    if rows < PIPELINE_MIN_ROWS:
+        return None
+    parse = _ForkedParse(data, start, rows)
+    held = None
+    try:
+        try:
+            _, params, network_info = _prepare_network(config)
+            traj = reconstruct_trajectory(params, config.init, parse.times,
+                                          parse.states,
+                                          rows_in=parse.rows_in())
+        except PseirsError as exc:
+            held = exc
+        except _ParseFailed:
+            pass  # finish says so
+        parsed = parse.finish()
+    finally:
+        parse.close()
+    if not parsed:
+        return None
+    header = _PSEIRS_HEADER.decode().split(",")
+    _checked_labels(path, header, (rows, len(header)), parse.finite)
+    if held is not None:
+        raise held
+    return traj, params, network_info
 
 
 def _resolve_path(raw: dict, dotted: str):

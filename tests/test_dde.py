@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from pseirs import (CompartmentState, ConstantHistory, InvalidParameter,
                     OutOfDomain, PseirsParams, SampledHistory, StepTooLarge,
                     Trajectory, ZeroPopulation, consistent_initial_exposed,
-                    consistent_initial_recovered, history_eval,
-                    reconstruct_trajectory, simulate_pseirs)
-from pseirs.dde import PLAN_CHUNK, default_step
+                    consistent_initial_recovered, reconstruct_trajectory,
+                    simulate_pseirs)
+from pseirs.dde import PLAN_CHUNK, _eval_raw, default_step
 from pseirs.presets import baseline_history, baseline_pseirs
 
 from reference_dde import _interp4, _pseirs_rhs, history_reader
@@ -253,31 +253,29 @@ def _cubic_trajectory():
     return traj, coeffs, value
 
 
-class TestHistoryEval:
-    def test_grid_points_are_exact(self, canonical_run):
-        for k in (0, 1, 1000, len(canonical_run.times) - 1):
-            t = float(canonical_run.times[k])
-            got = history_eval(canonical_run, t)
-            assert got.as_tuple() == tuple(canonical_run.states[k])
+def _at(traj, t):
+    """The (S, E, I, R) row at one time t, read through ``_eval_raw``."""
+    return tuple(_eval_raw(traj, np.array([t]))[0])
 
+
+class TestHistoryEval:
     def test_history_endpoint(self, canonical_run):
-        got = history_eval(canonical_run, -30.0)
-        assert got.as_tuple() == (63.0, 0.0, 7.0, 0.0)
+        assert _at(canonical_run, -30.0) == (63.0, 0.0, 7.0, 0.0)
 
     def test_cubic_dynamics_reproduced_exactly(self):
         traj, coeffs, value = _cubic_trajectory()
         for j in range(len(traj.times) - 1):
             t = (j + 0.5) * traj.step
-            got = history_eval(traj, t).as_tuple()
+            got = _at(traj, t)
             want = [value(c, t) for c in coeffs]
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-10 * abs(w)
 
     def test_out_of_domain(self, canonical_run):
         with pytest.raises(OutOfDomain):
-            history_eval(canonical_run, -31.0)
+            _at(canonical_run, -31.0)
         with pytest.raises(OutOfDomain):
-            history_eval(canonical_run, 300.1)
+            _at(canonical_run, 300.1)
 
 
 class TestReconstruct:
@@ -295,6 +293,39 @@ class TestReconstruct:
         rebuilt = reconstruct_trajectory(canonical_params, canonical_history,
                                          traj.times, traj.states)
         assert rebuilt.init_override
+
+    def test_rows_in_rebuilds_the_same_rows(self, canonical_params,
+                                            canonical_history):
+        # the rows arrive a part at a time, the parts not aligned to
+        # PLAN_CHUNK; rows not filled yet hold NaN, which no rebuilt row
+        # may read
+        traj = simulate_pseirs(canonical_params, canonical_history, 40.0)
+        times = np.full_like(traj.times, np.nan)
+        states = np.full_like(traj.states, np.nan)
+
+        def rows_in():
+            for upto in (*range(PLAN_CHUNK // 2, len(times), PLAN_CHUNK),
+                         len(times)):
+                times[:upto] = traj.times[:upto]
+                states[:upto] = traj.states[:upto]
+                yield upto
+
+        rebuilt = reconstruct_trajectory(canonical_params, canonical_history,
+                                         times, states, rows_in=rows_in())
+        assert np.array_equal(rebuilt.derivs, traj.derivs)
+        assert not rebuilt.init_override
+
+    def test_rows_in_error_propagates(self, canonical_params,
+                                      canonical_history):
+        traj = simulate_pseirs(canonical_params, canonical_history, 40.0)
+
+        def rows_in():
+            yield PLAN_CHUNK
+            raise BrokenPipeError("the rows stopped")
+
+        with pytest.raises(BrokenPipeError):
+            reconstruct_trajectory(canonical_params, canonical_history,
+                                   traj.times, traj.states, rows_in=rows_in())
 
 
 # The solver and reconstruction loops as they were written before they

@@ -7,14 +7,14 @@ import pytest
 
 from pseirs import (CompartmentState, ConstantHistory, InconsistentInit,
                     OutOfDomain, Trajectory, consistent_initial_exposed,
-                    exposed_integral, history_eval, kappa, recovered_integral,
+                    exposed_integral, kappa, recovered_integral,
                     simulate_pseirs, verify_integral_equivalence)
 from pseirs.dde import _eval_raw, _HermiteLookup
 from pseirs.presets import baseline_history, baseline_pseirs
 
 from reference_dde import _interp4, history_reader
 from reference_quadrature import adaptive_simpson
-from test_dde import PINNED_RUNS, _same_bits
+from test_dde import PINNED_RUNS, _at, _same_bits
 
 
 def _frozen_trajectory(state=(63.0, 0.0, 7.0, 0.0), horizon=60.0, step=0.5):
@@ -148,13 +148,13 @@ class TestVerifyIntegralEquivalence:
 
         def unnormalized(t):
             def f(x):
-                s, _, i, _ = history_eval(canonical_run, x).as_tuple()
+                s, _, i, _ = _at(canonical_run, x)
                 return p.gamma * s * i * math.exp(-p.mu * (t - x))
             return adaptive_simpson(f, t - p.omega, t)
 
         residuals = []
         for t in np.linspace(kappa(p), canonical_run.horizon, 10):
-            got, e = unnormalized(float(t)), history_eval(canonical_run, float(t)).e
+            got, e = unnormalized(float(t)), _at(canonical_run, float(t))[1]
             residuals.append(abs(got - e) / max(abs(got), abs(e)))
         assert max(residuals) > 1e-2
 
@@ -264,7 +264,7 @@ def test_exposed_integral_across_the_breaking_point():
     params, hist, step, init, horizon = PINNED_RUNS["omega_30"]
     traj = simulate_pseirs(params, hist, horizon, step, **init)
     for t in (0.07, 10.0, 29.0):
-        got, want = exposed_integral(traj, t, params), history_eval(traj, t).e
+        got, want = exposed_integral(traj, t, params), _at(traj, t)[1]
         assert abs(got - want) <= 1e-8 * abs(want), (t, got, want)
 
 
@@ -283,4 +283,4 @@ def test_eval_raw_reads_through_the_solver_lookup(name):
     assert _same_bits(got, lookup.rows(traj.states, traj.derivs,
                                        slice(0, len(x)))[0])
     assert _same_bits(got[:3], np.tile(traj.states[0], (3, 1)))
-    assert history_eval(traj, -1e-12 * h).as_tuple() == tuple(traj.states[0])
+    assert _at(traj, -1e-12 * h) == tuple(traj.states[0])

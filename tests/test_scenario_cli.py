@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -171,14 +172,22 @@ def children_left() -> bool:
     return True
 
 
+def lead_group(target, *args):
+    """Process target: ``target(*args)`` in a process group of its own."""
+    os.setpgid(0, 0)
+    target(*args)
+
+
 def run_forked(target, *args):
     """Exit code of ``target(*args)`` run in a forked process, which must
-    end within 120 s."""
-    proc = multiprocessing.get_context("fork").Process(target=target, args=args)
+    end within 120 s; on a timeout it is killed with its process group,
+    so every process it forked goes too."""
+    proc = multiprocessing.get_context("fork").Process(
+        target=lead_group, args=(target, *args))
     proc.start()
     proc.join(timeout=120)
     if proc.is_alive():
-        proc.kill()
+        os.killpg(proc.pid, signal.SIGKILL)
         proc.join()
         pytest.fail(f"{target.__name__} did not end within 120 s")
     return proc.exitcode
