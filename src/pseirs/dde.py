@@ -12,15 +12,14 @@ integrated by the method of steps with fixed-step RK4 (Bellen & Zennaro,
 Every delayed lookup is one cubic Hermite lookup, ``_HermiteLookup``, into
 the stored (state, derivative) samples: the solver's RK4 stages,
 reconstruction's derivative rows, and the integral forms through
-``_eval_raw``.  A time within 1e-9*h of t = 0
-reads the stored row 0 (stage times t - lag can miss 0 by about an ulp);
-left of that it reads the prescribed history, right of it cell
-``int(t/h)``, clamped to the last cell, with the stored row itself where
-the cell fraction is 0.  Stage 4 integrates the branch left of any
-breaking point, so it reads the history up to t = 1e-9*h (E and R may
-jump at t = 0 under consistent init).  The step must not exceed
-min(omega, tau)/4, so every stage lookup lands in already-computed
-territory.
+``_eval_raw``.  A time within 1e-9*h of t = 0 reads the stored row 0
+(stage times t - lag can miss 0 by about an ulp); left of that it reads
+the prescribed history, right of it cell ``int(t/h)``, clamped to the
+last cell, with the stored row itself where the cell fraction is 0.
+Stage 4 integrates the branch left of any breaking point, so it reads
+the history up to t = 1e-9*h (E and R may jump at t = 0 under
+consistent init).  The step must not exceed min(omega, tau)/4, so every
+stage lookup lands in already-computed territory.
 
 Block method of steps.  The lags are constant, so the six lookups of an
 RK4 step (stage 1, the stage-2/3 midpoint and stage 4, at lags omega and
@@ -494,12 +493,13 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     stage 1 only, one plan per lag), so analyses run on the reconstruction
     match the original run.
 
-    ``rows_in``, if given, fills ``times`` and ``states`` in order while
-    they are read, as ``rows_out`` passes a solver's rows on: an iterable
-    of how many leading rows hold their values, at least 2 at first and
-    all of them at last.  Each count's derivative rows are rebuilt as soon
-    as it arrives, so a chunk of PLAN_CHUNK rows at a time does the same
-    work as one call.  Whatever ``rows_in`` raises propagates.
+    ``rows_in``, if given, is the source that fills ``times`` and
+    ``states`` in order during the reconstruction, the mirror of the
+    solvers' ``rows_out``: an iterable of how many leading rows hold their
+    values, at least 2 at first and all of them at last.  The derivative
+    rows up to each count are rebuilt as soon as it arrives, with the
+    bits of one pass, since a row reads only earlier rows.  Whatever
+    ``rows_in`` raises propagates.
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)

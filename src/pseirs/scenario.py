@@ -64,8 +64,8 @@ PIPELINE_MIN_ROWS = 20000
 # (about 28 KB) fit in a 64 KB pipe, so the child seldom waits on its
 # reader; 256 KB chunks made an analyze of the baseline 16% slower
 _PARSE_CHUNK = 1 << 16
-# the header ``write_trajectory_csv`` gives a pSEIRS trajectory
-_PSEIRS_HEADER = b"t,S,E,I,R,N"
+# the columns ``write_trajectory_csv`` gives a pSEIRS trajectory
+_PSEIRS_COLUMNS = ["t", "S", "E", "I", "R", "N"]
 
 _TOP_KEYS = {"schema", "model", "params", "init", "history", "horizon",
              "step", "analyses", "network", "out_dir"}
@@ -330,7 +330,7 @@ class _ForkedParse:
     is."""
 
     def __init__(self, data: bytes, start: int, rows: int):
-        columns = len(_PSEIRS_HEADER.split(b","))
+        columns = len(_PSEIRS_COLUMNS)
         self.times = np.empty(rows)
         self.states = np.empty((rows, 4))
         self.finite = True
@@ -542,7 +542,8 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
 
 def _rebuilt(config: ScenarioConfig, path):
     """(trajectory, params, network info) of a stored trajectory CSV, read
-    once: pipelined where ``_pipelined`` takes it, else serially."""
+    once: pipelined where ``_pipelined`` takes it, else serially.  The
+    file's bytes are dropped on return, before the analyses run."""
     if config.model == "sir" or _fork.fork_width(2) == 1:
         return _rebuilt_serially(config, path, None)
     with open(path, "rb") as f:
@@ -579,9 +580,10 @@ def _pipelined(config: ScenarioConfig, path, data: bytes):
     child did not parse every row.  An error of the network or the
     reconstruction waits until the parse has ended, so a damaged file's
     ``InvalidParameter`` wins, as in the serial read."""
-    start = len(_PSEIRS_HEADER) + 1
-    if not data.startswith(_PSEIRS_HEADER + b"\n"):
+    header = (",".join(_PSEIRS_COLUMNS) + "\n").encode()
+    if not data.startswith(header):
         return None
+    start = len(header)
     rows = data.count(b"\n", start)
     if rows < PIPELINE_MIN_ROWS:
         return None
@@ -602,8 +604,8 @@ def _pipelined(config: ScenarioConfig, path, data: bytes):
         parse.close()
     if not parsed:
         return None
-    header = _PSEIRS_HEADER.decode().split(",")
-    _checked_labels(path, header, (rows, len(header)), parse.finite)
+    _checked_labels(path, _PSEIRS_COLUMNS, (rows, len(_PSEIRS_COLUMNS)),
+                    parse.finite)
     if held is not None:
         raise held
     return traj, params, network_info
