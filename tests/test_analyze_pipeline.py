@@ -8,7 +8,9 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import signal
+import subprocess
 
 import numpy as np
 import pytest
@@ -249,3 +251,20 @@ def test_dead_parse_child_gives_the_serial_summary(tmp_path, monkeypatch,
     assert (tmp_path / "stderr.txt").read_text() == ""
     assert started(parses) == 1
     assert tree_bytes(tmp_path / "forked") == serial
+
+
+def test_fifo_is_read_once(tmp_path, monkeypatch, parses, stored):
+    # the pipelined read and its serial fallback share the bytes read once
+    config, trajectory = stored["seirs_baseline"]
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    _, _, from_file = analyze(config, trajectory, tmp_path / "file")
+    fifo = tmp_path / "trajectory.csv"
+    os.mkfifo(fifo)
+    writer = subprocess.Popen(["sh", "-c", f"cat {shlex.quote(str(trajectory))}"
+                               f" > {shlex.quote(str(fifo))}"])
+    try:
+        result = analyze(config, fifo, tmp_path / "fifo")
+    finally:
+        writer.wait(timeout=60)
+    assert result == (0, "", from_file)
+    assert started(parses) == 2
