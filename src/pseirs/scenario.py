@@ -16,7 +16,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -240,9 +239,8 @@ def write_trajectory_csv(traj: Trajectory, path: Path,
     chunks of at most 64 KB.  Without it they come from
     ``csv_row_blocks``, so a large trajectory is formatted on up to one
     process per usable CPU.  Either way a child that dies or sends too
-    few lines raises ``WorkerDied``.  A write that fails part-way closes
-    the blocks, which reaps those processes, and leaves a partial file;
-    the stream's owner reaps its child."""
+    few lines raises ``WorkerDied``.  A write that fails part-way leaves a
+    partial file; the stream's owner closes the stream."""
     header = ["t", *traj.labels]
     if len(traj.labels) == 4:
         header.append("N")
@@ -285,44 +283,36 @@ def _checked_labels(path, header: list, shape: tuple, finite: bool) -> tuple:
     return tuple(header[1:-1] if header[-1] == "N" else header[1:])
 
 
-def _parse_child(fd, data: bytes, start: int, columns: int, inherited):
-    """The life of a forked CSV parser: parse the lines of ``data[start:]``
-    in chunks of about _PARSE_CHUNK bytes, cut after a newline, each with
+def _parse_child(fd, data: bytes, start: int, columns: int):
+    """A forked CSV parser's work: parse the lines of ``data[start:]`` in
+    chunks of about _PARSE_CHUNK bytes, cut after a newline, each with
     ``read_trajectory_csv``'s ``np.loadtxt``, and write each chunk's
-    float64 rows to the pipe ``fd`` as soon as it is parsed.  Exit 0 only
-    once every line gave one row of ``columns`` numbers, so every line was
-    parsed as the serial read parses it; a chunk that is not ASCII, holds
-    a CR (a line end to the serial read's universal newlines) or gives
-    another shape ends it with exit 1, as does any error or warning.
-    ``inherited`` are the parent's pipe ends, closed first.  Never
-    returns."""
-    code = 1
-    try:
-        for other in inherited:
-            os.close(other)
-        warnings.simplefilter("error")
-        with open(fd, "wb") as pipe:
-            while start < len(data):
-                stop = data.find(b"\n", start + _PARSE_CHUNK) + 1 or len(data)
-                chunk = data[start:stop]
-                if b"\r" in chunk:
-                    raise ValueError("a line end the serial read differs on")
-                rows = np.loadtxt(io.StringIO(chunk.decode("ascii")),
-                                  delimiter=",", ndmin=2)
-                if rows.shape != (chunk.count(b"\n"), columns):
-                    raise ValueError("not one row per line")
-                pipe.write(rows)
-                start = stop
-        code = 0
-    finally:
-        os._exit(code)
+    float64 rows to the pipe ``fd`` as soon as it is parsed.  It returns,
+    and the child exits 0, only once every line gave one row of
+    ``columns`` numbers, so every line was parsed as the serial read
+    parses it; a chunk that is not ASCII, holds a CR (a line end to the
+    serial read's universal newlines) or gives another shape raises, as
+    does any error or warning."""
+    warnings.simplefilter("error")
+    with open(fd, "wb") as pipe:
+        while start < len(data):
+            stop = data.find(b"\n", start + _PARSE_CHUNK) + 1 or len(data)
+            chunk = data[start:stop]
+            if b"\r" in chunk:
+                raise ValueError("a line end the serial read differs on")
+            rows = np.loadtxt(io.StringIO(chunk.decode("ascii")),
+                              delimiter=",", ndmin=2)
+            if rows.shape != (chunk.count(b"\n"), columns):
+                raise ValueError("not one row per line")
+            pipe.write(rows)
+            start = stop
 
 
 class _ParseFailed(Exception):
     """The forked parser ended before it sent every row."""
 
 
-class _ForkedParse:
+class _ForkedParse(_fork.Child):
     """The rows of a pSEIRS trajectory CSV's body, ``data[start:]``, parsed
     by a forked ``_parse_child`` and read back in order, PLAN_CHUNK rows
     at a time, into the ``times`` and ``states`` that
@@ -338,18 +328,8 @@ class _ForkedParse:
         # one buffer for every read: each page this process writes while
         # the child lives costs a copy-on-write fault
         self._piece = np.empty((PLAN_CHUNK, columns))
-        r, w = os.pipe()
-        try:
-            with _fork.fork_warning_filtered():
-                pid = os.fork()
-            if pid == 0:
-                _parse_child(w, data, start, columns, [r])
-        except BaseException:
-            os.close(r)
-            raise
-        finally:
-            os.close(w)
-        self.pid, self._pipe = pid, open(r, "rb")
+        super().__init__(_parse_child, data, start, columns)
+        self._pipe = open(self.fd, "rb", closefd=False)  # closed by close
 
     def _fill(self, stop: int) -> bool:
         """Read the rows up to ``stop``; False if the pipe ends first."""
@@ -378,18 +358,7 @@ class _ForkedParse:
         """Read the rows not read yet and reap the child: whether it sent
         every row and exited 0."""
         sent = self._fill(len(self.times))
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        return sent and code == 0
-
-    def close(self) -> None:
-        """Close the pipe, then reap the child unless ``finish`` did: a
-        child blocked on a full pipe gets EPIPE and exits, so the wait
-        cannot hang."""
-        self._pipe.close()
-        if self.pid is not None:
-            os.waitpid(self.pid, 0)
-            self.pid = None
+        return self.wait() == 0 and sent
 
 
 def _json_text(obj) -> str:
@@ -481,7 +450,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     The solve and every analysis finish before anything touches the
     filesystem, so a config that fails writes no files.  Where it pays,
     a forked child formats ``trajectory.csv`` during the solve and the
-    analyses (``trajectory_stream``); it is reaped on every path.
+    analyses (``trajectory_stream``), closed on every path.
     """
     if config.model == "pseirs" and ("classify" in config.analyses
                                      or "integral_equivalence" in config.analyses):

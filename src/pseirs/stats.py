@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fork import fork_warning_filtered, fork_width
+from . import _fork
 from .core import Trajectory, _require
 from .errors import EmptyWindow, WorkerDied, ZeroPopulation
 
@@ -45,67 +45,27 @@ def _format_blocks(blocks, row):
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _format_child(fd, blocks, row, inherited):
-    """The life of a forked formatter: format the table ``blocks``, an
-    iterable of 2-D blocks, before writing anything to the pipe ``fd``, so
-    that it never waits on the parent while the parent works; exit 0 only
-    once all of it is written.  ``inherited`` are the parent's pipe ends,
-    closed first.  Never returns."""
-    code = 1
-    try:
-        # a closed read end must mean EPIPE, a closed write end EOF
-        for other in inherited:
-            os.close(other)
-        text = "".join(_format_blocks(blocks, row)).encode("ascii")
-        with open(fd, "wb") as pipe:
-            pipe.write(text)
-        code = 0
-    finally:
-        os._exit(code)
+def _format_child(fd, blocks, row):
+    """A forked formatter's work: format the table ``blocks``, an iterable
+    of 2-D blocks, before writing anything to the pipe ``fd``, so that it
+    never waits on the parent while the parent works."""
+    text = "".join(_format_blocks(blocks, row)).encode("ascii")
+    with open(fd, "wb") as pipe:
+        pipe.write(text)
 
 
-class _Formatter:
-    """A forked ``_format_child`` of ``rows`` lines and the read end of its
-    text pipe."""
-
-    def __init__(self, blocks, row, rows: int, inherited):
-        r, w = os.pipe()
-        try:
-            with fork_warning_filtered():
-                pid = os.fork()
-            if pid == 0:
-                _format_child(w, blocks, row, [*inherited, r])
-        except BaseException:
-            os.close(r)
-            raise
-        finally:
-            os.close(w)
-        self.fd, self.pid, self.rows = r, pid, rows
-
-    def text(self):
-        """Its text, in table order, in chunks of at most ``_PIPE_CHUNK``
-        bytes; reaps it, and raises ``WorkerDied`` unless it exited 0 after
-        all its lines."""
-        lines = 0
-        while chunk := os.read(self.fd, _PIPE_CHUNK):
-            lines += chunk.count(b"\n")
-            yield chunk.decode("ascii")
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        if code != 0 or lines != self.rows:
-            raise WorkerDied(f"a CSV formatting process exited with code "
-                             f"{code} after {lines} of its {self.rows} rows")
-
-    def close(self) -> None:
-        """Close the read end, then reap the child unless ``text`` did: a
-        child blocked on a full pipe gets EPIPE and exits, so the wait
-        cannot hang."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-        if self.pid is not None:
-            os.waitpid(self.pid, 0)
-            self.pid = None
+def _child_text(child: _fork.Child, rows: int):
+    """The text of a ``_format_child`` of ``rows`` lines, in table order,
+    in chunks of at most ``_PIPE_CHUNK`` bytes; reaps it, and raises
+    ``WorkerDied`` unless it exited 0 after all its lines."""
+    lines = 0
+    while chunk := os.read(child.fd, _PIPE_CHUNK):
+        lines += chunk.count(b"\n")
+        yield chunk.decode("ascii")
+    code = child.wait()
+    if code != 0 or lines != rows:
+        raise WorkerDied(f"a CSV formatting process exited with code "
+                         f"{code} after {lines} of its {rows} rows")
 
 
 def csv_row_blocks(table):
@@ -117,30 +77,28 @@ def csv_row_blocks(table):
     process formats the first range while forked children format the
     others, and their text is read back through pipes in bounded chunks,
     in table order, with the same bytes.  Formatting stays in this process
-    without ``os.fork`` and in a sweep's pool workers.  A child that exits
-    non-zero or sends fewer lines than its range raises ``WorkerDied``.
-    Closing the generator early reaps every child.
+    where ``fork_width`` is 1.  A child that exits non-zero or sends fewer
+    lines than its range raises ``WorkerDied``.
     """
     table = np.asarray(table, dtype=float)
     row = _row_format(table.shape[1])
     blocks = -(-len(table) // CSV_BLOCK_ROWS)
-    parts = fork_width(blocks) if table.size >= CSV_SPLIT_MIN_VALUES else 1
+    parts = _fork.fork_width(blocks) if table.size >= CSV_SPLIT_MIN_VALUES else 1
     if parts == 1:
         yield from _format_blocks(_blocks(table), row)
         return
     edges = [CSV_BLOCK_ROWS * (blocks * k // parts) for k in range(parts)]
     edges.append(len(table))
-    children = []  # in table order
+    children = []  # (child, rows), in table order
     try:
         for start, stop in zip(edges[1:-1], edges[2:]):
-            children.append(_Formatter(_blocks(table[start:stop]), row,
-                                       stop - start,
-                                       [c.fd for c in children]))
+            child = _fork.Child(_format_child, _blocks(table[start:stop]), row)
+            children.append((child, stop - start))
         yield from _format_blocks(_blocks(table[:edges[1]]), row)
-        for child in children:
-            yield from child.text()
+        for child, rows in children:
+            yield from _child_text(child, rows)
     finally:
-        for child in children:
+        for child, _ in children:
             child.close()
 
 
@@ -174,7 +132,7 @@ def trajectory_stream(step: float, states: int, rows: int):
     more than it saves, and without a second process to run it
     (``fork_width``: one CPU, a sweep's pool worker, no ``os.fork``)."""
     columns = 1 + states + (states == 4)  # t, the states and N
-    if rows * columns < CSV_SPLIT_MIN_VALUES or fork_width(2) == 1:
+    if rows * columns < CSV_SPLIT_MIN_VALUES or _fork.fork_width(2) == 1:
         return None
     return TrajectoryStream(step, states, rows, _row_format(columns))
 
@@ -188,22 +146,22 @@ class TrajectoryStream:
     or more, and the pipe is closed once all ``rows`` rows are sent.  The
     child writes its text only then, so it never waits on this process
     while the solve and the analyses run, and ``text`` reads it back.
-    ``send`` waits only while the rows pipe is full.  ``close`` reaps the
-    child on every path.
+    ``send`` waits only while the rows pipe is full.
     """
 
     def __init__(self, step: float, states: int, rows: int, row: str):
-        r, w = os.pipe()
+        r, self._w = _fork.pipe()
         try:
-            self._child = _Formatter(_streamed_blocks(r, step, states), row,
-                                     rows, [w])
+            self._child = _fork.Child(_format_child,
+                                      _streamed_blocks(r, step, states), row)
         except BaseException:
-            os.close(w)
+            _fork.close_end(self._w)
             raise
         finally:
             os.close(r)
-        self._rows = open(w, "wb", buffering=CSV_BLOCK_ROWS * states * 8)
-        self._left = rows
+        self._rows = open(self._w, "wb", buffering=CSV_BLOCK_ROWS * states * 8,
+                          closefd=False)
+        self._left = self.rows = rows
 
     def send(self, states: np.ndarray) -> None:
         """Pass on the next finished state rows, a C-contiguous array; the
@@ -218,24 +176,28 @@ class TrajectoryStream:
 
     def _died(self) -> WorkerDied:
         return WorkerDied("a CSV formatting process exited before it read "
-                          f"all {self._child.rows} rows")
+                          f"all {self.rows} rows")
 
     def _end_rows(self) -> None:
+        if self._rows.closed:
+            return
         try:
-            self._rows.close()  # closes the pipe even if the flush fails
+            self._rows.close()  # a flush: the pipe is closed below
         except BrokenPipeError:
             raise self._died() from None
+        finally:
+            _fork.close_end(self._w)
 
     def text(self):
         """The child's text in bounded chunks, as ``csv_row_blocks``
         yields it; raises ``WorkerDied`` unless the child exited 0 after
         one line per row."""
         self._end_rows()  # rows not sent make the line count fall short
-        return self._child.text()
+        return _child_text(self._child, self.rows)
 
     def close(self) -> None:
-        with contextlib.suppress(BrokenPipeError):
-            self._rows.close()
+        with contextlib.suppress(WorkerDied):
+            self._end_rows()
         self._child.close()
 
 

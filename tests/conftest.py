@@ -1,7 +1,18 @@
+import os
+
 import pytest
 
 from pseirs import simulate_pseirs
 from pseirs.presets import baseline_history, baseline_pseirs
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test reaps every process it forked: pool workers, formatter
+    and parser children alike."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

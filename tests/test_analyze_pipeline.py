@@ -218,16 +218,14 @@ def test_network_error_waits_for_the_parse(tmp_path, monkeypatch, parses,
     assert json.loads(err)["error"]["type"] == "InvalidParameter"
 
 
-def exit_parse_child(fd, data, start, columns, inherited):
+def exit_parse_child(fd, data, start, columns):
     """A parsing child that dies before it sends a row."""
     os._exit(3)
 
 
-def killed_parse_child(fd, data, start, columns, inherited):
+def killed_parse_child(fd, data, start, columns):
     """A parsing child that sends the rows of the first half of the body,
     then is killed by SIGKILL."""
-    for other in inherited:
-        os.close(other)
     half = data.find(b"\n", (start + len(data)) // 2) + 1
     rows = np.loadtxt(io.StringIO(data[start:half].decode("ascii")),
                       delimiter=",", ndmin=2)

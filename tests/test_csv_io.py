@@ -28,13 +28,6 @@ WIDE = 16
 WIDE_ROWS = 2 * CSV_BLOCK_ROWS + 1
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def each_cpu_count(monkeypatch):
     """Patches the usable CPUs to each count of CPUS in turn."""
     for n in CPUS:

@@ -47,12 +47,6 @@ def load_config(name):
     return json.loads((CONFIG_DIR / name).read_text())
 
 
-@pytest.fixture(autouse=True)
-def no_process_left():
-    yield
-    assert multiprocessing.active_children() == []
-
-
 @pytest.fixture
 def streams(tmp_path, monkeypatch):
     """A file that gets one line for each trajectory stream a run opens,
@@ -99,35 +93,33 @@ def exit_at_second_member(base_config, parameter, idx, value, out_dir):
     return _sweep_member(base_config, parameter, idx, value, out_dir)
 
 
-def exit_csv_child(fd, table, row, inherited):
+def exit_csv_child(fd, table, row):
     """A CSV formatting child that dies before it writes."""
     os._exit(3)
 
 
-def short_csv_child(fd, table, row, inherited):
+def short_csv_child(fd, table, row):
     """A CSV formatting child that sends one line of its range, exit 0."""
     os.write(fd, b"0.0\n")
     os._exit(0)
 
 
-def read_all_rows(blocks, inherited):
-    for other in inherited:  # the rows' write end among them
-        os.close(other)
+def read_all_rows(blocks):
     for _ in blocks:
         pass
 
 
-def exit_after_rows_child(fd, blocks, row, inherited):
+def exit_after_rows_child(fd, blocks, row):
     """A CSV formatting child that reads all its rows, then dies."""
-    read_all_rows(blocks, inherited)
+    read_all_rows(blocks)
     os._exit(3)
 
 
-def short_after_rows_child(fd, blocks, row, inherited):
+def short_after_rows_child(fd, blocks, row):
     """A CSV formatting child that reads all its rows, then sends one
     line, exit 0."""
-    read_all_rows(blocks, inherited)
-    short_csv_child(fd, blocks, row, inherited)
+    read_all_rows(blocks)
+    short_csv_child(fd, blocks, row)
 
 
 def member_counting_forks(base_config, parameter, idx, value, out_dir):
