@@ -80,7 +80,8 @@ def close_end(fd: int) -> None:
 
 class Child:
     """A forked process that runs ``work(fd, *args)``, ``fd`` the write end
-    of a pipe whose read end is this process's ``fd``."""
+    of a pipe whose read end is this process's ``fd``; it exits 0 when
+    ``work`` returns and 1 when it raises."""
 
     def __init__(self, work, *args):
         global _in_worker
