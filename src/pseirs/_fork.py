@@ -1,27 +1,26 @@
-"""Forked processes, shared by the sweep pool and the trajectory CSV
-reader of ``analyze`` (``scenario``) and the CSV formatters (``stats``):
-how many processes may share a job, the one filter for Python 3.12's
-warning on ``fork()``, and ``Child``, where every formatter and parser
-child is started, ended and reaped.  A child first closes every pipe end
-``_fork`` handed to its parent that is still open, so it holds only its
-own, and a closed read end means EPIPE to the one child that writes it.
-It exits 0 when its work returns and 1 when the work raises.
+"""Forked processes, shared by the sweep (``scenario``), the trajectory
+CSV reader of ``analyze`` and the CSV formatters (``stats``): how many
+processes may share a job, and ``Child``, where every sweep worker,
+formatter and parser child is started, ended and reaped.  A child first
+closes every pipe end ``_fork`` handed to its parent that is still open,
+so it holds only its own, and a closed read end means EPIPE to the one
+child that writes it.  It exits 0 when its work returns and 1 when the
+work raises.
 
-Forking goes one level deep: a sweep's pool workers and every ``Child``
-fork nothing of their own (``fork_width`` is 1 there), so a run's
-trajectory is formatted during the solve, and a large phase plane split
-over processes, only outside a pool.  ``analyze`` parses a long pSEIRS
-trajectory in one forked child while it rebuilds the derivative rows.
+Forking goes one level deep: every ``Child`` forks nothing of its own
+(``fork_width`` is 1 there), so a run's trajectory is formatted during
+the solve, and a large phase plane split over processes, only outside a
+sweep worker.  ``analyze`` parses a long pSEIRS trajectory in one forked
+child while it rebuilds the derivative rows.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import threading
 import warnings
 
-# set in a sweep pool's workers (``enter_worker``) and in every ``Child``
+# set in every ``Child``
 _in_worker = False
 # the pipe ends ``pipe`` and ``Child`` handed to this process, while open
 _ends: set[int] = set()
@@ -34,33 +33,12 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def enter_worker() -> None:
-    """Pool initializer: this process forks no processes of its own."""
-    global _in_worker
-    _in_worker = True
-
-
 def fork_width(parts: int) -> int:
     """Processes to share ``parts`` pieces of work: one per usable CPU and
-    at most one per piece; 1 without ``os.fork``, in a pool worker and in
-    a ``Child``."""
+    at most one per piece; 1 without ``os.fork`` and in a ``Child``."""
     if _in_worker or not hasattr(os, "fork"):
         return 1
     return min(parts, usable_cpus())
-
-
-@contextlib.contextmanager
-def fork_warning_filtered():
-    """Hide Python 3.12+'s DeprecationWarning on ``fork()`` from a process
-    with OS threads, such as numpy's BLAS pool, while no other Python
-    thread runs: none can then hold a lock a child needs.  With another
-    Python thread running the warning still shows."""
-    with warnings.catch_warnings():
-        if threading.active_count() == 1:
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=\d+\) is multi-threaded, "
-                r"use of fork\(\)", DeprecationWarning)
-        yield
 
 
 def pipe() -> tuple[int, int]:
@@ -88,7 +66,14 @@ class Child:
         r, w = os.pipe()
         _ends.add(r)
         try:
-            with fork_warning_filtered():
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on fork() with OS threads, such as
+                # numpy's BLAS pool; with no other Python thread running,
+                # none can hold a lock the child needs
+                if threading.active_count() == 1:
+                    warnings.filterwarnings(
+                        "ignore", r"This process \(pid=\d+\) is "
+                        r"multi-threaded, use of fork\(\)", DeprecationWarning)
                 pid = os.fork()
         except BaseException:
             close_end(r)

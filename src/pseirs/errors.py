@@ -62,5 +62,5 @@ class InsufficientTail(PseirsError):
 
 
 class WorkerDied(PseirsError):
-    """A forked process, a sweep worker or a CSV formatter, exited without
-    returning its run or all of its text."""
+    """A forked process, a sweep worker or a CSV formatter, exited non-zero
+    or without returning its runs or all of its text."""

@@ -16,9 +16,9 @@ import dataclasses
 import io
 import json
 import math
+import pickle
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -598,9 +598,9 @@ def _sweep_member(base_config: dict, parameter: str, idx: int, value,
                   out_dir: Path) -> dict:
     """Run one sweep member into ``out_dir/run_<idx>`` and return its entry.
 
-    A ``PseirsError`` becomes the entry's error record here, inside the
+    A ``PseirsError`` becomes the entry's error record here, in the
     worker: ``InvalidParameter`` cannot be rebuilt from its ``args``, so
-    only entries and other exceptions (``OSError``) cross the pipe.
+    only entries and other exceptions (``OSError``) are pickled back.
     """
     raw = copy.deepcopy(base_config)
     node, leaf = _resolve_path(raw, parameter)
@@ -617,43 +617,68 @@ def _sweep_member(base_config: dict, parameter: str, idx: int, value,
     return entry
 
 
-def _map_members(workers: int, members: tuple) -> list:
-    """``list(map(*members))``, with the calls spread over ``workers``
-    forked processes where there are two or more."""
-    if workers > 1:
-        # imported here: multiprocessing adds to every command's start-up
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        try:
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     initializer=_fork.enter_worker) as pool:
-                with _fork.fork_warning_filtered():
-                    entries = pool.map(*members)  # forks every worker
-                return list(entries)  # leaving waits for every worker
-        except BrokenProcessPool as exc:
-            raise WorkerDied("a sweep worker exited without returning "
-                             f"its run: {exc}") from None
-    return list(map(*members))
+def _member_worker(fd, members: list) -> None:
+    """A sweep worker's work: the entries of ``members``, or the exception
+    one raised (never a ``PseirsError``), pickled to the pipe ``fd``."""
+    try:
+        sent = [_sweep_member(*args) for args in members]
+    except Exception as exc:  # re-raised by the sweep
+        sent = exc
+    with open(fd, "wb") as pipe:
+        pickle.dump(sent, pipe)
+
+
+def _map_members(members: list) -> list:
+    """The entries of ``members``, argument tuples of ``_sweep_member``,
+    in order.  With W = ``fork_width(len(members))`` of two or more,
+    forked worker w runs members w, w+W, ...  A worker's exception is
+    raised here, and one that exits non-zero or sends what cannot be
+    unpickled raises ``WorkerDied``; the first in worker order wins."""
+    width = _fork.fork_width(len(members))
+    if width == 1:
+        return [_sweep_member(*args) for args in members]
+    results, workers = [None] * len(members), []
+    try:
+        for w in range(width):
+            workers.append(_fork.Child(_member_worker, members[w::width]))
+        for w, worker in enumerate(workers):
+            with open(worker.fd, "rb", closefd=False) as pipe:
+                try:
+                    sent = pickle.load(pipe)
+                except Exception:  # cut short, or an exception's own args
+                    sent = None
+            if worker.wait() != 0 or sent is None:
+                raise WorkerDied(f"a sweep worker (exit code {worker.code}) "
+                                 "did not return its runs")
+            if isinstance(sent, Exception):
+                raise sent
+            results[w::width] = sent
+        return results
+    finally:
+        for worker in workers:
+            worker.close()
 
 
 def sweep_scenario(base_config: dict, parameter: str, values, out_dir) -> list:
     """Run one scenario per value of ``parameter`` (a dotted config path).
 
-    Members run in forked worker processes, one per usable CPU and at most
-    one per value; with one CPU, one value or no ``os.fork`` they run one
-    after another in this process.  A worker formats its CSV text alone,
-    forking nothing.  Both ways write the same bytes.  Per-run failures
-    are recorded in the corresponding entry and the sweep continues;
-    results keep the input order.  Writes ``sweep.json``.  A worker that
-    dies without returning its entry stops the sweep with ``WorkerDied``.
+    Members run in forked ``_fork.Child`` workers, one per usable CPU and
+    at most one per value; with one CPU, one value or no ``os.fork`` they
+    run one after another in this process.  A worker formats its CSV text
+    alone, forking nothing.  Both ways write the same bytes.  Per-run
+    failures are recorded in the corresponding entry and the sweep goes
+    on; results keep the input order.  Writes ``sweep.json``; a value that
+    is not finite (not JSON) fails first.  A worker that dies without
+    returning its entries stops the sweep with ``WorkerDied``.
     """
     _resolve_path(base_config, parameter)  # fail fast on a bad path
     values = list(values)
+    for value in values:
+        _require(not isinstance(value, float) or math.isfinite(value),
+                 "values", value, "finite numbers")
     out = Path(out_dir)
-    members = (_sweep_member, repeat(base_config), repeat(parameter),
-               range(len(values)), values, repeat(out))
-    results = _map_members(_fork.fork_width(len(values)), members)
+    results = _map_members([(base_config, parameter, idx, value, out)
+                            for idx, value in enumerate(values)])
     out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.json").write_text(_json_text(results))
     return results

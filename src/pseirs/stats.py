@@ -130,7 +130,7 @@ def trajectory_stream(step: float, states: int, rows: int):
     compartments, or None where ``csv_row_blocks`` is to format its table
     after the solve: below CSV_SPLIT_MIN_VALUES values, where a fork costs
     more than it saves, and without a second process to run it
-    (``fork_width``: one CPU, a sweep's pool worker, no ``os.fork``)."""
+    (``fork_width``: one CPU, a sweep worker, no ``os.fork``)."""
     columns = 1 + states + (states == 4)  # t, the states and N
     if rows * columns < CSV_SPLIT_MIN_VALUES or _fork.fork_width(2) == 1:
         return None

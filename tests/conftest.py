@@ -8,8 +8,8 @@ from pseirs.presets import baseline_history, baseline_pseirs
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Every test reaps every process it forked: pool workers, formatter
-    and parser children alike."""
+    """Every test reaps every process it forked: sweep workers, formatter
+    and parser children alike, each a ``_fork.Child``."""
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import errno
 import io
@@ -65,16 +64,18 @@ def streams(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The arguments of every process pool a sweep starts."""
+def workers(monkeypatch):
+    """The members of every worker ``Child`` a sweep starts, one list of
+    ``_sweep_member`` argument tuples per worker."""
     started = []
 
-    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(args)
-            super().__init__(*args, **kwargs)
+    class RecordedChild(_fork.Child):
+        def __init__(self, work, *args):
+            if work is scenario._member_worker:
+                started.append(*args)
+            super().__init__(work, *args)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(_fork, "Child", RecordedChild)
     return started
 
 
@@ -90,6 +91,28 @@ def exit_at_second_member(base_config, parameter, idx, value, out_dir):
     """A sweep member whose worker dies at the second value."""
     if idx == 1:
         os._exit(3)
+    return _sweep_member(base_config, parameter, idx, value, out_dir)
+
+
+def kill_at_second_member(base_config, parameter, idx, value, out_dir):
+    """A sweep member whose worker is killed at the second value."""
+    if idx == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _sweep_member(base_config, parameter, idx, value, out_dir)
+
+
+class TwoArgumentError(Exception):
+    """An exception that pickles but does not unpickle: its ``args`` hold
+    one message, and its ``__init__`` takes two arguments."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+
+
+def raise_at_second_member(base_config, parameter, idx, value, out_dir):
+    """A sweep member that raises ``TwoArgumentError`` at the second value."""
+    if idx == 1:
+        raise TwoArgumentError("member 1", "failed")
     return _sweep_member(base_config, parameter, idx, value, out_dir)
 
 
@@ -349,12 +372,12 @@ def test_trajectory_csv_round_trip(tmp_path, canonical_params,
     assert path.read_text() == first
 
 
-def test_sweep_orders_and_continues_on_error(tmp_path, monkeypatch, pools):
+def test_sweep_orders_and_continues_on_error(tmp_path, monkeypatch, workers):
     raw = load_config("seirs_baseline.json")
     raw["horizon"] = 40
     del raw["analyses"]["integral_equivalence"]
     trees = []
-    for cpus in (2, 1):  # a pool of two workers, then the plain map
+    for cpus in (2, 1):  # two workers, then the members in this process
         monkeypatch.setattr(_fork, "usable_cpus", lambda n=cpus: n)
         out = tmp_path / f"cpus{cpus}"
         results = sweep_scenario(raw, "params.p", [0.25, 2.0, 0.75], out)
@@ -364,31 +387,36 @@ def test_sweep_orders_and_continues_on_error(tmp_path, monkeypatch, pools):
         doc = json.loads((out / "sweep.json").read_text())
         assert len(doc) == 3
         trees.append(tree_bytes(out))
-        assert len(pools) == 1
+        assert [[args[2] for args in members] for members in workers] == [[0, 2], [1]]
     assert {"run_000/trajectory.csv", "run_002/summary.json",
             "sweep.json"} <= set(trees[0])
     assert trees[0] == trees[1]
 
 
-def test_sweep_empty_values(tmp_path, pools):
+def test_sweep_empty_values(tmp_path, workers):
     raw = load_config("seirs_baseline.json")
     results = sweep_scenario(raw, "params.p", [], tmp_path)
     assert results == []
     assert json.loads((tmp_path / "sweep.json").read_text()) == []
-    assert pools == []
+    assert workers == []
 
 
 def test_sweep_worker_death_is_one_error_record(tmp_path, monkeypatch):
-    monkeypatch.setattr(scenario, "_sweep_member", exit_at_second_member)
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
-    stderr_path = tmp_path / "stderr.txt"
-    argv = ["sweep", "--config", str(CONFIG_DIR / "seirs_long_latency.json"),
-            "--param", "params.p", "--values", "0.25,0.5,0.75",
-            "--horizon", "40", "--out", str(tmp_path / "out")]
-    assert run_forked(run_cli, argv, stderr_path) == 1
-    record = json.loads(stderr_path.read_text())
-    assert record["error"]["type"] == "WorkerDied"
-    assert not (tmp_path / "out" / "sweep.json").exists()
+    # a naive pickle channel lets raise_at_second_member's unpickling
+    # TypeError escape as a traceback
+    for member in (exit_at_second_member, kill_at_second_member,
+                   raise_at_second_member):
+        monkeypatch.setattr(scenario, "_sweep_member", member)
+        stderr_path = tmp_path / f"{member.__name__}.txt"
+        out = tmp_path / member.__name__
+        argv = ["sweep", "--config", str(CONFIG_DIR / "seirs_long_latency.json"),
+                "--param", "params.p", "--values", "0.25,0.5,0.75",
+                "--horizon", "40", "--out", str(out)]
+        assert run_forked(run_cli, argv, stderr_path) == 1, member.__name__
+        record = json.loads(stderr_path.read_text())
+        assert record["error"]["type"] == "WorkerDied", member.__name__
+        assert not (out / "sweep.json").exists()
 
 
 @pytest.mark.parametrize("cpus", [2, 1], ids=["pool", "serial"])
@@ -500,7 +528,7 @@ def test_streamed_runs_write_the_serial_bytes(tmp_path, monkeypatch, streams):
     assert not children_left()
 
 
-def test_sweep_workers_format_csv_serially(tmp_path, monkeypatch, pools):
+def test_sweep_workers_format_csv_serially(tmp_path, monkeypatch, workers):
     raw = load_config("seirs_baseline.json")
     raw["horizon"] = 120
     del raw["analyses"]["integral_equivalence"]
@@ -509,22 +537,29 @@ def test_sweep_workers_format_csv_serially(tmp_path, monkeypatch, pools):
     # alone, a run streams its trajectory and splits its phase CSV
     alone = member_counting_forks(raw, "params.p", 0, 0.5, tmp_path / "alone")
     assert alone["forks"] == 2
-    results = sweep_scenario(raw, "params.p", [0.5, 1.0], tmp_path / "pool")
-    assert len(pools) == 1
+    results = sweep_scenario(raw, "params.p", [0.5, 1.0], tmp_path / "sweep")
+    assert len(workers) == 2
     assert [r["forks"] for r in results] == [0, 0]
 
 
-def test_cli_import_leaves_out_multiprocessing():
-    # the sweep imports them when it starts workers; every command pays
-    # for what `import pseirs.cli` imports
-    code = ("import sys, pseirs.cli; print([m for m in ('multiprocessing', "
-            "'concurrent.futures') if m in sys.modules])")
+def test_cli_import_leaves_out_multiprocessing(tmp_path):
+    # every command pays for what it imports; a sweep's workers are
+    # forked by _fork.Child, which needs neither module
+    code = ("import sys, pseirs.cli; from pseirs import _fork; "
+            "_fork.usable_cpus = lambda: 2; code = pseirs.cli.main(sys.argv[1:]); "
+            "print(code, [m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules])")
+    argv = ["sweep", "--config", str(CONFIG_DIR / "seirs_long_latency.json"),
+            "--param", "params.p", "--values", "0.25,0.5", "--horizon", "40",
+            "--out", str(tmp_path / "out")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120,
                           check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    assert [entry["status"] for entry in doc] == ["ok", "ok"]
 
 
 def test_sweep_bad_path_fails_fast(tmp_path):
@@ -691,6 +726,7 @@ class TestCli:
 
     @pytest.mark.parametrize("config, argv", [
         (None, ["sweep", "--param", "params.p", "--values", "a,b"]),
+        (None, ["sweep", "--param", "params.p", "--values", "0.5,nan"]),
         ({"out_dir": 5}, ["simulate"]),
         ([1, 2], ["simulate", "--horizon", "40"]),
         ([1, 2], ["sweep", "--param", "horizon", "--values", "40", "--step", "0.01"]),
@@ -700,7 +736,8 @@ class TestCli:
         (None, ["simulate", "--step", "1e-13"]),
         ("sir_low_infectivity.json", ["simulate", "--step", "1e-9"]),
         (None, ["simulate", "--step", "5e-324"]),
-    ], ids=["non_numeric_sweep_values", "non_string_out_dir",
+    ], ids=["non_numeric_sweep_values", "non_finite_sweep_value",
+            "non_string_out_dir",
             "list_root_with_horizon", "list_root_with_step", "string_root_with_seed",
             "infinite_horizon", "step_count_above_cap", "sir_step_count_above_cap",
             "step_count_overflows"])
