@@ -1,11 +1,10 @@
-"""Forked processes, shared by the sweep (``scenario``), the trajectory
-CSV reader of ``analyze`` and the CSV formatters (``stats``): how many
-processes may share a job, and ``Child``, where every sweep worker,
-formatter and parser child is started, ended and reaped.  A child first
-closes every pipe end ``_fork`` handed to its parent that is still open,
-so it holds only its own, and a closed read end means EPIPE to the one
-child that writes it.  It exits 0 when its work returns and 1 when the
-work raises.
+"""Forked processes for the sweep and ``analyze``'s CSV reader
+(``scenario``) and the CSV formatters (``stats``): how many processes may
+share a job, and ``Child``, where every sweep worker, formatter and parser
+child is started, ended and reaped.  A child first closes every pipe end
+``_fork`` handed to its parent that is still open, so it holds only its
+own, and a closed read end means EPIPE to the one child that writes it.
+It exits 0 when its work returns and 1 when the work raises.
 
 Forking goes one level deep: every ``Child`` forks nothing of its own
 (``fork_width`` is 1 there), so a run's trajectory is formatted during
@@ -17,6 +16,7 @@ child while it rebuilds the derivative rows.
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import warnings
 
@@ -67,9 +67,8 @@ class Child:
         _ends.add(r)
         try:
             with warnings.catch_warnings():
-                # Python 3.12+ warns on fork() with OS threads, such as
-                # numpy's BLAS pool; with no other Python thread running,
-                # none can hold a lock the child needs
+                # Python 3.12+ warns on fork() with OS threads (numpy's BLAS
+                # pool); with no other Python thread, none holds a lock here
                 if threading.active_count() == 1:
                     warnings.filterwarnings(
                         "ignore", r"This process \(pid=\d+\) is "
@@ -98,6 +97,11 @@ class Child:
         if self.code is None:
             self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         return self.code
+
+    def kill(self) -> None:
+        """End the child with SIGKILL, unless it has been reaped."""
+        if self.code is None:
+            os.kill(self.pid, signal.SIGKILL)
 
     def close(self) -> None:
         """Close the read end, then reap the child: one blocked on a full

@@ -629,11 +629,10 @@ def _member_worker(fd, members: list) -> None:
 
 
 def _map_members(members: list) -> list:
-    """The entries of ``members``, argument tuples of ``_sweep_member``,
-    in order.  With W = ``fork_width(len(members))`` of two or more,
-    forked worker w runs members w, w+W, ...  A worker's exception is
-    raised here, and one that exits non-zero or sends what cannot be
-    unpickled raises ``WorkerDied``; the first in worker order wins."""
+    """The entries of ``members``, argument tuples of ``_sweep_member``.
+    With W = ``fork_width(len(members))`` > 1, forked worker w runs members
+    w, w+W, ...; the first worker to send an exception, exit non-zero or
+    send what does not unpickle (``WorkerDied``) stops the sweep and kills the rest."""
     width = _fork.fork_width(len(members))
     if width == 1:
         return [_sweep_member(*args) for args in members]
@@ -642,20 +641,18 @@ def _map_members(members: list) -> list:
         for w in range(width):
             workers.append(_fork.Child(_member_worker, members[w::width]))
         for w, worker in enumerate(workers):
-            with open(worker.fd, "rb", closefd=False) as pipe:
-                try:
-                    sent = pickle.load(pipe)
-                except Exception:  # cut short, or an exception's own args
-                    sent = None
+            sent = None  # stays None if cut short, or if an exception will not unpickle
+            with open(worker.fd, "rb", closefd=False) as pipe, contextlib.suppress(Exception):
+                sent = pickle.load(pipe)
             if worker.wait() != 0 or sent is None:
-                raise WorkerDied(f"a sweep worker (exit code {worker.code}) "
-                                 "did not return its runs")
+                raise WorkerDied(f"a sweep worker (exit code {worker.code}) did not return its runs")
             if isinstance(sent, Exception):
                 raise sent
             results[w::width] = sent
         return results
     finally:
         for worker in workers:
+            worker.kill()  # one not reaped yet: the sweep failed
             worker.close()
 
 
@@ -667,15 +664,14 @@ def sweep_scenario(base_config: dict, parameter: str, values, out_dir) -> list:
     run one after another in this process.  A worker formats its CSV text
     alone, forking nothing.  Both ways write the same bytes.  Per-run
     failures are recorded in the corresponding entry and the sweep goes
-    on; results keep the input order.  Writes ``sweep.json``; a value that
-    is not finite (not JSON) fails first.  A worker that dies without
-    returning its entries stops the sweep with ``WorkerDied``.
+    on; results keep the input order.  Writes ``sweep.json``.  A worker
+    that dies without returning its entries stops the sweep with
+    ``WorkerDied``.
     """
     _resolve_path(base_config, parameter)  # fail fast on a bad path
     values = list(values)
-    for value in values:
-        _require(not isinstance(value, float) or math.isfinite(value),
-                 "values", value, "finite numbers")
+    for value in values:  # fail fast: sweep.json must be JSON
+        _require(not isinstance(value, float) or math.isfinite(value), "values", value, "finite numbers")
     out = Path(out_dir)
     results = _map_members([(base_config, parameter, idx, value, out)
                             for idx, value in enumerate(values)])

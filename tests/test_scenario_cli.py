@@ -94,6 +94,13 @@ def exit_at_second_member(base_config, parameter, idx, value, out_dir):
     return _sweep_member(base_config, parameter, idx, value, out_dir)
 
 
+def exit_at_first_member(base_config, parameter, idx, value, out_dir):
+    """A sweep member whose worker dies at the first value."""
+    if idx == 0:
+        os._exit(3)
+    return _sweep_member(base_config, parameter, idx, value, out_dir)
+
+
 def kill_at_second_member(base_config, parameter, idx, value, out_dir):
     """A sweep member whose worker is killed at the second value."""
     if idx == 1:
@@ -417,6 +424,19 @@ def test_sweep_worker_death_is_one_error_record(tmp_path, monkeypatch):
         record = json.loads(stderr_path.read_text())
         assert record["error"]["type"] == "WorkerDied", member.__name__
         assert not (out / "sweep.json").exists()
+
+
+def test_dead_worker_stops_the_other_workers(tmp_path, monkeypatch):
+    # worker 0 dies at once; worker 1, with four 40,001-row runs to go,
+    # is killed rather than waited for
+    monkeypatch.setattr(scenario, "_sweep_member", exit_at_first_member)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    raw = load_config("seirs_baseline.json")
+    values = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    with pytest.raises(WorkerDied, match="exit code 3"):
+        sweep_scenario(raw, "params.p", values, tmp_path)
+    assert not (tmp_path / "run_007").exists()
+    assert not (tmp_path / "sweep.json").exists()
 
 
 @pytest.mark.parametrize("cpus", [2, 1], ids=["pool", "serial"])
