@@ -63,4 +63,4 @@ class InsufficientTail(PseirsError):
 
 class WorkerDied(PseirsError):
     """A forked process, a sweep worker or a CSV formatter, exited non-zero
-    or without returning its runs or all of its text."""
+    or without returning its run or all of its text."""

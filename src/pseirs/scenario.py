@@ -14,9 +14,11 @@ import contextlib
 import copy
 import dataclasses
 import io
+import itertools
 import json
 import math
 import pickle
+import select
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -597,11 +599,8 @@ def _resolve_path(raw: dict, dotted: str):
 def _sweep_member(base_config: dict, parameter: str, idx: int, value,
                   out_dir: Path) -> dict:
     """Run one sweep member into ``out_dir/run_<idx>`` and return its entry.
-
-    A ``PseirsError`` becomes the entry's error record here, in the
-    worker: ``InvalidParameter`` cannot be rebuilt from its ``args``, so
-    only entries and other exceptions (``OSError``) are pickled back.
-    """
+    A ``PseirsError`` becomes the entry's error record here, in the worker:
+    ``InvalidParameter`` cannot be rebuilt from its ``args`` when unpickled."""
     raw = copy.deepcopy(base_config)
     node, leaf = _resolve_path(raw, parameter)
     node[leaf] = value
@@ -617,11 +616,10 @@ def _sweep_member(base_config: dict, parameter: str, idx: int, value,
     return entry
 
 
-def _member_worker(fd, members: list) -> None:
-    """A sweep worker's work: the entries of ``members``, or the exception
-    one raised (never a ``PseirsError``), pickled to the pipe ``fd``."""
+def _member_worker(fd, args: tuple) -> None:
+    """A sweep worker: one member's entry, or what it raised, pickled to ``fd``."""
     try:
-        sent = [_sweep_member(*args) for args in members]
+        sent = _sweep_member(*args)
     except Exception as exc:  # re-raised by the sweep
         sent = exc
     with open(fd, "wb") as pipe:
@@ -630,44 +628,46 @@ def _member_worker(fd, members: list) -> None:
 
 def _map_members(members: list) -> list:
     """The entries of ``members``, argument tuples of ``_sweep_member``.
-    With W = ``fork_width(len(members))`` > 1, forked worker w runs members
-    w, w+W, ...; the first worker to send an exception, exit non-zero or
-    send what does not unpickle (``WorkerDied``) stops the sweep and kills the rest."""
+    With W = ``fork_width(len(members))`` > 1, each member runs in its own
+    forked worker, at most W at once, the next starting as one ends; the
+    first worker to end with an exception, a non-zero exit or what does not
+    unpickle (``WorkerDied``) stops the sweep and kills the rest."""
     width = _fork.fork_width(len(members))
     if width == 1:
         return [_sweep_member(*args) for args in members]
-    results, workers = [None] * len(members), []
+    results, todo, running = [None] * len(members), iter(enumerate(members)), {}
     try:
-        for w in range(width):
-            workers.append(_fork.Child(_member_worker, members[w::width]))
-        for w, worker in enumerate(workers):
-            sent = None  # stays None if cut short, or if an exception will not unpickle
-            with open(worker.fd, "rb", closefd=False) as pipe, contextlib.suppress(Exception):
-                sent = pickle.load(pipe)
-            if worker.wait() != 0 or sent is None:
-                raise WorkerDied(f"a sweep worker (exit code {worker.code}) did not return its runs")
-            if isinstance(sent, Exception):
-                raise sent
-            results[w::width] = sent
-        return results
+        while True:
+            for idx, args in itertools.islice(todo, width - len(running)):
+                worker = _fork.Child(_member_worker, args)
+                running[worker.fd] = idx, worker
+            if not running:
+                return results
+            for fd in select.select(list(running), [], [])[0]:  # wrote or ended
+                idx, worker = running[fd]
+                sent = None  # stays None if cut short, or if an exception will not unpickle
+                with open(fd, "rb", closefd=False) as pipe, contextlib.suppress(Exception):
+                    sent = pickle.load(pipe)
+                if worker.wait() != 0 or sent is None:
+                    raise WorkerDied(f"a sweep worker (exit code {worker.code}) did not return its run")
+                if isinstance(sent, Exception):
+                    raise sent
+                del running[fd]
+                worker.close()
+                results[idx] = sent
     finally:
-        for worker in workers:
-            worker.kill()  # one not reaped yet: the sweep failed
+        for _, worker in running.values():
+            worker.kill()  # not reaped yet: the sweep failed
             worker.close()
 
 
 def sweep_scenario(base_config: dict, parameter: str, values, out_dir) -> list:
-    """Run one scenario per value of ``parameter`` (a dotted config path).
-
-    Members run in forked ``_fork.Child`` workers, one per usable CPU and
-    at most one per value; with one CPU, one value or no ``os.fork`` they
-    run one after another in this process.  A worker formats its CSV text
-    alone, forking nothing.  Both ways write the same bytes.  Per-run
-    failures are recorded in the corresponding entry and the sweep goes
-    on; results keep the input order.  Writes ``sweep.json``.  A worker
-    that dies without returning its entries stops the sweep with
-    ``WorkerDied``.
-    """
+    """Run one scenario per value of ``parameter`` (a dotted config path)
+    into ``out_dir/run_NNN`` and write ``sweep.json``, the entries in input
+    order.  A run's ``PseirsError`` is its entry's error record and the
+    sweep goes on.  The runs share the usable CPUs (``_map_members``); with
+    one CPU, one value or no ``os.fork`` they run here, one after another.
+    Both ways write the same bytes."""
     _resolve_path(base_config, parameter)  # fail fast on a bad path
     values = list(values)
     for value in values:  # fail fast: sweep.json must be JSON

@@ -65,15 +65,16 @@ def streams(tmp_path, monkeypatch):
 
 @pytest.fixture
 def workers(monkeypatch):
-    """The members of every worker ``Child`` a sweep starts, one list of
-    ``_sweep_member`` argument tuples per worker."""
-    started = []
+    """Every worker ``Child`` a sweep starts, in start order: (the index
+    of its member, the workers alive once it has started)."""
+    started, children = [], []
 
     class RecordedChild(_fork.Child):
         def __init__(self, work, *args):
-            if work is scenario._member_worker:
-                started.append(*args)
             super().__init__(work, *args)
+            if work is scenario._member_worker:
+                children.append(self)
+                started.append((args[0][2], sum(c.code is None for c in children)))
 
     monkeypatch.setattr(_fork, "Child", RecordedChild)
     return started
@@ -394,7 +395,9 @@ def test_sweep_orders_and_continues_on_error(tmp_path, monkeypatch, workers):
         doc = json.loads((out / "sweep.json").read_text())
         assert len(doc) == 3
         trees.append(tree_bytes(out))
-        assert [[args[2] for args in members] for members in workers] == [[0, 2], [1]]
+        # one worker per member, at most two alive, none more at 1 CPU
+        assert [idx for idx, _ in workers] == [0, 1, 2]
+        assert max(alive for _, alive in workers) == 2
     assert {"run_000/trajectory.csv", "run_002/summary.json",
             "sweep.json"} <= set(trees[0])
     assert trees[0] == trees[1]
@@ -426,16 +429,18 @@ def test_sweep_worker_death_is_one_error_record(tmp_path, monkeypatch):
         assert not (out / "sweep.json").exists()
 
 
-def test_dead_worker_stops_the_other_workers(tmp_path, monkeypatch):
-    # worker 0 dies at once; worker 1, with four 40,001-row runs to go,
-    # is killed rather than waited for
-    monkeypatch.setattr(scenario, "_sweep_member", exit_at_first_member)
+@pytest.mark.parametrize("member", [exit_at_first_member, exit_at_second_member],
+                         ids=["first", "second"])
+def test_dead_worker_stops_the_other_workers(tmp_path, monkeypatch, member):
+    # the worker of member 0 or 1 dies at once; the other, in a 40,001-row
+    # run, is killed rather than waited for, and members 2-7 never start
+    monkeypatch.setattr(scenario, "_sweep_member", member)
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     raw = load_config("seirs_baseline.json")
     values = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     with pytest.raises(WorkerDied, match="exit code 3"):
         sweep_scenario(raw, "params.p", values, tmp_path)
-    assert not (tmp_path / "run_007").exists()
+    assert not any((tmp_path / f"run_{idx:03d}").exists() for idx in range(2, 8))
     assert not (tmp_path / "sweep.json").exists()
 
 
