@@ -7,10 +7,11 @@ own, and a closed read end means EPIPE to the one child that writes it.
 It exits 0 when its work returns and 1 when the work raises.
 
 Forking goes one level deep: every ``Child`` forks nothing of its own
-(``fork_width`` is 1 there), so a run's trajectory is formatted during
-the solve, and a large phase plane split over processes, only outside a
-sweep worker.  ``analyze`` parses a long pSEIRS trajectory in one forked
-child while it rebuilds the derivative rows.
+(``fork_width`` is 1 there), so a pSEIRS trajectory is formatted during
+the solve, and a large phase plane or SIR trajectory split over
+processes after it, only outside a sweep worker.  ``analyze`` parses a
+long pSEIRS trajectory in one forked child while it rebuilds the
+derivative rows.
 """
 
 from __future__ import annotations

@@ -236,11 +236,11 @@ def write_trajectory_csv(traj: Trajectory, path: Path,
                          stream: TrajectoryStream | None = None) -> None:
     """``t``, the states and, for four compartments, ``N = ((S+E)+I)+R``.
 
-    With ``stream``, the ``TrajectoryStream`` the solver sent ``traj``'s
-    rows to, the lines are its child's text, copied into the file in
-    chunks of at most 64 KB.  Without it they come from
-    ``csv_row_blocks``, so a large trajectory is formatted on up to one
-    process per usable CPU.  Either way a child that dies or sends too
+    With ``stream``, the ``TrajectoryStream`` the delayed solver sent
+    ``traj``'s rows to, the lines are its child's text, copied into the
+    file in chunks of at most 64 KB.  Without it, as for every SIR run,
+    they come from ``csv_row_blocks`` after the solve, so a large
+    trajectory is formatted on up to one process per usable CPU.  Either way a child that dies or sends too
     few lines raises ``WorkerDied``.  A write that fails part-way leaves a
     partial file; the stream's owner closes the stream."""
     header = ["t", *traj.labels]
@@ -451,14 +451,16 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
 
     The solve and every analysis finish before anything touches the
     filesystem, so a config that fails writes no files.  Where it pays,
-    a forked child formats ``trajectory.csv`` during the solve and the
-    analyses (``trajectory_stream``), closed on every path.
+    a forked child formats a pSEIRS ``trajectory.csv`` during the solve
+    and the analyses (``trajectory_stream``), closed on every path; an
+    SIR trajectory is formatted after them, like a phase plane.
     """
+    steps = step_count(config.horizon, config.step)
     if config.model == "pseirs" and ("classify" in config.analyses
                                      or "integral_equivalence" in config.analyses):
         # the analyses' own check, on the horizon the solver will reach,
         # before the network and the solve
-        end = step_count(config.horizon, config.step) * config.step
+        end = steps * config.step
         kap = kappa(config.params)
         if end <= kap:
             raise TrajectoryTooShort(f"horizon {end} must exceed kappa {kap}")
@@ -466,12 +468,15 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     outputs = {"trajectory": "trajectory.csv"}
     if graph is not None:
         outputs["network"] = ["edges.txt", "graph.json"]
-    simulate = simulate_sir if config.model == "sir" else simulate_pseirs
-    stream = trajectory_stream(config.step, 3 if config.model == "sir" else 4,
-                               step_count(config.horizon, config.step) + 1)
+    stream = None
     try:
-        traj = simulate(params, config.init, config.horizon, config.step,
-                        rows_out=None if stream is None else stream.send)
+        if config.model == "sir":
+            traj = simulate_sir(params, config.init, config.horizon, config.step)
+        else:
+            stream = trajectory_stream(config.step, steps + 1)
+            rows_out = None if stream is None else stream.send
+            traj = simulate_pseirs(params, config.init, config.horizon,
+                                   config.step, rows_out=rows_out)
         summary, planes = _run_analyses(config, traj, params, network_info,
                                         outputs)
 

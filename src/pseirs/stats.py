@@ -1,7 +1,8 @@
 """Per-compartment summary statistics, phase-plane series extraction and
-the CSV formatting of tables: ``csv_row_blocks`` formats a whole table,
-split over forked children when it is large, and ``trajectory_stream``
-formats a run's trajectory in one forked child while the solver runs.
+the CSV formatting of tables: ``csv_row_blocks`` formats a whole table
+after the solve, split over forked children when it is large, as for a
+phase plane or an SIR trajectory, and ``trajectory_stream`` formats a
+pSEIRS trajectory in one forked child while the delayed solver runs.
 
 Means are arithmetic means over the discrete samples in the window, not
 time integrals; extrema are exact over the same samples.
@@ -111,37 +112,36 @@ def trajectory_table(times, states):
     return np.column_stack(columns)
 
 
-def _streamed_blocks(fd, step: float, states: int):
-    """``trajectory_table`` blocks of the float64 state rows read from the
-    pipe ``fd`` until it closes, row k at t = k*step, as the solver's
-    ``np.arange(n) * step``."""
+def _streamed_blocks(fd, step: float):
+    """``trajectory_table`` blocks of the float64 (S, E, I, R) rows read
+    from the pipe ``fd`` until it closes, row k at t = k*step, as the
+    solver's ``np.arange(n) * step``."""
     k = 0
     with open(fd, "rb") as pipe:
         # a buffered read returns less than asked only at the end
-        while data := pipe.read(CSV_BLOCK_ROWS * states * 8):
-            block = np.frombuffer(data).reshape(-1, states)
+        while data := pipe.read(CSV_BLOCK_ROWS * 4 * 8):
+            block = np.frombuffer(data).reshape(-1, 4)
             times = np.arange(k, k + len(block), dtype=float) * step
             yield trajectory_table(times, block)
             k += len(block)
 
 
-def trajectory_stream(step: float, states: int, rows: int):
-    """A ``TrajectoryStream`` for a run of ``rows`` rows of ``states``
-    compartments, or None where ``csv_row_blocks`` is to format its table
-    after the solve: below CSV_SPLIT_MIN_VALUES values, where a fork costs
-    more than it saves, and without a second process to run it
-    (``fork_width``: one CPU, a sweep worker, no ``os.fork``)."""
-    columns = 1 + states + (states == 4)  # t, the states and N
-    if rows * columns < CSV_SPLIT_MIN_VALUES or _fork.fork_width(2) == 1:
+def trajectory_stream(step: float, rows: int):
+    """A ``TrajectoryStream`` for a pSEIRS run of ``rows`` rows, or None
+    where ``csv_row_blocks`` is to format its table after the solve: below
+    CSV_SPLIT_MIN_VALUES values, where a fork costs more than it saves,
+    and without a second process to run it (``fork_width``: one CPU, a
+    sweep worker, no ``os.fork``)."""
+    if rows * 6 < CSV_SPLIT_MIN_VALUES or _fork.fork_width(2) == 1:
         return None
-    return TrajectoryStream(step, states, rows, _row_format(columns))
+    return TrajectoryStream(step, rows)
 
 
 class TrajectoryStream:
-    """The ``trajectory.csv`` lines of a run, formatted by one forked child
-    while the solver runs.
+    """The ``trajectory.csv`` lines of a pSEIRS run, the six columns
+    ``t,S,E,I,R,N``, formatted by one forked child while the solver runs.
 
-    The solver calls ``send`` with its state rows, in order, as it
+    The solver calls ``send`` with its (S, E, I, R) rows, in order, as it
     finishes them; they reach the child in batches of CSV_BLOCK_ROWS rows
     or more, and the pipe is closed once all ``rows`` rows are sent.  The
     child writes its text only then, so it never waits on this process
@@ -149,23 +149,23 @@ class TrajectoryStream:
     ``send`` waits only while the rows pipe is full.
     """
 
-    def __init__(self, step: float, states: int, rows: int, row: str):
+    def __init__(self, step: float, rows: int):
         r, self._w = _fork.pipe()
         try:
-            self._child = _fork.Child(_format_child,
-                                      _streamed_blocks(r, step, states), row)
+            self._child = _fork.Child(_format_child, _streamed_blocks(r, step),
+                                      _row_format(6))
         except BaseException:
             _fork.close_end(self._w)
             raise
         finally:
             os.close(r)
-        self._rows = open(self._w, "wb", buffering=CSV_BLOCK_ROWS * states * 8,
+        self._rows = open(self._w, "wb", buffering=CSV_BLOCK_ROWS * 4 * 8,
                           closefd=False)
         self._left = self.rows = rows
 
     def send(self, states: np.ndarray) -> None:
-        """Pass on the next finished state rows, a C-contiguous array; the
-        ``rows_out`` of ``simulate_pseirs`` and ``simulate_sir``."""
+        """Pass on the next finished (S, E, I, R) rows, a C-contiguous
+        array; the ``rows_out`` of ``simulate_pseirs``."""
         try:
             self._rows.write(states)
         except BrokenPipeError:

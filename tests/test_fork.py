@@ -138,7 +138,7 @@ def test_phase_plane_formatter_holds_no_stream_end(tmp_path, monkeypatch):
         format_child(fd, reported_blocks(), row)
 
     rows = -(-stats.CSV_SPLIT_MIN_VALUES // 6)  # t, S, E, I, R and N
-    stream = stats.trajectory_stream(0.5, 4, rows)
+    stream = stats.trajectory_stream(0.5, rows)
     try:
         stream.send(np.ones((rows, 4)))
         monkeypatch.setattr(stats, "_format_child", reporting_child)

@@ -465,7 +465,7 @@ def test_sweep_worker_os_error_is_an_error_record(tmp_path, capsys,
     (short_csv_child, "seirs_baseline.json"),
     # the copy of trajectory.csv fails: the child read every row
     (exit_after_rows_child, "seirs_long_latency.json"),
-    (short_after_rows_child, "sir_low_infectivity.json"),
+    (short_after_rows_child, "seirs_low_immunity.json"),
 ], ids=["exit", "short", "exit-after-rows", "short-after-rows"])
 def test_csv_child_death_is_one_error_record(tmp_path, monkeypatch, streams,
                                              child, config):
@@ -479,6 +479,27 @@ def test_csv_child_death_is_one_error_record(tmp_path, monkeypatch, streams,
     assert record["error"]["type"] == "WorkerDied"
     assert not (tmp_path / "out" / "summary.json").exists()
     assert len(streams.read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("child", [exit_csv_child, short_csv_child],
+                         ids=["exit", "short"])
+def test_sir_trajectory_split_death_is_one_error_record(tmp_path, monkeypatch,
+                                                        streams, child):
+    # no phase plane: the child that dies formats half of trajectory.csv,
+    # split after the solve
+    raw = load_config("sir_low_infectivity.json")
+    del raw["analyses"]["phase_plane"]
+    config = tmp_path / "sir.json"
+    config.write_text(json.dumps(raw))
+    monkeypatch.setattr(stats, "_format_child", child)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    stderr_path = tmp_path / "stderr.txt"
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert run_forked(run_cli, argv, stderr_path) == 1
+    record = json.loads(stderr_path.read_text())
+    assert record["error"]["type"] == "WorkerDied"
+    assert not (tmp_path / "out" / "summary.json").exists()
+    assert streams.read_text() == ""
 
 
 @pytest.mark.parametrize("child", [exit_csv_child, short_csv_child],
@@ -535,9 +556,44 @@ def test_full_disk_reaps_the_stream_child(tmp_path, monkeypatch, streams):
     assert len(streams.read_text().splitlines()) == 1
 
 
+def test_sir_solve_runs_beside_no_child(tmp_path, monkeypatch, streams):
+    # an SIR trajectory is formatted after the solve, split as a phase
+    # plane is, so no child waits on the solver
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    children, alive = [], []
+
+    class RecordedChild(_fork.Child):
+        def __init__(self, work, *args):
+            super().__init__(work, *args)
+            children.append(self)
+
+    def alive_children():
+        return sum(child.code is None for child in children)
+
+    simulate_sir = scenario.simulate_sir
+
+    def watched_simulate_sir(*args, **kwargs):
+        alive.append(alive_children())
+        traj = simulate_sir(*args, **kwargs)
+        alive.append(alive_children())
+        return traj
+
+    monkeypatch.setattr(_fork, "Child", RecordedChild)
+    monkeypatch.setattr(scenario, "simulate_sir", watched_simulate_sir)
+    argv = ["simulate", "--config", str(CONFIG_DIR / "sir_low_infectivity.json"),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert alive == [0, 0]
+    assert streams.read_text() == ""
+    # the phase plane and the trajectory, each split in two
+    assert len(children) == 2
+    assert alive_children() == 0
+
+
 def test_streamed_runs_write_the_serial_bytes(tmp_path, monkeypatch, streams):
-    # every shipped config streams its trajectory at two CPUs; at one the
-    # whole run stays in this process
+    # at two CPUs every pSEIRS config streams its trajectory and each SIR
+    # config splits its trajectory after the solve; at one the whole run
+    # stays in this process
     trees = {}
     for cpus in (2, 1):
         monkeypatch.setattr(_fork, "usable_cpus", lambda n=cpus: n)
@@ -545,7 +601,7 @@ def test_streamed_runs_write_the_serial_bytes(tmp_path, monkeypatch, streams):
             out = tmp_path / f"cpus{cpus}" / path.stem
             assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
             trees[cpus, path.stem] = tree_bytes(out)
-        assert len(streams.read_text().splitlines()) == 6
+        assert len(streams.read_text().splitlines()) == 4
     names = sorted({stem for _, stem in trees})
     assert len(names) == 6
     for stem in names:
