@@ -8,10 +8,9 @@ It exits 0 when its work returns and 1 when the work raises.
 
 Forking goes one level deep: every ``Child`` forks nothing of its own
 (``fork_width`` is 1 there), so a pSEIRS trajectory is formatted during
-the solve, and a large phase plane or SIR trajectory split over
-processes after it, only outside a sweep worker.  ``analyze`` parses a
-long pSEIRS trajectory in one forked child while it rebuilds the
-derivative rows.
+the solve, and a large phase plane or SIR trajectory split after it,
+only outside a sweep worker.  ``analyze`` parses a long pSEIRS
+trajectory in one forked child while it rebuilds the derivative rows.
 """
 
 from __future__ import annotations

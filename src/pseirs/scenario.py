@@ -240,9 +240,10 @@ def write_trajectory_csv(traj: Trajectory, path: Path,
     ``traj``'s rows to, the lines are its child's text, copied into the
     file in chunks of at most 64 KB.  Without it, as for every SIR run,
     they come from ``csv_row_blocks`` after the solve, so a large
-    trajectory is formatted on up to one process per usable CPU.  Either way a child that dies or sends too
-    few lines raises ``WorkerDied``.  A write that fails part-way leaves a
-    partial file; the stream's owner closes the stream."""
+    trajectory is formatted on up to one process per usable CPU.  Either
+    way a child that dies or sends too few lines raises ``WorkerDied``.
+    A write that fails part-way leaves a partial file; the stream's owner
+    closes the stream."""
     header = ["t", *traj.labels]
     if len(traj.labels) == 4:
         header.append("N")

@@ -2,8 +2,8 @@
 reproduction number and the two closed-form limit predictors.
 ``sir_derivative_rows`` evaluates the right-hand side at a whole array of
 states in one numpy pass, with the bits of ``sir_derivatives`` row by row.
-``simulate_sir`` hands its rows to no one during the solve: an SIR
-``trajectory.csv`` is formatted after it, as a phase plane is.
+``simulate_sir`` returns the whole trajectory at once: an SIR
+``trajectory.csv`` is formatted after the solve, as a phase plane is.
 
 The dynamics use unnormalized mass action,
 

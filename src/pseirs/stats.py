@@ -1,8 +1,8 @@
 """Per-compartment summary statistics, phase-plane series extraction and
 the CSV formatting of tables: ``csv_row_blocks`` formats a whole table
-after the solve, split over forked children when it is large, as for a
-phase plane or an SIR trajectory, and ``trajectory_stream`` formats a
-pSEIRS trajectory in one forked child while the delayed solver runs.
+(a phase plane, an SIR trajectory) after the solve, split over forked
+children when it is large, and ``trajectory_stream`` formats a pSEIRS
+trajectory in one forked child while the delayed solver runs.
 
 Means are arithmetic means over the discrete samples in the window, not
 time integrals; extrema are exact over the same samples.

@@ -458,48 +458,36 @@ def test_sweep_worker_os_error_is_an_error_record(tmp_path, capsys,
     assert record["error"]["type"] == "NotADirectoryError"
 
 
-@pytest.mark.parametrize("child, config", [
+@pytest.mark.parametrize("child, config, opened", [
     # the stream of trajectory.csv fails during the solve: the child is
     # gone before it reads the rows
-    (exit_csv_child, "seirs_long_latency.json"),
-    (short_csv_child, "seirs_baseline.json"),
+    (exit_csv_child, "seirs_long_latency.json", 1),
+    (short_csv_child, "seirs_baseline.json", 1),
     # the copy of trajectory.csv fails: the child read every row
-    (exit_after_rows_child, "seirs_long_latency.json"),
-    (short_after_rows_child, "seirs_low_immunity.json"),
-], ids=["exit", "short", "exit-after-rows", "short-after-rows"])
+    (exit_after_rows_child, "seirs_long_latency.json", 1),
+    (short_after_rows_child, "seirs_low_immunity.json", 1),
+    # an SIR trajectory opens no stream: a child of its split after the
+    # solve fails
+    (exit_csv_child, "sir_low_infectivity.json", 0),
+    (short_csv_child, "sir_low_infectivity.json", 0),
+], ids=["exit", "short", "exit-after-rows", "short-after-rows", "sir-exit",
+        "sir-short"])
 def test_csv_child_death_is_one_error_record(tmp_path, monkeypatch, streams,
-                                             child, config):
+                                             child, config, opened):
+    # no phase plane: the child that dies formats trajectory.csv
+    raw = load_config(config)
+    raw["analyses"].pop("phase_plane", None)
+    path = tmp_path / config
+    path.write_text(json.dumps(raw))
     monkeypatch.setattr(stats, "_format_child", child)
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
     stderr_path = tmp_path / "stderr.txt"
-    argv = ["simulate", "--config", str(CONFIG_DIR / config),
-            "--out", str(tmp_path / "out")]
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
     assert run_forked(run_cli, argv, stderr_path) == 1
     record = json.loads(stderr_path.read_text())
     assert record["error"]["type"] == "WorkerDied"
     assert not (tmp_path / "out" / "summary.json").exists()
-    assert len(streams.read_text().splitlines()) == 1
-
-
-@pytest.mark.parametrize("child", [exit_csv_child, short_csv_child],
-                         ids=["exit", "short"])
-def test_sir_trajectory_split_death_is_one_error_record(tmp_path, monkeypatch,
-                                                        streams, child):
-    # no phase plane: the child that dies formats half of trajectory.csv,
-    # split after the solve
-    raw = load_config("sir_low_infectivity.json")
-    del raw["analyses"]["phase_plane"]
-    config = tmp_path / "sir.json"
-    config.write_text(json.dumps(raw))
-    monkeypatch.setattr(stats, "_format_child", child)
-    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
-    stderr_path = tmp_path / "stderr.txt"
-    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
-    assert run_forked(run_cli, argv, stderr_path) == 1
-    record = json.loads(stderr_path.read_text())
-    assert record["error"]["type"] == "WorkerDied"
-    assert not (tmp_path / "out" / "summary.json").exists()
-    assert streams.read_text() == ""
+    assert len(streams.read_text().splitlines()) == opened
 
 
 @pytest.mark.parametrize("child", [exit_csv_child, short_csv_child],
