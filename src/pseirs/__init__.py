@@ -5,7 +5,7 @@ generation, threshold analysis and reporting tools."""
 
 from .core import (CompartmentState, ConstantHistory, HistoryFunction,
                    PseirsParams, SampledHistory, SirParams, SirState,
-                   Trajectory, kappa, validate_pseirs)
+                   Trajectory, kappa)
 from .dde import (consistent_initial_exposed, consistent_initial_recovered,
                   default_step, reconstruct_trajectory, simulate_pseirs)
 from .errors import (EmptyWindow, InconsistentInit, InsufficientTail,

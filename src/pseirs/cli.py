@@ -32,7 +32,7 @@ def _load_config(path: str, args) -> dict:
                                "JSON nested within the recursion limit") from None
     if not isinstance(raw, dict):
         raise InvalidParameter("config", type(raw).__name__, "JSON object")
-    if not isinstance(raw.get("out_dir") or "", str):
+    if not isinstance(raw.get("out_dir"), (str, type(None))):
         raise InvalidParameter("out_dir", raw["out_dir"], "a directory path")
     if getattr(args, "step", None) is not None:
         raw["step"] = args.step

@@ -54,10 +54,6 @@ class SirState:
         for name in ("s", "i", "r"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
 
-    @property
-    def n(self) -> float:
-        return self.s + self.i + self.r
-
 
 @dataclass(frozen=True)
 class PseirsParams:
@@ -85,22 +81,11 @@ class PseirsParams:
     def __post_init__(self):
         for name in ("beta", "mu", "epsilon", "alpha", "gamma", "omega", "tau", "p"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        _check_pseirs(self)
-
-
-def _check_pseirs(params: PseirsParams) -> None:
-    for name in ("beta", "mu", "epsilon", "alpha", "gamma"):
-        _require(getattr(params, name) >= 0, name, getattr(params, name), f"{name} >= 0")
-    _require(params.omega > 0, "omega", params.omega, "omega > 0")
-    _require(params.tau > 0, "tau", params.tau, "tau > 0")
-    _require(0.0 <= params.p <= 1.0, "p", params.p, "0 <= p <= 1")
-
-
-def validate_pseirs(params: PseirsParams) -> PseirsParams:
-    """Return ``params`` unchanged if every bound holds, else raise
-    :class:`InvalidParameter` naming the offending field."""
-    _check_pseirs(params)
-    return params
+        for name in ("beta", "mu", "epsilon", "alpha", "gamma"):
+            _require(getattr(self, name) >= 0, name, getattr(self, name), f"{name} >= 0")
+        _require(self.omega > 0, "omega", self.omega, "omega > 0")
+        _require(self.tau > 0, "tau", self.tau, "tau > 0")
+        _require(0.0 <= self.p <= 1.0, "p", self.p, "0 <= p <= 1")
 
 
 def kappa(params: PseirsParams) -> float:
@@ -126,8 +111,7 @@ def step_count(horizon: float, h: float) -> int:
 
 @dataclass(frozen=True)
 class CompartmentState:
-    """One (S, E, I, R) sample. The total ``n`` is always the exact float
-    sum of the four components."""
+    """One (S, E, I, R) sample."""
 
     s: float
     e: float
@@ -138,10 +122,6 @@ class CompartmentState:
         for name in ("s", "e", "i", "r"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
 
-    @property
-    def n(self) -> float:
-        return self.s + self.e + self.i + self.r
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.s, self.e, self.i, self.r)
 
@@ -149,8 +129,8 @@ class CompartmentState:
 class HistoryFunction(ABC):
     """Prescribed solution values on [-kappa, 0] needed to start the DDE.
 
-    A history implements ``rows_at`` and ``domain_start``; every read,
-    ``raw_at`` and ``state_at`` too, goes through ``rows_at``."""
+    A history implements ``rows_at`` and ``domain_start``; every read
+    goes through ``rows_at``."""
 
     @abstractmethod
     def rows_at(self, x: np.ndarray) -> np.ndarray:
@@ -160,13 +140,6 @@ class HistoryFunction(ABC):
     @abstractmethod
     def domain_start(self) -> float:
         """Leftmost time the history is defined for."""
-
-    def raw_at(self, t: float) -> tuple[float, float, float, float]:
-        """(S, E, I, R) at time t <= 0: the one row of ``rows_at``."""
-        return tuple(self.rows_at(np.array([t], dtype=float))[0].tolist())
-
-    def state_at(self, t: float) -> CompartmentState:
-        return CompartmentState(*self.raw_at(t))
 
     def covers(self, kap: float) -> bool:
         return self.domain_start() <= -kap
@@ -244,17 +217,19 @@ class SampledHistory(HistoryFunction):
 class Trajectory:
     """Solution samples on a uniform time grid starting at t = 0.
 
-    ``states`` and ``derivs`` hold one row per time; ``labels`` names the
-    columns (("S", "I", "R") or ("S", "E", "I", "R")).  For delayed models
-    the attached history extends evaluation to [-kappa, 0).  Arrays are
-    frozen read-only after construction.
+    ``states`` holds one row per time; ``labels`` names the columns
+    (("S", "I", "R") or ("S", "E", "I", "R")).  The keyword fields belong
+    to delayed runs, and only the delayed solver and reconstruction fill
+    them: ``derivs``, one derivative row per time for the Hermite lookups,
+    and the attached history, which extends evaluation to [-kappa, 0).
+    Arrays are frozen read-only after construction.
     """
 
     times: np.ndarray
     states: np.ndarray
-    derivs: np.ndarray
     step: float
     labels: tuple[str, ...]
+    derivs: np.ndarray | None = None
     history: HistoryFunction | None = None
     kappa: float = 0.0
     init_override: bool = False
@@ -262,7 +237,6 @@ class Trajectory:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
-        derivs = np.asarray(self.derivs, dtype=float)
         _require(times.ndim == 1 and len(times) >= 2, "times", times.shape,
                  "at least two samples")
         _require(times[0] == 0.0, "times", float(times[0]), "grid starts at t = 0")
@@ -272,13 +246,16 @@ class Trajectory:
         k = len(self.labels)
         _require(states.shape == (len(times), k), "states", states.shape,
                  f"shape ({len(times)}, {k})")
-        _require(derivs.shape == states.shape, "derivs", derivs.shape,
-                 "same shape as states")
-        for arr in (times, states, derivs):
+        if self.derivs is not None:
+            derivs = np.asarray(self.derivs, dtype=float)
+            _require(derivs.shape == states.shape, "derivs", derivs.shape,
+                     "same shape as states")
+            derivs.flags.writeable = False
+            object.__setattr__(self, "derivs", derivs)
+        for arr in (times, states):
             arr.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "derivs", derivs)
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @property

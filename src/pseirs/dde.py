@@ -60,7 +60,7 @@ from itertools import chain
 import numpy as np
 
 from .core import (HistoryFunction, PseirsParams, Trajectory,
-                   _require, kappa, step_count, validate_pseirs)
+                   _require, kappa, step_count)
 from .errors import InvalidParameter, OutOfDomain, StepTooLarge, ZeroPopulation
 from .quadrature import adaptive_simpson
 
@@ -321,10 +321,9 @@ def _undershoot(t: float, floor: float, state) -> StepTooLarge:
 
 def _checked_kappa(params: PseirsParams, history: HistoryFunction,
                    h: float) -> float:
-    """kappa(params), once the parameters are valid, the step h is at most
-    min(omega, tau)/4 and the history covers [-kappa, 0]; called before any
-    delayed lookup."""
-    validate_pseirs(params)
+    """kappa(params), once the step h is at most min(omega, tau)/4 and the
+    history covers [-kappa, 0]; called before any delayed lookup.  The
+    parameters need no check here: a PseirsParams is valid once built."""
     _require(0 < h <= min(params.omega, params.tau) / 4.0, "step", h,
              "0 < step <= min(omega, tau)/4")
     kap = kappa(params)

@@ -35,7 +35,7 @@ from .integro import verify_integral_equivalence
 from .netgen import (degree_histogram, edge_list_text, gamma_from_graph,
                      generate_ba, graph_to_dict, mean_degree, powerlaw_slope)
 # sir_derivatives stays importable here: bench/tracer.py wraps this name
-from .sir import simulate_sir, sir_derivative_rows, sir_derivatives, sir_r0
+from .sir import simulate_sir, sir_derivatives, sir_r0
 from .stats import (TrajectoryStream, compartment_stats, csv_row_blocks,
                     phase_plane, trajectory_stream, trajectory_table)
 from .threshold import classify_equilibrium, r0_linearized, r0_nominal, stability_probe
@@ -497,9 +497,10 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
     """Re-run the configured analyses on a stored trajectory CSV; returns
     the summary.json dict.
 
-    The config supplies the parameters and history needed to resolve
-    delayed lookups; derivative samples are recomputed, so interpolating
-    analyses (integral_equivalence among them) match the original run.
+    For a pSEIRS trajectory the config supplies the parameters and history
+    needed to resolve delayed lookups; derivative samples are recomputed,
+    so interpolating analyses (integral_equivalence among them) match the
+    original run.  An SIR trajectory is read as states only.
     The file is read once.  Where it pays (``_pipelined``), a forked child
     parses a pSEIRS trajectory while this process builds the network and
     rebuilds the derivative rows as the parsed rows arrive; any file the
@@ -537,11 +538,8 @@ def _rebuilt_serially(config: ScenarioConfig, path, data: bytes | None):
     if config.model == "sir":
         _require(labels == ("S", "I", "R"), "trajectory", labels,
                  "S, I, R columns for a sir config")
-        # the step of the stored grid, as reconstruct_trajectory takes it
-        step = float(times[1] - times[0])
         traj = Trajectory(times=times, states=states,
-                          derivs=sir_derivative_rows(states, params),
-                          step=step, labels=labels)
+                          step=float(times[1] - times[0]), labels=labels)
     else:
         _require(labels == ("S", "E", "I", "R"), "trajectory", labels,
                  "S, E, I, R columns for a pseirs config")

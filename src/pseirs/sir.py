@@ -1,9 +1,9 @@
 """Classical SIR model: right-hand side, fixed-step RK4 integrator,
 reproduction number and the two closed-form limit predictors.
-``sir_derivative_rows`` evaluates the right-hand side at a whole array of
-states in one numpy pass, with the bits of ``sir_derivatives`` row by row.
 ``simulate_sir`` returns the whole trajectory at once: an SIR
 ``trajectory.csv`` is formatted after the solve, as a phase plane is.
+An SIR trajectory holds states only: no delayed lookup reads it, so it
+stores no derivative rows.
 
 The dynamics use unnormalized mass action,
 
@@ -48,18 +48,6 @@ def sir_derivatives(state: SirState, params: SirParams) -> SirDerivative:
     flow = params.beta * state.i * state.s
     rec = params.alpha * state.i
     return SirDerivative(-flow, flow - rec, rec)
-
-
-def sir_derivative_rows(states: np.ndarray, params: SirParams) -> np.ndarray:
-    """(dS, dI, dR) for each (S, I, R) row of ``states``: an (n, 3) array
-    bit-equal to ``sir_derivatives`` applied row by row (same operations,
-    same order, ``(beta*i)*s``)."""
-    s, i = states[:, 0], states[:, 1]
-    # numpy stays as quiet as the scalar float arithmetic it replaces
-    with np.errstate(all="ignore"):
-        flow = params.beta * i * s
-        rec = params.alpha * i
-        return np.column_stack((-flow, flow - rec, rec))
 
 
 def sir_r0(params: SirParams) -> float:
@@ -136,8 +124,5 @@ def simulate_sir(params: SirParams, init: SirState, horizon: float,
                 f"compartment below {floor} at t={len(states) * h}; reduce the step")
         states.append((s, i, r))
 
-    states = np.array(states)
     times = np.arange(n_steps + 1, dtype=float) * h
-    return Trajectory(times=times, states=states,
-                      derivs=sir_derivative_rows(states, params), step=h,
-                      labels=SIR_LABELS)
+    return Trajectory(times=times, states=states, step=h, labels=SIR_LABELS)

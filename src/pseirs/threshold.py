@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import PseirsParams, Trajectory, _require, validate_pseirs
+from .core import PseirsParams, Trajectory, _require
 from .errors import TrajectoryTooShort
 
 # classification bands for the trailing-window equilibrium test
@@ -64,7 +64,6 @@ def stability_probe(params: PseirsParams) -> StabilityClass:
     iff g(-d) >= 0 (always when a = 0, as lambda* = -b), else marginal;
     compared in log form so that exp(d*omega) cannot overflow.
     """
-    validate_pseirs(params)
     a = params.gamma * math.exp(-params.mu * params.omega)
     b = params.mu + params.epsilon + params.alpha
     _require(b > 0, "mu+epsilon+alpha", b, "mu + epsilon + alpha > 0")

@@ -76,7 +76,7 @@ def awkward_table(rows: int, cols: int, seed: int) -> np.ndarray:
 def awkward_trajectory(rows: int, labels) -> Trajectory:
     states = awkward_table(rows, len(labels), seed=rows)
     return Trajectory(times=np.arange(rows) * 0.25, states=states,
-                      derivs=np.zeros_like(states), step=0.25, labels=labels)
+                      step=0.25, labels=labels)
 
 
 def assert_same_text(actual: str, expected: str) -> None:

@@ -138,7 +138,7 @@ class TestSimulate:
         traj = simulate_pseirs(baseline_pseirs(), hist, 40.0)
         assert np.all(traj.states[:, 1:] == 0.0)
         # with nothing to integrate, the history at 0 is the first sample
-        assert hist.raw_at(0.0) == tuple(traj.states[0])
+        assert hist.rows_at(np.array([0.0]))[0].tolist() == traj.states[0].tolist()
         # proportions head to the infection-free corner (1, 0, 0, 0)
         assert traj.fractions()[-1, 0] == 1.0
 

@@ -344,6 +344,32 @@ def test_config_types_checked_at_parse(path, value):
         ScenarioConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize("out_dir, written", [
+    (0, None), (False, None), ([], None), ({}, None),
+    (None, "out"), ("run", "run"),
+])
+def test_out_dir_is_a_path_or_null(tmp_path, monkeypatch, capsys, out_dir,
+                                   written):
+    # written: where the run writes, or None for an error record and no
+    # files; a non-string truthy out_dir is a case of
+    # TestCli::test_bad_input_is_an_error_record
+    raw = load_config("sir_low_infectivity.json")
+    raw["horizon"] = 10.0
+    raw["out_dir"] = out_dir
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    monkeypatch.chdir(tmp_path)
+    code = main(["simulate", "--config", "config.json"])
+    if written is None:
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert "out_dir" in error["message"]
+        assert os.listdir(tmp_path) == ["config.json"]
+    else:
+        assert code == 0
+        assert (tmp_path / written / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("name", ["seirs_baseline.json", "sir_low_infectivity.json"])
 def test_step_count_bounded_at_parse(name):
     raw = load_config(name)

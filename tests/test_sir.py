@@ -9,9 +9,7 @@ from pseirs import (NoPeak, NotEndemic, SirParams, SirState, StepTooLarge,
                     sir_endemic_prediction, sir_peak_oracle, sir_r0)
 from pseirs.presets import (sir_high_infectivity, sir_low_infectivity,
                             sir_twelve_node_init)
-from pseirs.scenario import (ScenarioConfig, read_trajectory_csv,
-                             write_trajectory_csv)
-from pseirs.sir import sir_derivative_rows
+from pseirs.scenario import ScenarioConfig, _rebuilt, write_trajectory_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SIR_CONFIGS = ("sir_high_infectivity.json", "sir_low_infectivity.json")
@@ -40,52 +38,23 @@ class TestDerivatives:
         assert d.dr == pytest.approx(1.0, rel=1e-12)
 
 
-def reference_rows(states, params):
-    # the per-row derivatives analyze built before sir_derivative_rows
-    return np.array([sir_derivatives(SirState(*row), params) for row in states])
-
-
-def _same_bits(a, b):
-    # np.array_equal holds for -0.0 against 0.0; the output files do not
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def _shipped(name):
     return ScenarioConfig.from_dict(json.loads((CONFIG_DIR / name).read_text()))
 
 
-class TestDerivativeRowBits:
+class TestStatesOnly:
     @pytest.mark.parametrize("name", SIR_CONFIGS)
-    def test_stored_trajectory(self, name, tmp_path):
-        # the states analyze reads back from a shipped config's trajectory
-        config = _shipped(name)
-        write_trajectory_csv(simulate_sir(config.params, config.init,
-                                          config.horizon, config.step),
-                             tmp_path / "trajectory.csv")
-        _, states, _ = read_trajectory_csv(tmp_path / "trajectory.csv")
-        assert _same_bits(sir_derivative_rows(states, config.params),
-                          reference_rows(states, config.params))
-
-    @pytest.mark.parametrize("beta", [0.2, 0.0])
-    def test_hand_rows(self, beta):
-        # signed zeros, and a flow that overflows to inf without a warning
-        states = np.array([[11.0, 0.0, 1.0], [11.0, -0.0, 1.0],
-                           [0.0, 5.0, 7.0], [-0.0, 5.0, 7.0],
-                           [-3.0, -0.0, 0.0], [0.0, -2.5, 0.0],
-                           [1e200, 1e200, 0.0]])
-        params = SirParams(beta, 0.1)
-        assert _same_bits(sir_derivative_rows(states, params),
-                          reference_rows(states, params))
-
-    @pytest.mark.parametrize("step", [None, 0.07])
-    @pytest.mark.parametrize("name", SIR_CONFIGS)
-    def test_simulate_derivs(self, name, step):
-        # 0.07 does not divide the horizon: the last sample is at 200.06
+    def test_no_derivative_rows(self, name, tmp_path):
+        # no delayed lookup reads an SIR trajectory: neither a solve nor the
+        # trajectory analyze reads back from its CSV holds derivative rows
         config = _shipped(name)
         traj = simulate_sir(config.params, config.init, config.horizon,
-                            step or config.step)
-        assert _same_bits(traj.derivs, reference_rows(traj.states, config.params))
+                            config.step)
+        assert traj.derivs is None
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        stored, _, _ = _rebuilt(config, tmp_path / "trajectory.csv")
+        assert stored.derivs is None
+        assert np.array_equal(stored.states, traj.states)
 
 
 class TestR0:
@@ -184,4 +153,3 @@ class TestSimulate:
         a = simulate_sir(sir_low_infectivity(), sir_twelve_node_init(), 50.0, 0.01)
         b = simulate_sir(sir_low_infectivity(), sir_twelve_node_init(), 50.0, 0.01)
         assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.derivs, b.derivs)

@@ -11,8 +11,8 @@ from pseirs.presets import (sir_high_infectivity, sir_low_infectivity,
 def _constant_traj(value=5.0, n=11):
     times = np.arange(n, dtype=float)
     states = np.full((n, 4), value)
-    return Trajectory(times=times, states=states, derivs=np.zeros((n, 4)),
-                      step=1.0, labels=("S", "E", "I", "R"))
+    return Trajectory(times=times, states=states, step=1.0,
+                      labels=("S", "E", "I", "R"))
 
 
 class TestCompartmentStats:
@@ -90,8 +90,8 @@ class TestPhasePlane:
         times = np.arange(11, dtype=float)
         states = np.full((11, 3), 2.0)
         states[[2, 7]] = 0.0
-        traj = Trajectory(times=times, states=states, derivs=np.zeros((11, 3)),
-                          step=1.0, labels=("S", "I", "R"))
+        traj = Trajectory(times=times, states=states, step=1.0,
+                          labels=("S", "I", "R"))
         with pytest.raises(ZeroPopulation, match=r"at t=7\.0; proportions"):
             phase_plane(traj, ("S", "I"), window=(4.0, 10.0), proportions=True)
         series = phase_plane(traj, ("S", "I"), window=(3.0, 6.0),

@@ -11,7 +11,7 @@ from pseirs import (CompartmentState, ConstantHistory, EquilibriumKind,
                     InvalidParameter, PseirsParams, StabilityClass, Trajectory,
                     TrajectoryTooShort, classify_equilibrium, r0_linearized,
                     r0_nominal, simulate_pseirs, stability_probe)
-from pseirs.core import _require, validate_pseirs
+from pseirs.core import _require
 from pseirs.presets import baseline_pseirs
 from pseirs.scenario import ScenarioConfig, _prepare_network
 
@@ -138,7 +138,6 @@ def reference_stability_probe(params: PseirsParams) -> StabilityClass:
     sign of the exponential rate fitted over the final half of the run.
     Rates smaller than 1e-3*b in magnitude count as marginal.
     """
-    validate_pseirs(params)
     a = params.gamma * math.exp(-params.mu * params.omega)
     b = params.mu + params.epsilon + params.alpha
     _require(b > 0, "mu+epsilon+alpha", b, "mu + epsilon + alpha > 0")
@@ -264,8 +263,8 @@ def _constant_proportion_trajectory(fractions, n=200.0, horizon=100.0,
     times = np.arange(count, dtype=float) * step
     row = np.asarray(fractions, dtype=float) * n
     states = np.tile(row, (count, 1))
-    return Trajectory(times=times, states=states, derivs=np.zeros((count, 4)),
-                      step=step, labels=("S", "E", "I", "R"), kappa=kappa)
+    return Trajectory(times=times, states=states, step=step,
+                      labels=("S", "E", "I", "R"), kappa=kappa)
 
 
 class TestClassify:

@@ -13,7 +13,7 @@ trajectory. Two sit at the edges of the solver's lookup plan:
 the grid, so reconstruction is covered at 4-step lags and at lags off the
 grid too. The third is ``sir_high_infectivity`` at step 0.07, which does
 not divide the horizon (the last sample is at t = 200.06), so the SIR
-derivative rows of ``simulate`` and ``analyze`` are covered on a second
+solve, its trajectory CSV and ``analyze`` of it are covered on a second
 grid. Writes one JSON object mapping each output file (relative to the
 run directory) to its digest, so two checkouts that must produce the same
 bytes can be compared with ``diff``:
