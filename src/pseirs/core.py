@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, OutOfDomain
+from .errors import InvalidParameter, OutOfDomain, ZeroPopulation
 
 
 def _require(cond: bool, name: str, value, constraint: str) -> None:
@@ -44,7 +44,8 @@ class SirParams:
 
 @dataclass(frozen=True)
 class SirState:
-    """Compartment sizes (S, I, R); continuous node-counts, never rounded."""
+    """Non-negative compartment sizes (S, I, R); continuous node-counts,
+    never rounded."""
 
     s: float
     i: float
@@ -52,7 +53,10 @@ class SirState:
 
     def __post_init__(self):
         for name in ("s", "i", "r"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+            value = _finite(name, getattr(self, name))
+            _require(value >= 0, f"init.{name}", value,
+                     "compartment sizes must be non-negative")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -269,6 +273,14 @@ class Trajectory:
         """Population size N at every sample."""
         return self.states.sum(axis=1)
 
-    def fractions(self) -> np.ndarray:
-        """States normalized by N row-wise (proportions on the simplex)."""
-        return self.states / self.totals()[:, None]
+    def fractions(self, rows=slice(None)) -> np.ndarray:
+        """The states at ``rows`` (an index or mask of ``times``; all of
+        them by default), each divided by its population N: proportions on
+        the simplex.  Raises ZeroPopulation, naming t, at the first of
+        those rows whose N is not positive."""
+        n = self.totals()[rows]
+        if not (n > 0.0).all():
+            t = float(self.times[rows][np.argmin(n > 0.0)])
+            raise ZeroPopulation(f"population N reached zero at t={t}; "
+                                 "proportions are undefined")
+        return self.states[rows] / n[:, None]

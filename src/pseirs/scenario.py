@@ -256,46 +256,38 @@ def write_trajectory_csv(traj: Trajectory, path: Path,
         f.writelines(rows)
 
 
-def read_trajectory_csv(path: Path, data: bytes | None = None):
-    """(times, states, labels); a trailing N column is dropped (recomputed).
-    Every row must hold one finite number per header column.  ``data`` is
-    the file's bytes where they have been read, else the file is read."""
-    text = open(path) if data is None else io.TextIOWrapper(io.BytesIO(data))
+def read_trajectory_csv(path: Path, data: bytes):
+    """(times, states, labels) of ``data``, the bytes of the trajectory CSV
+    at ``path``; a trailing N column is dropped (recomputed).  Every row
+    must hold one finite number per header column.  The only code that
+    rejects a stored trajectory's contents."""
     try:
-        with text as f, warnings.catch_warnings():
+        with io.TextIOWrapper(io.BytesIO(data)) as f, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows: checked below
             header = f.readline().rstrip("\n").split(",")
             body = np.loadtxt(f, delimiter=",", ndmin=2)
     except ValueError as exc:  # ragged or non-numeric rows, undecodable bytes
         raise InvalidParameter("trajectory", str(path), f"numeric CSV rows ({exc})") from None
-    labels = _checked_labels(path, header, body.shape,
-                             bool(np.isfinite(body).all()))
-    return body[:, 0].copy(), body[:, 1:1 + len(labels)].copy(), labels
-
-
-def _checked_labels(path, header: list, shape: tuple, finite: bool) -> tuple:
-    """The state labels of a trajectory CSV's ``header``, once its parsed
-    body, of ``shape`` and all ``finite``, holds at least two rows of one
-    number per header column."""
     _require(header[0] == "t", "trajectory", header, "first column must be t")
-    _require(shape[0] >= 2, "trajectory", str(path), "header plus >= 2 samples")
-    _require(shape[1] == len(header), "trajectory", header,
-             f"one header name per column ({shape[1]} in each row)")
-    _require(finite, "trajectory", str(path),
+    _require(len(body) >= 2, "trajectory", str(path), "header plus >= 2 samples")
+    _require(body.shape[1] == len(header), "trajectory", header,
+             f"one header name per column ({body.shape[1]} in each row)")
+    _require(bool(np.isfinite(body).all()), "trajectory", str(path),
              "finite numbers only (no nan or inf)")
-    return tuple(header[1:-1] if header[-1] == "N" else header[1:])
+    labels = tuple(header[1:-1] if header[-1] == "N" else header[1:])
+    return body[:, 0].copy(), body[:, 1:1 + len(labels)].copy(), labels
 
 
 def _parse_child(fd, data: bytes, start: int, columns: int):
     """A forked CSV parser's work: parse the lines of ``data[start:]`` in
     chunks of about _PARSE_CHUNK bytes, cut after a newline, each with
     ``read_trajectory_csv``'s ``np.loadtxt``, and write each chunk's
-    float64 rows to the pipe ``fd`` as soon as it is parsed.  It returns,
-    and the child exits 0, only once every line gave one row of
-    ``columns`` numbers, so every line was parsed as the serial read
-    parses it; a chunk that is not ASCII, holds a CR (a line end to the
-    serial read's universal newlines) or gives another shape raises, as
-    does any error or warning."""
+    float64 rows to the pipe ``fd`` as soon as it is parsed.  It sends
+    only rows the serial read returns unchanged: one row of ``columns``
+    finite numbers per line, parsed as the serial read parses it.  A
+    chunk that is not ASCII, holds a CR (a line end to the serial read's
+    universal newlines), gives another shape or a non-finite number
+    raises, as does any error or warning, and the child exits non-zero."""
     warnings.simplefilter("error")
     with open(fd, "wb") as pipe:
         while start < len(data):
@@ -307,6 +299,8 @@ def _parse_child(fd, data: bytes, start: int, columns: int):
                               delimiter=",", ndmin=2)
             if rows.shape != (chunk.count(b"\n"), columns):
                 raise ValueError("not one row per line")
+            if not np.isfinite(rows).all():
+                raise ValueError("a non-finite number")
             pipe.write(rows)
             start = stop
 
@@ -319,14 +313,13 @@ class _ForkedParse(_fork.Child):
     """The rows of a pSEIRS trajectory CSV's body, ``data[start:]``, parsed
     by a forked ``_parse_child`` and read back in order, PLAN_CHUNK rows
     at a time, into the ``times`` and ``states`` that
-    ``reconstruct_trajectory`` takes; ``finite`` while every number read
-    is."""
+    ``reconstruct_trajectory`` takes.  Every row it reads is one the
+    serial read would return, so it checks none."""
 
     def __init__(self, data: bytes, start: int, rows: int):
         columns = len(_PSEIRS_COLUMNS)
         self.times = np.empty(rows)
         self.states = np.empty((rows, 4))
-        self.finite = True
         self._filled = 0
         # one buffer for every read: each page this process writes while
         # the child lives costs a copy-on-write fault
@@ -341,7 +334,6 @@ class _ForkedParse(_fork.Child):
             piece = self._piece[:min(stop - k, PLAN_CHUNK)]
             if self._pipe.readinto(piece) != piece.nbytes:
                 return False
-            self.finite = self.finite and bool(np.isfinite(piece).all())
             self.times[k:k + len(piece)] = piece[:, 0]
             self.states[k:k + len(piece)] = piece[:, 1:5]
             self._filled += len(piece)
@@ -501,12 +493,12 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
     needed to resolve delayed lookups; derivative samples are recomputed,
     so interpolating analyses (integral_equivalence among them) match the
     original run.  An SIR trajectory is read as states only.
-    The file is read once.  Where it pays (``_pipelined``), a forked child
-    parses a pSEIRS trajectory while this process builds the network and
-    rebuilds the derivative rows as the parsed rows arrive; any file the
-    child does not parse cleanly is parsed again here, serially, so the
-    results and the errors are those of the serial read.  Nothing is
-    written unless the trajectory and every analysis are valid.
+    Every route reads the file once.  Where it pays (``_pipelined``), a
+    forked child parses a pSEIRS trajectory while this process builds the
+    network and rebuilds the derivative rows as the parsed rows arrive;
+    any file the child does not parse cleanly is parsed again here,
+    serially, so the results and the errors are those of the serial read.
+    Nothing is written unless the trajectory and every analysis are valid.
     """
     traj, params, network_info = _rebuilt(config, trajectory_csv)
     summary, planes = _run_analyses(config, traj, params, network_info,
@@ -519,20 +511,15 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
 
 
 def _rebuilt(config: ScenarioConfig, path):
-    """(trajectory, params, network info) of a stored trajectory CSV, read
-    once: pipelined where ``_pipelined`` takes it, else serially.  The
-    file's bytes are dropped on return, before the analyses run."""
-    if config.model == "sir" or _fork.fork_width(2) == 1:
-        return _rebuilt_serially(config, path, None)
+    """(trajectory, params, network info) of the stored trajectory CSV at
+    ``path``, its bytes read once for every model and CPU count and taken
+    by ``_pipelined`` or else by ``read_trajectory_csv``.  The bytes are
+    dropped on return, before the analyses run."""
     with open(path, "rb") as f:
         data = f.read()
-    rebuilt = _pipelined(config, path, data)
-    return rebuilt or _rebuilt_serially(config, path, data)
-
-
-def _rebuilt_serially(config: ScenarioConfig, path, data: bytes | None):
-    """(trajectory, params, network info) of a stored trajectory CSV, read
-    by ``read_trajectory_csv`` from ``data``, or from ``path`` without it."""
+    rebuilt = _pipelined(config, data)
+    if rebuilt is not None:
+        return rebuilt
     times, states, labels = read_trajectory_csv(path, data)
     _, params, network_info = _prepare_network(config)
     if config.model == "sir":
@@ -547,16 +534,18 @@ def _rebuilt_serially(config: ScenarioConfig, path, data: bytes | None):
     return traj, params, network_info
 
 
-def _pipelined(config: ScenarioConfig, path, data: bytes):
-    """``_rebuilt_serially``'s result for the pSEIRS trajectory CSV
-    ``data``, its body parsed by a ``_ForkedParse`` while this process
-    builds the network and rebuilds the derivative rows; None where the
-    file has another header or fewer than PIPELINE_MIN_ROWS rows, or the
-    child did not parse every row.  An error of the network or the
-    reconstruction waits until the parse has ended, so a damaged file's
-    ``InvalidParameter`` wins, as in the serial read."""
+def _pipelined(config: ScenarioConfig, data: bytes):
+    """``_rebuilt``'s result for the trajectory CSV ``data``, its body
+    parsed by a ``_ForkedParse`` while this process builds the network and
+    rebuilds the derivative rows; None unless the config is pSEIRS, a
+    child can be forked, the file has ``write_trajectory_csv``'s pSEIRS
+    header and PIPELINE_MIN_ROWS rows or more, and the child sent every
+    row.  An error of the network or the reconstruction waits until the
+    parse has ended, so a damaged file goes to the serial read, whose
+    ``InvalidParameter`` wins."""
     header = (",".join(_PSEIRS_COLUMNS) + "\n").encode()
-    if not data.startswith(header):
+    if (config.model != "pseirs" or _fork.fork_width(2) == 1
+            or not data.startswith(header)):
         return None
     start = len(header)
     rows = data.count(b"\n", start)
@@ -579,8 +568,6 @@ def _pipelined(config: ScenarioConfig, path, data: bytes):
         parse.close()
     if not parsed:
         return None
-    _checked_labels(path, _PSEIRS_COLUMNS, (rows, len(_PSEIRS_COLUMNS)),
-                    parse.finite)
     if held is not None:
         raise held
     return traj, params, network_info

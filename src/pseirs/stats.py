@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _fork
 from .core import Trajectory, _require
-from .errors import EmptyWindow, WorkerDied, ZeroPopulation
+from .errors import EmptyWindow, WorkerDied
 
 
 # rows per formatted block: bounds the temporary floats and strings
@@ -254,13 +254,7 @@ def phase_plane(traj: Trajectory, axes, window=None,
     if window is None:
         window = (float(traj.times[0]), traj.horizon)
     mask = _window_mask(traj, window)
-    cols = [traj.states[mask, traj.labels.index(a)] for a in axes]
-    if proportions:
-        n = traj.totals()[mask]
-        if not (n > 0.0).all():
-            t = float(traj.times[mask][np.argmin(n > 0.0)])
-            raise ZeroPopulation(f"population N reached zero at t={t}; "
-                                 "proportions are undefined")
-        cols = [c / n for c in cols]  # the columns of Trajectory.fractions
+    values = traj.fractions(mask) if proportions else traj.states[mask]
+    points = values[:, [traj.labels.index(a) for a in axes]]
     labels = tuple(a.lower() for a in axes) if proportions else axes
-    return PhasePlaneSeries(labels=labels, points=np.column_stack(cols))
+    return PhasePlaneSeries(labels=labels, points=points)

@@ -101,7 +101,9 @@ def classify_equilibrium(traj: Trajectory,
     Disease-free when the infected fraction never exceeds 1e-6 over the
     window; endemic (with the mean point reported) when it stays above
     1e-4 and every proportion has settled to a peak-to-peak variation of
-    at most 1e-3; undetermined otherwise.
+    at most 1e-3; undetermined otherwise.  The proportions are
+    ``Trajectory.fractions`` of the window's rows, so a window holding a
+    sample of zero population raises ZeroPopulation, naming its t.
     """
     _require(0.0 < tail_fraction <= 0.5, "tail_fraction", tail_fraction,
              "0 < tail_fraction <= 0.5")
@@ -110,7 +112,7 @@ def classify_equilibrium(traj: Trajectory,
             f"horizon {traj.horizon} must exceed kappa {traj.kappa}")
     t_start = traj.horizon * (1.0 - tail_fraction)
     window = traj.times >= t_start - 1e-12
-    fr = traj.fractions()[window]
+    fr = traj.fractions(window)
     infected = fr[:, traj.labels.index("I")]
     if float(infected.max()) <= DISEASE_FREE_MAX_FRACTION:
         return EquilibriumClass(EquilibriumKind.DISEASE_FREE)

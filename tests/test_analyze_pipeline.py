@@ -49,13 +49,14 @@ def started(log) -> int:
 @pytest.fixture(scope="module")
 def stored(tmp_path_factory):
     """name -> (config path, stored trajectory path) for the four shipped
-    pSEIRS configs and ``long_baseline``, the baseline cut to a horizon
-    just above PIPELINE_MIN_ROWS rows."""
+    pSEIRS configs, ``sir_low_infectivity`` and ``long_baseline``, the
+    baseline cut to a horizon just above PIPELINE_MIN_ROWS rows."""
     root = tmp_path_factory.mktemp("stored")
     raw = load_config("seirs_baseline.json")
     step = scenario.ScenarioConfig.from_dict(raw).step
     raw["horizon"] = (scenario.PIPELINE_MIN_ROWS + 500) * step
-    configs = {name: CONFIG_DIR / f"{name}.json" for name in PSEIRS_CONFIGS}
+    configs = {name: CONFIG_DIR / f"{name}.json"
+               for name in (*PSEIRS_CONFIGS, "sir_low_infectivity")}
     configs["long_baseline"] = root / "long_baseline.json"
     configs["long_baseline"].write_text(json.dumps(raw))
     runs = {}
@@ -218,6 +219,22 @@ def test_network_error_waits_for_the_parse(tmp_path, monkeypatch, parses,
     assert json.loads(err)["error"]["type"] == "InvalidParameter"
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+def test_parse_child_refuses_a_non_finite_number(value):
+    # in a Child: _parse_child sets process-wide warning filters
+    header = ",".join(scenario._PSEIRS_COLUMNS) + "\n"
+    rows = [f"{k * 0.0075!r},63.0,0.0,7.0,0.0,70.0" for k in range(10)]
+    rows[5] = f"{5 * 0.0075!r},63.0,{value},7.0,0.0,70.0"
+    data = (header + "\n".join(rows) + "\n").encode()
+    child = _fork.Child(scenario._parse_child, data, len(header), 6)
+    try:
+        with open(child.fd, "rb", closefd=False) as pipe:
+            sent = pipe.read()
+    finally:
+        child.close()
+    assert child.code != 0 and sent == b""
+
+
 def exit_parse_child(fd, data, start, columns):
     """A parsing child that dies before it sends a row."""
     os._exit(3)
@@ -251,10 +268,16 @@ def test_dead_parse_child_gives_the_serial_summary(tmp_path, monkeypatch,
     assert tree_bytes(tmp_path / "forked") == serial
 
 
-def test_fifo_is_read_once(tmp_path, monkeypatch, parses, stored):
-    # the pipelined read and its serial fallback share the bytes read once
-    config, trajectory = stored["seirs_baseline"]
-    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+@pytest.mark.parametrize("name, cpus, forks", [
+    ("seirs_baseline", 2, 2), ("seirs_baseline", 1, 0),
+    ("sir_low_infectivity", 2, 0),
+], ids=["pseirs_2_cpus", "pseirs_1_cpu", "sir"])
+def test_fifo_is_read_once(tmp_path, monkeypatch, parses, stored, name, cpus,
+                           forks):
+    # every route, and the pipelined read's serial fallback, takes the
+    # bytes read once
+    config, trajectory = stored[name]
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
     _, _, from_file = analyze(config, trajectory, tmp_path / "file")
     fifo = tmp_path / "trajectory.csv"
     os.mkfifo(fifo)
@@ -265,4 +288,4 @@ def test_fifo_is_read_once(tmp_path, monkeypatch, parses, stored):
     finally:
         writer.wait(timeout=60)
     assert result == (0, "", from_file)
-    assert started(parses) == 2
+    assert started(parses) == forks

@@ -396,7 +396,7 @@ def test_trajectory_csv_round_trip(tmp_path, canonical_params,
     path = tmp_path / "t.csv"
     write_trajectory_csv(traj, path)
     first = path.read_text()
-    times, states, labels = read_trajectory_csv(path)
+    times, states, labels = read_trajectory_csv(path, path.read_bytes())
     assert labels == ("S", "E", "I", "R")
     assert np.array_equal(times, traj.times)
     assert np.array_equal(states, traj.states)
@@ -796,7 +796,7 @@ class TestCli:
                      "--out", str(tmp_path / "short")]) == 1
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "TrajectoryTooShort"
-        end = float(read_trajectory_csv(short)[0][-1])
+        end = float(read_trajectory_csv(short, short.read_bytes())[0][-1])
         assert error["message"] == f"horizon {end!r} must exceed kappa 30.0"
         assert not (tmp_path / "short").exists()
 
@@ -864,6 +864,47 @@ class TestCli:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["type"] == "InvalidParameter"
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("init, name", [
+        ({"s": -1, "i": 1, "r": 0}, "init.s"),
+        ({"s": 11, "i": 1, "r": -3}, "init.r"),
+    ], ids=["negative_s", "negative_r"])
+    def test_negative_sir_init_is_refused_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, init, name):
+        # as a pSEIRS history is: no solve that ends in StepTooLarge
+        def no_solve(*args, **kwargs):
+            raise AssertionError("simulate_sir was called")
+
+        monkeypatch.setattr(scenario, "simulate_sir", no_solve)
+        raw = load_config("sir_low_infectivity.json")
+        raw["init"] = init
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert error["message"].startswith(f"{name}=")
+        assert not (tmp_path / "out").exists()
+
+    def test_classify_refuses_zero_population(self, tmp_path, capsys):
+        # as a phase plane in proportions does: no division by zero, no
+        # "undetermined" class
+        raw = load_config("sir_low_infectivity.json")
+        raw["init"] = {"s": 0, "i": 0, "r": 0}
+        raw["analyses"]["classify"] = True
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        code = main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "ZeroPopulation"
+        assert "population N reached zero at t=180.0;" in error["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("field, value, error", [
         ("horizon", 20, "TrajectoryTooShort"),
