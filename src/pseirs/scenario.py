@@ -259,8 +259,8 @@ def write_trajectory_csv(traj: Trajectory, path: Path,
 def read_trajectory_csv(path: Path, data: bytes):
     """(times, states, labels) of ``data``, the bytes of the trajectory CSV
     at ``path``; a trailing N column is dropped (recomputed).  Every row
-    must hold one finite number per header column.  The only code that
-    rejects a stored trajectory's contents."""
+    must hold one finite number per header column.  The only reader that
+    rejects a stored trajectory's text."""
     try:
         with io.TextIOWrapper(io.BytesIO(data)) as f, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows: checked below
