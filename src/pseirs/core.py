@@ -13,12 +13,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, OutOfDomain, ZeroPopulation
+from .errors import InvalidParameter, OutOfDomain, StepTooLarge, ZeroPopulation
 
 
 def _require(cond: bool, name: str, value, constraint: str) -> None:
     if not cond:
         raise InvalidParameter(name, value, constraint)
+
+
+def negativity_floor(row) -> float:
+    """-1e-9*N of a run's first row, N summed left to right: the least
+    value any compartment of the run may take.  Nothing is clamped."""
+    n = row[0]
+    for value in row[1:]:
+        n += value
+    return -1e-9 * n
+
+
+def undershoot(t: float, floor: float, labels, state) -> StepTooLarge:
+    """StepTooLarge naming the first compartment of ``state`` below floor."""
+    name, value = next((n, v) for n, v in zip(labels, state) if v < floor)
+    return StepTooLarge(f"compartment {name}={value!r} fell below {floor} "
+                        f"at t={t}; reduce the step")
 
 
 def _finite(name: str, value: float) -> float:

@@ -59,9 +59,9 @@ from itertools import chain
 
 import numpy as np
 
-from .core import (HistoryFunction, PseirsParams, Trajectory,
-                   _require, kappa, step_count)
-from .errors import InvalidParameter, OutOfDomain, StepTooLarge, ZeroPopulation
+from .core import (HistoryFunction, PseirsParams, Trajectory, _require,
+                   kappa, negativity_floor, step_count, undershoot)
+from .errors import InvalidParameter, OutOfDomain, ZeroPopulation
 from .quadrature import adaptive_simpson
 
 PSEIRS_LABELS = ("S", "E", "I", "R")
@@ -301,22 +301,15 @@ def _derivative_rows(rates: _Rates, history: HistoryFunction, h: float,
                     rows[sl, 3] = pa_i[sl] - lt - mu_r[sl]
                 kw = w_plan.block_end(k, kt)
                 sl = slice(k - c0, kw - c0)
-                lw, lag_zero = rates.incidence(
+                lw, zero_w = rates.incidence(
                     w_plan.rows(states, derivs, sl)[0])
-                bad = zero[sl] | lag_zero
+                bad = zero[sl] | zero_w
                 if bad.any():
                     m = int(np.argmax(bad))
                     raise _zero_population((k + m) * h, lagged=not zero[sl][m])
                 rows[sl, 1] = inc_now[sl] - lw - mu_e[sl]
                 rows[sl, 2] = lw - b_i[sl]
                 k = kw
-
-
-def _undershoot(t: float, floor: float, state) -> StepTooLarge:
-    name, value = next((n, v) for n, v in zip(PSEIRS_LABELS, state)
-                       if v < floor)
-    return StepTooLarge(f"compartment {name}={value!r} fell below {floor} "
-                        f"at t={t}; reduce the step")
 
 
 def _checked_kappa(params: PseirsParams, history: HistoryFunction,
@@ -343,10 +336,9 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     consistency integrals unless ``e0``/``r0`` override them.  ``rows_out``,
     if given, is called with the state rows as they are finished, in
     order: row 0, then the rows of each block of steps.  Aborts with
-    StepTooLarge, naming the compartment and t, when a compartment
-    undershoots -1e-9*N(0) (no clamping: a clamp would silently break the
-    population-balance identity), and with ZeroPopulation, naming t, when
-    the current or the lagged population N reaches zero.
+    ``undershoot``'s StepTooLarge when a compartment falls below the
+    ``negativity_floor`` of row 0, and with ZeroPopulation, naming t, at the
+    first stage whose current or lagged population N is <= 0.
     """
     h = float(default_step(params) if step is None else step)
     kap = _checked_kappa(params, history, h)
@@ -359,10 +351,7 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     s0_t = history.rows_at(np.zeros(1))[0].tolist()
     # Python floats: the same bits as numpy scalars, faster in the loop
     s, e, i, r = s0_t[0], float(e_init), s0_t[2], float(r_init)
-    n0 = s + e + i + r
-    if n0 <= 0.0:
-        raise ZeroPopulation("initial population is zero")
-    floor = -1e-9 * n0
+    floor = negativity_floor((s, e, i, r))
 
     hh = 0.5 * h
     h6 = h / 6.0
@@ -393,17 +382,11 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
             v = plan.rows(states, derivs, slice(k0 - plan.c0, k1 - plan.c0))
             inc, zero = rates.incidence(v[:3])
             ret = rates.return_term(v[3:])
-            lag_zero = None
-            if zero.any():
-                # stop the block at the first step whose lagged N <= 0; NaN
-                # in both lagged terms of that stage turns every compartment
-                # to NaN from there on, so no check fires before the raise
-                kz = int(np.argmax(zero.any(axis=0)))
-                stage = int(np.argmax(zero[:, kz]))
-                k1 = k0 + kz + 1
-                inc, ret = inc[:, :kz + 1].copy(), ret[:, :kz + 1].copy()
-                inc[stage, kz] = ret[stage, kz] = math.nan
-                lag_zero = (k0 + kz, stage)
+            lagged_zero = zero.any()
+            if lagged_zero:
+                # NaN lagged terms wherever lagged N <= 0 make every state
+                # NaN from the first on: no later check fires before the raise
+                inc[zero] = ret[zero] = math.nan
             out = []
             for lw1, lwm, lw4, lt1, ltm, lt4 in zip(*inc.tolist(), *ret.tolist()):
                 n = s + e + i + r
@@ -455,12 +438,13 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
                 i += h6 * (d1i + 2.0 * d2i + 2.0 * d3i + d4i)
                 r += h6 * (d1r + 2.0 * d2r + 2.0 * d3r + d4r)
                 if s < floor or e < floor or i < floor or r < floor:
-                    raise _undershoot((k0 + len(out) // 8 + 1) * h, floor,
-                                      (s, e, i, r))
+                    raise undershoot((k0 + len(out) // 8 + 1) * h, floor,
+                                     PSEIRS_LABELS, (s, e, i, r))
                 out += (d1s, d1e, d1i, d1r, s, e, i, r)
-            if lag_zero is not None:
-                k, stage = lag_zero
-                raise _zero_population(k * h + (0.0, hh, h)[stage], lagged=True)
+            if lagged_zero:  # at the first in (step, stage) order
+                k, stage = divmod(int(np.argmax(zero.T)), 3)
+                raise _zero_population((k0 + k) * h + (0.0, hh, h)[stage],
+                                       lagged=True)
             block = np.fromiter(out, float, len(out)).reshape(-1, 8)
             derivs[k0:k1] = block[:, :4]
             states[k0 + 1:k1 + 1] = block[:, 4:]

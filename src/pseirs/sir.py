@@ -22,8 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SirParams, SirState, Trajectory, _require, step_count
-from .errors import NoPeak, NotEndemic, StepTooLarge
+from .core import (SirParams, SirState, Trajectory, _require,
+                   negativity_floor, step_count, undershoot)
+from .errors import NoPeak, NotEndemic
 
 SIR_LABELS = ("S", "I", "R")
 
@@ -93,14 +94,13 @@ def simulate_sir(params: SirParams, init: SirState, horizon: float,
                  step: float) -> Trajectory:
     """Fixed-step explicit RK4 trajectory of the SIR system.
 
-    Aborts with StepTooLarge if any compartment undershoots below
-    -1e-9 * N; conservation is then guaranteed at rounding level.
+    Aborts with ``undershoot``'s StepTooLarge below ``init``'s
+    ``negativity_floor``; conservation then holds at rounding level.
     """
     _require(step > 0, "step", step, "step > 0")
     _require(horizon >= step, "horizon", horizon, "horizon >= step")
     beta, alpha = params.beta, params.alpha
-    n0 = init.s + init.i + init.r
-    floor = -1e-9 * n0 if n0 > 0 else -1e-9
+    floor = negativity_floor((init.s, init.i, init.r))
 
     def rhs(s, i):
         flow = beta * i * s
@@ -120,8 +120,7 @@ def simulate_sir(params: SirParams, init: SirState, horizon: float,
         i += (h / 6.0) * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
         r += (h / 6.0) * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
         if s < floor or i < floor or r < floor:
-            raise StepTooLarge(
-                f"compartment below {floor} at t={len(states) * h}; reduce the step")
+            raise undershoot(len(states) * h, floor, SIR_LABELS, (s, i, r))
         states.append((s, i, r))
 
     times = np.arange(n_steps + 1, dtype=float) * h

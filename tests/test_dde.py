@@ -230,8 +230,10 @@ class TestSimulate:
 
     def test_zero_population_abort(self):
         hist = ConstantHistory(CompartmentState(0.0, 0.0, 0.0, 0.0))
-        with pytest.raises(ZeroPopulation):
+        with pytest.raises(ZeroPopulation) as got:
             simulate_pseirs(baseline_pseirs(), hist, 10.0)
+        # the current-N check of step 0's first stage
+        assert str(got.value).startswith("population N reached zero at t=0.0;")
 
 
 def _cubic_trajectory():

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -145,9 +146,13 @@ class TestSimulate:
         assert rel.max() < 1e-6
 
     def test_oversized_step_aborts(self):
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(StepTooLarge) as got:
             simulate_sir(SirParams(0.2, 0.1), SirState(11.0, 1.0, 0.0),
                          60.0, 30.0)
+        # the delayed solver's report: the compartment, its value and t
+        assert re.fullmatch(r"compartment I=-\S+ fell below "
+                            r"-1\.2000000000000002e-08 at t=30\.0; "
+                            r"reduce the step", str(got.value))
 
     def test_deterministic(self):
         a = simulate_sir(sir_low_infectivity(), sir_twelve_node_init(), 50.0, 0.01)
