@@ -301,8 +301,7 @@ def _derivative_rows(rates: _Rates, history: HistoryFunction, h: float,
                     rows[sl, 3] = pa_i[sl] - lt - mu_r[sl]
                 kw = w_plan.block_end(k, kt)
                 sl = slice(k - c0, kw - c0)
-                lw, zero_w = rates.incidence(
-                    w_plan.rows(states, derivs, sl)[0])
+                lw, zero_w = rates.incidence(w_plan.rows(states, derivs, sl)[0])
                 bad = zero[sl] | zero_w
                 if bad.any():
                     m = int(np.argmax(bad))
@@ -382,10 +381,9 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
             v = plan.rows(states, derivs, slice(k0 - plan.c0, k1 - plan.c0))
             inc, zero = rates.incidence(v[:3])
             ret = rates.return_term(v[3:])
-            lagged_zero = zero.any()
-            if lagged_zero:
-                # NaN lagged terms wherever lagged N <= 0 make every state
-                # NaN from the first on: no later check fires before the raise
+            # NaN lagged terms wherever lagged N <= 0 make every state NaN
+            # from the first on: no later check fires before the raise
+            if lagged_zero := zero.any():
                 inc[zero] = ret[zero] = math.nan
             out = []
             for lw1, lwm, lw4, lt1, ltm, lt4 in zip(*inc.tolist(), *ret.tolist()):

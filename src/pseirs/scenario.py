@@ -28,7 +28,7 @@ import numpy as np
 from . import _fork
 from .core import (CompartmentState, ConstantHistory, HistoryFunction,
                    PseirsParams, SirParams, SirState, Trajectory, _require,
-                   kappa, step_count)
+                   kappa, negativity_floor, step_count)
 from .dde import PLAN_CHUNK, default_step, reconstruct_trajectory, simulate_pseirs
 from .errors import InvalidParameter, PseirsError, TrajectoryTooShort, WorkerDied
 from .integro import verify_integral_equivalence
@@ -282,12 +282,12 @@ def _parse_child(fd, data: bytes, start: int, columns: int):
     """A forked CSV parser's work: parse the lines of ``data[start:]`` in
     chunks of about _PARSE_CHUNK bytes, cut after a newline, each with
     ``read_trajectory_csv``'s ``np.loadtxt``, and write each chunk's
-    float64 rows to the pipe ``fd`` as soon as it is parsed.  It sends
-    only rows the serial read returns unchanged: one row of ``columns``
-    finite numbers per line, parsed as the serial read parses it.  A
-    chunk that is not ASCII, holds a CR (a line end to the serial read's
-    universal newlines), gives another shape or a non-finite number
-    raises, as does any error or warning, and the child exits non-zero."""
+    float64 rows to the pipe ``fd`` as soon as it is parsed: one row of
+    ``columns`` finite numbers >= 0 per line, as the serial read parses
+    it.  Any other chunk raises: one not ASCII, with a CR (a line end to
+    the serial read's universal newlines), another shape, or a negative
+    number, which only the serial route's floor check judges.  So does
+    any error or warning, and the child exits non-zero."""
     warnings.simplefilter("error")
     with open(fd, "wb") as pipe:
         while start < len(data):
@@ -297,10 +297,9 @@ def _parse_child(fd, data: bytes, start: int, columns: int):
                 raise ValueError("a line end the serial read differs on")
             rows = np.loadtxt(io.StringIO(chunk.decode("ascii")),
                               delimiter=",", ndmin=2)
-            if rows.shape != (chunk.count(b"\n"), columns):
-                raise ValueError("not one row per line")
-            if not np.isfinite(rows).all():
-                raise ValueError("a non-finite number")
+            if (rows.shape != (chunk.count(b"\n"), columns)
+                    or not ((rows >= 0.0) & (rows < math.inf)).all()):
+                raise ValueError("not one row of numbers >= 0 per line")
             pipe.write(rows)
             start = stop
 
@@ -492,13 +491,13 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
     For a pSEIRS trajectory the config supplies the parameters and history
     needed to resolve delayed lookups; derivative samples are recomputed,
     so interpolating analyses (integral_equivalence among them) match the
-    original run.  An SIR trajectory is read as states only.
-    Every route reads the file once.  Where it pays (``_pipelined``), a
-    forked child parses a pSEIRS trajectory while this process builds the
-    network and rebuilds the derivative rows as the parsed rows arrive;
-    any file the child does not parse cleanly is parsed again here,
-    serially, so the results and the errors are those of the serial read.
-    Nothing is written unless the trajectory and every analysis are valid.
+    original run.  An SIR trajectory is read as states only.  Every route
+    reads the file once and refuses a compartment below -1e-9*N(0).  Where
+    it pays (``_pipelined``), a forked child parses a pSEIRS trajectory
+    while this process builds the network and rebuilds the derivative rows
+    as they arrive; a file it does not parse cleanly (a negative number
+    too) is parsed again serially, with the serial read's results and
+    errors.  Nothing is written unless the file and every analysis pass.
     """
     traj, params, network_info = _rebuilt(config, trajectory_csv)
     summary, planes = _run_analyses(config, traj, params, network_info,
@@ -513,23 +512,27 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
 def _rebuilt(config: ScenarioConfig, path):
     """(trajectory, params, network info) of the stored trajectory CSV at
     ``path``, its bytes read once for every model and CPU count and taken
-    by ``_pipelined`` or else by ``read_trajectory_csv``.  The bytes are
-    dropped on return, before the analyses run."""
+    by ``_pipelined`` or else by ``read_trajectory_csv``, whose columns
+    and ``negativity_floor`` of row 0 are checked before the network is
+    built.  The bytes are dropped on return, before the analyses run."""
     with open(path, "rb") as f:
         data = f.read()
     rebuilt = _pipelined(config, data)
     if rebuilt is not None:
         return rebuilt
     times, states, labels = read_trajectory_csv(path, data)
+    want = ("S", "I", "R") if config.model == "sir" else ("S", "E", "I", "R")
+    _require(labels == want, "trajectory", labels,
+             f"{', '.join(want)} columns for a {config.model} config")
+    low = states < negativity_floor(states[0].tolist())
+    k, c = divmod(int(np.argmax(low)), len(labels))
+    _require(not low[k, c], "trajectory", str(path), "no compartment below "
+             f"-1e-9*N(0) ({labels[c]}={states[k, c]} at t={times[k]})")
     _, params, network_info = _prepare_network(config)
     if config.model == "sir":
-        _require(labels == ("S", "I", "R"), "trajectory", labels,
-                 "S, I, R columns for a sir config")
         traj = Trajectory(times=times, states=states,
                           step=float(times[1] - times[0]), labels=labels)
     else:
-        _require(labels == ("S", "E", "I", "R"), "trajectory", labels,
-                 "S, E, I, R columns for a pseirs config")
         traj = reconstruct_trajectory(params, config.init, times, states)
     return traj, params, network_info
 

@@ -113,7 +113,7 @@ def damaged(lines, kind):
     end = "\n"
     if kind.startswith("ragged_row"):
         rows[k] = rows[k][:-1] if kind.endswith("short") else rows[k] + ["1.0"]
-    elif kind.startswith("non_numeric_field"):
+    elif kind.startswith(("non_numeric_field", "negative_field")):
         rows[k][2] = kind.rpartition(":")[2]
     elif kind.startswith("non_finite_field"):
         rows[k][3] = kind.rpartition(":")[2]
@@ -151,12 +151,16 @@ DAMAGE = ["ragged_row:short", "ragged_row:long", "non_numeric_field:x",
           "dropped_last_column_rows", "dropped_last_column_header",
           "zero_population_row", "non_uniform_time", "crlf", "crlf_rows",
           "blank_line",
-          "comment_line", "no_final_newline", "non_ascii_byte"]
+          "comment_line", "no_final_newline", "non_ascii_byte",
+          "negative_field:-1e-12"]
 # damage a forked parse never starts on: no rows, or another header line
 SERIAL_ONLY = {"header_only", "dropped_last_column_header", "crlf"}
 # damage the serial read takes in its stride
 PARSES_CLEANLY = {"crlf", "crlf_rows", "blank_line", "comment_line",
                   "no_final_newline"}
+# damage the forked parse refuses and the serial read's floor, -1e-9*N(0),
+# lets through
+ABOVE_THE_FLOOR = {"negative_field:-1e-12"}
 
 
 @pytest.mark.parametrize("kind", DAMAGE)
@@ -173,6 +177,8 @@ def test_damage_gives_the_serial_result(tmp_path, monkeypatch, parses, stored,
         assert code == 0 and err == ""
         _, _, clean = analyze(config, trajectory, tmp_path / "clean")
         assert tree == clean
+    elif kind in ABOVE_THE_FLOOR:
+        assert code == 0 and err == "" and "summary.json" in tree
     else:
         assert code == 1 and tree is None
         record = json.loads(err)
@@ -195,6 +201,25 @@ def test_zero_population_then_bad_cell_is_invalid_parameter(
     assert forks == [1, 0]
     assert code == 1 and tree is None
     assert json.loads(err)["error"]["type"] == "InvalidParameter"
+
+
+def test_negative_cell_is_invalid_parameter(tmp_path, monkeypatch, parses,
+                                            stored):
+    # the forked parse refuses the chunk, and the serial read's floor check
+    # names the file, the compartment, its value and t
+    config, trajectory = stored["long_baseline"]
+    lines = trajectory.read_text().splitlines()
+    csv = tmp_path / "trajectory.csv"
+    csv.write_text(damaged(lines, "negative_field:-1.0"))
+    (code, err, tree), forks = at_two_and_one_cpu(monkeypatch, parses,
+                                                  tmp_path, config, csv)
+    assert forks == [1, 0]
+    assert code == 1 and tree is None
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidParameter"
+    t = lines[1 + 3 * (len(lines) - 1) // 4].split(",")[0]
+    assert error["message"].startswith(f"trajectory={str(csv)!r} violates:")
+    assert error["message"].endswith(f"(E=-1.0 at t={t})")
 
 
 def test_network_error_waits_for_the_parse(tmp_path, monkeypatch, parses,

@@ -39,6 +39,9 @@ MALFORMED_SIR = {
     "no_samples": [],
     "nan_cell": ["0.0,11.0,1.0,0.0", "0.01,11.0,nan,0.0"],
     "inf_cell": ["0.0,11.0,1.0,0.0", "0.01,inf,1.0,0.0"],
+    # below -1e-9*N(0), with N positive and then negative
+    "negative_cell": ["0.0,11.0,1.0,0.0", "0.01,-0.5,1.0,0.0"],
+    "negative_population": ["0.0,11.0,1.0,0.0", "0.01,-20.0,1.0,0.0"],
 }
 
 
@@ -725,7 +728,7 @@ class TestCli:
     @pytest.mark.parametrize("config, header, rows", [
         *(pytest.param("seirs_baseline.json", "t,S,E,I,R,N", rows, id=case)
           for case, rows in MALFORMED_PSEIRS.items()),
-        # the SIR branch builds its derivative rows without a per-row check
+        # the SIR branch reads states only: no reconstruction checks a row
         *(pytest.param("sir_low_infectivity.json", "t,S,I,R", rows,
                        id=f"sir_{case}")
           for case, rows in MALFORMED_SIR.items()),
