@@ -728,7 +728,8 @@ class TestCli:
     @pytest.mark.parametrize("config, header, rows", [
         *(pytest.param("seirs_baseline.json", "t,S,E,I,R,N", rows, id=case)
           for case, rows in MALFORMED_PSEIRS.items()),
-        # the SIR branch reads states only: no reconstruction checks a row
+        # the SIR branch reads states only: the reader and the floor check
+        # refuse these
         *(pytest.param("sir_low_infectivity.json", "t,S,I,R", rows,
                        id=f"sir_{case}")
           for case, rows in MALFORMED_SIR.items()),
