@@ -22,12 +22,12 @@ def _require(cond: bool, name: str, value, constraint: str) -> None:
 
 
 def negativity_floor(row) -> float:
-    """-1e-9*N of a run's first row, N summed left to right: the least
-    value any compartment of the run may take.  Nothing is clamped."""
+    """-1e-9*N of a run's first row (N summed left to right), or 0 if N < 0:
+    the least value any compartment of the run may take; none is clamped."""
     n = row[0]
     for value in row[1:]:
         n += value
-    return -1e-9 * n
+    return min(-1e-9 * n, 0.0)
 
 
 def undershoot(t: float, floor: float, labels, state) -> StepTooLarge:

@@ -760,6 +760,25 @@ class TestCli:
         assert f"population N reached zero at t={30 * 0.0075!r};" in error["message"]
         assert not (tmp_path / "re").exists()
 
+    @pytest.mark.parametrize("rows, named", [
+        (["0.0,11.0,1.0,0.0", "0.5,-0.5,1.0,0.0"], "S=-0.5 at t=0.5"),
+        # N(0) < 0: the floor is 0, so the negative I is named, not S = 0
+        (["0.0,0.0,-1.0,0.0", "0.5,11.0,1.0,0.0"], "I=-1.0 at t=0.0"),
+    ], ids=["positive_n0", "negative_n0"])
+    def test_analyze_names_the_compartment_below_the_floor(self, tmp_path,
+                                                           capsys, rows,
+                                                           named):
+        csv = tmp_path / "trajectory.csv"
+        csv.write_text("\n".join(["t,S,I,R", *rows]) + "\n")
+        code = main(["analyze", "--config",
+                     str(CONFIG_DIR / "sir_low_infectivity.json"),
+                     "--trajectory", str(csv), "--out", str(tmp_path / "re")])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "InvalidParameter"
+        assert error["message"].endswith(f"below -1e-9*N(0) ({named})")
+        assert not (tmp_path / "re").exists()
+
     def test_analyze_summary_independent_of_path_spelling(self, tmp_path,
                                                           monkeypatch):
         config = str(CONFIG_DIR / "seirs_baseline.json")
