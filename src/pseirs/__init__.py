@@ -10,12 +10,12 @@ from .dde import (consistent_initial_exposed, consistent_initial_recovered,
                   default_step, reconstruct_trajectory, simulate_pseirs)
 from .errors import (EmptyWindow, InconsistentInit, InsufficientTail,
                      InvalidGraphParams, InvalidParameter, NoPeak, NotEndemic,
-                     OutOfDomain, PseirsError, QuadratureNotConverged,
+                     OutOfDomain, Overflow, PseirsError, QuadratureNotConverged,
                      StepTooLarge, TrajectoryTooShort, ZeroPopulation)
 from .integro import EquivalenceReport, exposed_integral, recovered_integral, verify_integral_equivalence
 from .netgen import (DegreeHistogram, Graph, degree_histogram, edge_list_text,
-                     gamma_from_graph, generate_ba, graph_to_dict, mean_degree,
-                     powerlaw_slope)
+                     gamma_from_graph, generate_ba, graph_json_text,
+                     graph_to_dict, mean_degree, powerlaw_slope)
 from .sir import (SirDerivative, SirPrediction, simulate_sir, sir_derivatives,
                   sir_disease_free_prediction, sir_endemic_prediction,
                   sir_peak_oracle, sir_r0)

@@ -61,7 +61,7 @@ import numpy as np
 
 from .core import (HistoryFunction, PseirsParams, Trajectory, _require,
                    kappa, negativity_floor, step_count, undershoot)
-from .errors import InvalidParameter, OutOfDomain, ZeroPopulation
+from .errors import InvalidParameter, OutOfDomain, Overflow, ZeroPopulation
 from .quadrature import adaptive_simpson
 
 PSEIRS_LABELS = ("S", "E", "I", "R")
@@ -336,8 +336,10 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     if given, is called with the state rows as they are finished, in
     order: row 0, then the rows of each block of steps.  Aborts with
     ``undershoot``'s StepTooLarge when a compartment falls below the
-    ``negativity_floor`` of row 0, and with ZeroPopulation, naming t, at the
-    first stage whose current or lagged population N is <= 0.
+    ``negativity_floor`` of row 0, with ZeroPopulation, naming t, at the
+    first stage whose current or lagged population N is <= 0, and with
+    Overflow, naming t and the compartment, at the first state that is not
+    finite.
     """
     h = float(default_step(params) if step is None else step)
     kap = _checked_kappa(params, history, h)
@@ -450,6 +452,14 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
                 rows_out(states[k0 + 1:k1 + 1])
             k0 = k1
 
+        # inf and NaN pass every check above; one pass per run finds the
+        # first state past float64's range
+        finite = np.isfinite(states)
+        if not finite.all():
+            k, col = divmod(int(np.argmin(finite)), 4)
+            raise Overflow(f"compartment {PSEIRS_LABELS[col]}="
+                           f"{float(states[k, col])!r} is not finite at "
+                           f"t={k * h}; it exceeded float64's range")
         # the derivative row of the last sample: stage 1 of a step not taken
         _derivative_rows(rates, history, h, states, derivs, n_steps,
                          n_steps + 1)

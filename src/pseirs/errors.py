@@ -19,6 +19,10 @@ class StepTooLarge(PseirsError):
     """Integration produced a compartment below the negativity floor."""
 
 
+class Overflow(PseirsError):
+    """A state or a statistic of a run exceeded float64's range."""
+
+
 class ZeroPopulation(PseirsError):
     """Total population hit zero; the incidence term S*I/N is undefined."""
 

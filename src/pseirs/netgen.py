@@ -11,7 +11,9 @@ Identical (n, m0, m, seed) always reproduce the identical edge list.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +40,29 @@ class DegreeHistogram:
     n: int
 
 
+# raw 64-bit PCG64 outputs drawn at a time for ``generate_ba``'s sampler
+_RAW_BLOCK = 2048
+
+
+def _uint32_words(bits):
+    """The 32-bit words ``bits.next_uint32`` would return, in order, from
+    a bit generator with no buffered half word: the low half of each raw
+    PCG64 output, then its high half."""
+    while True:
+        raw = bits.random_raw(_RAW_BLOCK).astype("<u8", copy=False)
+        yield raw.view("<u4").tolist()
+
+
 def generate_ba(n: int, m0: int, m: int, seed: int) -> Graph:
     if not (m0 >= 1 and 1 <= m <= m0 and n >= m0 and seed >= 0):
         raise InvalidGraphParams(
             f"need m0 >= 1, 1 <= m <= m0, n >= m0, seed >= 0; got n={n}, "
             f"m0={m0}, m={m}, seed={seed}")
-    rng = np.random.default_rng(int(seed))
+    # each target is np.random.default_rng(seed).integers(0, len(pool)),
+    # bit for bit: numpy draws below 2**32 by Lemire's multiply-and-reject
+    # (ACM TOMACS 29(1), 2019) on next_uint32 words, taken here in blocks
+    words = chain.from_iterable(
+        _uint32_words(np.random.default_rng(int(seed)).bit_generator))
     edges = [(i, j) for i in range(m0) for j in range(i + 1, m0)]
     pool = []
     for u, v in edges:
@@ -54,9 +73,16 @@ def generate_ba(n: int, m0: int, m: int, seed: int) -> Graph:
             # m0 = 1 leaves the seed clique edgeless; attach to the sole node
             targets = [0]
         else:
+            # the pool holds 2 entries per edge, so high >= 2: numpy would
+            # draw no word for high = 1
+            high = len(pool)
+            reject = (2**32 - high) % high
             chosen = set()
             while len(chosen) < m:
-                chosen.add(pool[int(rng.integers(0, len(pool)))])
+                x = next(words) * high
+                while x & 0xFFFFFFFF < reject:
+                    x = next(words) * high
+                chosen.add(pool[x >> 32])
             targets = sorted(chosen)
         for u in targets:
             edges.append((u, v))
@@ -116,3 +142,16 @@ def edge_list_text(graph: Graph) -> str:
 def graph_to_dict(graph: Graph) -> dict:
     return {"n": graph.n, "m0": graph.m0, "m": graph.m, "seed": graph.seed,
             "edges": [[u, v] for u, v in sorted(graph.edges)]}
+
+
+def graph_json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` for a
+    ``graph_to_dict`` document, byte for byte, with the edge pairs written
+    directly: json indents in pure Python, one call per number."""
+    rest = json.dumps({k: v for k, v in doc.items() if k != "edges"},
+                      indent=2, sort_keys=True)
+    pairs = ",\n".join(f"    [\n      {u},\n      {v}\n    ]"
+                       for u, v in doc["edges"])
+    edges = f"[\n{pairs}\n  ]" if pairs else "[]"
+    # "edges" sorts before the other keys
+    return f'{{\n  "edges": {edges},\n{rest[2:]}\n'

@@ -30,10 +30,12 @@ from .core import (CompartmentState, ConstantHistory, HistoryFunction,
                    PseirsParams, SirParams, SirState, Trajectory, _require,
                    kappa, negativity_floor, step_count)
 from .dde import PLAN_CHUNK, default_step, reconstruct_trajectory, simulate_pseirs
-from .errors import InvalidParameter, PseirsError, TrajectoryTooShort, WorkerDied
+from .errors import (InvalidParameter, Overflow, PseirsError, TrajectoryTooShort,
+                     WorkerDied)
 from .integro import verify_integral_equivalence
 from .netgen import (degree_histogram, edge_list_text, gamma_from_graph,
-                     generate_ba, graph_to_dict, mean_degree, powerlaw_slope)
+                     generate_ba, graph_json_text, graph_to_dict, mean_degree,
+                     powerlaw_slope)
 # sir_derivatives stays importable here: bench/tracer.py wraps this name
 from .sir import simulate_sir, sir_derivatives, sir_r0
 from .stats import (TrajectoryStream, compartment_stats, csv_row_blocks,
@@ -356,7 +358,11 @@ class _ForkedParse(_fork.Child):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a non-finite number raises Overflow, not ``Infinity``."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise Overflow(f"{exc}; JSON holds finite numbers only") from None
 
 
 def _prepare_network(config: ScenarioConfig):
@@ -382,7 +388,7 @@ def _prepare_network(config: ScenarioConfig):
 def _write_network(graph, out: Path) -> None:
     """Write the graph's ``edges.txt`` and ``graph.json`` into ``out``."""
     (out / "edges.txt").write_text(edge_list_text(graph))
-    (out / "graph.json").write_text(_json_text(graph_to_dict(graph)))
+    (out / "graph.json").write_text(graph_json_text(graph_to_dict(graph)))
 
 
 def _run_analyses(config: ScenarioConfig, traj: Trajectory, params,

@@ -102,26 +102,41 @@ def simulate_sir(params: SirParams, init: SirState, horizon: float,
     beta, alpha = params.beta, params.alpha
     floor = negativity_floor((init.s, init.i, init.r))
 
-    def rhs(s, i):
-        flow = beta * i * s
-        rec = alpha * i
-        return (-flow, flow - rec, rec)
-
     n_steps = step_count(horizon, step)
     h = step
+    hh = 0.5 * h
+    h6 = h / 6.0
     s, i, r = init.s, init.i, init.r
-    states = [(s, i, r)]
-    for _ in range(n_steps):
-        d1 = rhs(s, i)
-        d2 = rhs(s + 0.5 * h * d1[0], i + 0.5 * h * d1[1])
-        d3 = rhs(s + 0.5 * h * d2[0], i + 0.5 * h * d2[1])
-        d4 = rhs(s + h * d3[0], i + h * d3[1])
-        s += (h / 6.0) * (d1[0] + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
-        i += (h / 6.0) * (d1[1] + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
-        r += (h / 6.0) * (d1[2] + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
+    rows = [s, i, r]
+    # the four RK4 stages written out, per stage the infection flow f, the
+    # recovery c and dI = f - c, with dS = -f negated where it is used, so
+    # every operation is the one the derivative tuples took
+    for k in range(1, n_steps + 1):
+        f1 = beta * i * s
+        c1 = alpha * i
+        g1 = f1 - c1
+        s2 = s + hh * -f1
+        i2 = i + hh * g1
+        f2 = beta * i2 * s2
+        c2 = alpha * i2
+        g2 = f2 - c2
+        s2 = s + hh * -f2
+        i2 = i + hh * g2
+        f3 = beta * i2 * s2
+        c3 = alpha * i2
+        g3 = f3 - c3
+        s2 = s + h * -f3
+        i2 = i + h * g3
+        f4 = beta * i2 * s2
+        c4 = alpha * i2
+        g4 = f4 - c4
+        s += h6 * (-f1 + 2.0 * -f2 + 2.0 * -f3 + -f4)
+        i += h6 * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        r += h6 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
         if s < floor or i < floor or r < floor:
-            raise undershoot(len(states) * h, floor, SIR_LABELS, (s, i, r))
-        states.append((s, i, r))
+            raise undershoot(k * h, floor, SIR_LABELS, (s, i, r))
+        rows += (s, i, r)
 
     times = np.arange(n_steps + 1, dtype=float) * h
+    states = np.fromiter(rows, float, len(rows)).reshape(-1, 3)
     return Trajectory(times=times, states=states, step=h, labels=SIR_LABELS)

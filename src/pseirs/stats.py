@@ -11,6 +11,7 @@ time integrals; extrema are exact over the same samples.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import _fork
 from .core import Trajectory, _require
-from .errors import EmptyWindow, WorkerDied
+from .errors import EmptyWindow, Overflow, WorkerDied
 
 
 # rows per formatted block: bounds the temporary floats and strings
@@ -235,11 +236,20 @@ def _window_mask(traj: Trajectory, window: tuple[float, float]) -> np.ndarray:
 
 def compartment_stats(traj: Trajectory,
                       window: tuple[float, float]) -> StatsTable:
+    """Min, max and mean of each compartment over the window's samples.
+    Raises Overflow when a mean leaves float64's range: the sum of finite
+    samples can."""
     mask = _window_mask(traj, window)
     rows = {}
     for idx, lab in enumerate(traj.labels):
         col = traj.states[mask, idx]
-        rows[lab] = (float(col.min()), float(col.max()), float(col.mean()))
+        with np.errstate(over="ignore"):
+            mean = float(col.mean())
+        if not math.isfinite(mean):
+            raise Overflow(f"the mean of compartment {lab} over the window "
+                           f"[{window[0]}, {window[1]}] exceeded float64's "
+                           "range")
+        rows[lab] = (float(col.min()), float(col.max()), mean)
     return StatsTable(window=(float(window[0]), float(window[1])), rows=rows)
 
 

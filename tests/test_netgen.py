@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pseirs import (DegreeHistogram, InsufficientTail, InvalidGraphParams,
                     degree_histogram, edge_list_text, gamma_from_graph,
-                    generate_ba, graph_to_dict, mean_degree, powerlaw_slope)
+                    generate_ba, graph_json_text, graph_to_dict, mean_degree,
+                    powerlaw_slope)
+
+import reference_netgen
 
 
 class TestGenerate:
@@ -139,3 +144,26 @@ class TestExports:
         assert doc["n"] == 10
         assert doc["seed"] == 42
         assert [tuple(e) for e in doc["edges"]] == sorted(g.edges)
+
+
+class TestReferenceSampler:
+    """The raw-word sampler against the ``Generator.integers`` loop it
+    replaced (``tests/reference_netgen.py``).  Fails if numpy changes how
+    ``integers`` draws below 2**32 or how PCG64 buffers 32-bit words."""
+
+    GRID = [(n, m0, m, seed)
+            for n in (1, 2, 7, 300) for m0 in (1, 2, 5) if m0 <= n
+            for m in range(1, m0 + 1)
+            for seed in (0, 1, 7, 2**31 - 1, 2**40 + 3)]
+
+    def test_edges_equal_on_the_grid(self):
+        for args in [*self.GRID, (5000, 3, 2, 7)]:
+            assert (generate_ba(*args).edges
+                    == reference_netgen.generate_ba(*args).edges), args
+
+    @pytest.mark.parametrize("args", [(5000, 3, 2, 7), (1, 1, 1, 0)],
+                             ids=["scale_free_5000", "edgeless"])
+    def test_graph_json_text_is_json_dumps(self, args):
+        doc = graph_to_dict(generate_ba(*args))
+        assert graph_json_text(doc) == json.dumps(doc, indent=2,
+                                                  sort_keys=True) + "\n"

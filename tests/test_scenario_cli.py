@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -15,8 +16,8 @@ import pytest
 from pseirs import _fork, scenario, stats
 from pseirs.cli import main
 from pseirs.core import MAX_STEPS
-from pseirs.errors import (EmptyWindow, InvalidParameter, TrajectoryTooShort,
-                           WorkerDied)
+from pseirs.errors import (EmptyWindow, InvalidParameter, Overflow,
+                           TrajectoryTooShort, WorkerDied)
 from pseirs.scenario import (ScenarioConfig, read_trajectory_csv, run_scenario,
                              sweep_scenario, write_trajectory_csv)
 
@@ -759,6 +760,36 @@ class TestCli:
         assert error["type"] == "ZeroPopulation"
         assert f"population N reached zero at t={30 * 0.0075!r};" in error["message"]
         assert not (tmp_path / "re").exists()
+
+    @pytest.mark.parametrize("horizon, message", [
+        # every state is finite, but the sum behind the mean of S is not
+        ("707", "the mean of compartment S over the window [0.0, 707.0] "
+                "exceeded float64's range"),
+        # the states themselves overflow
+        ("710", "compartment S=inf is not finite at t=707.9000000000001; "
+                "it exceeded float64's range"),
+    ], ids=["mean", "states"])
+    def test_overflow_is_one_error_record(self, tmp_path, capsys, horizon,
+                                          message):
+        # N grows about like exp((beta - mu)*t): with beta = 1 (and omega = 1
+        # for a 14,000-step run) the baseline passes float64's range near
+        # t = 708, where it would need t = 2177
+        raw = load_config("seirs_baseline.json")
+        raw["params"].update(beta=1, omega=1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code = main(["simulate", "--config", str(path), "--horizon", horizon,
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        # one record and nothing else: no numpy warning, no Infinity
+        assert json.loads(capsys.readouterr().err) == {
+            "error": {"type": "Overflow", "message": message}}
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_json_text_refuses_non_finite_numbers(self, value):
+        with pytest.raises(Overflow, match="JSON holds finite numbers only"):
+            scenario._json_text({"stats": {"mean": value}})
 
     @pytest.mark.parametrize("rows, named", [
         (["0.0,11.0,1.0,0.0", "0.5,-0.5,1.0,0.0"], "S=-0.5 at t=0.5"),

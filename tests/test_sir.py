@@ -12,6 +12,8 @@ from pseirs.presets import (sir_high_infectivity, sir_low_infectivity,
                             sir_twelve_node_init)
 from pseirs.scenario import ScenarioConfig, _rebuilt, write_trajectory_csv
 
+import reference_sir
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SIR_CONFIGS = ("sir_high_infectivity.json", "sir_low_infectivity.json")
 
@@ -158,3 +160,38 @@ class TestSimulate:
         a = simulate_sir(sir_low_infectivity(), sir_twelve_node_init(), 50.0, 0.01)
         b = simulate_sir(sir_low_infectivity(), sir_twelve_node_init(), 50.0, 0.01)
         assert np.array_equal(a.states, b.states)
+
+
+class TestReferenceLoop:
+    """The inline RK4 loop against the closure-based one it replaced
+    (``tests/reference_sir.py``): the same bits, the same aborts."""
+
+    @pytest.mark.parametrize("name, step", [
+        ("sir_high_infectivity.json", None),
+        ("sir_low_infectivity.json", None),
+        # a step that does not divide the horizon
+        ("sir_high_infectivity.json", 0.07),
+    ])
+    def test_states_bit_identical(self, name, step):
+        config = ScenarioConfig.from_dict(
+            json.loads((CONFIG_DIR / name).read_text()))
+        args = (config.params, config.init, config.horizon,
+                config.step if step is None else step)
+        got, want = simulate_sir(*args), reference_sir.simulate_sir(*args)
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.times.tobytes() == want.times.tobytes()
+
+    def test_negative_zero_susceptible(self):
+        # s = -0.0 passes SirState; every zero keeps the reference's sign
+        args = (SirParams(0.2, 0.1), SirState(-0.0, 1.0, 0.0), 5.0, 0.1)
+        got, want = simulate_sir(*args), reference_sir.simulate_sir(*args)
+        assert got.states.tobytes() == want.states.tobytes()
+
+    def test_undershoot_abort_matches(self):
+        # I falls below the floor at the second step, t = 5.0
+        args = (SirParams(0.2, 0.1), SirState(11.0, 1.0, 0.0), 60.0, 2.5)
+        with pytest.raises(StepTooLarge) as got:
+            simulate_sir(*args)
+        with pytest.raises(StepTooLarge) as want:
+            reference_sir.simulate_sir(*args)
+        assert str(got.value) == str(want.value)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pseirs import (EmptyWindow, InvalidParameter, Trajectory, ZeroPopulation,
+from pseirs import (EmptyWindow, InvalidParameter, Overflow, Trajectory,
+                    ZeroPopulation,
                     compartment_stats, phase_plane, simulate_pseirs,
                     simulate_sir)
 from pseirs.presets import (sir_high_infectivity, sir_low_infectivity,
@@ -20,6 +21,12 @@ class TestCompartmentStats:
         table = compartment_stats(_constant_traj(), (0.0, 10.0))
         for lo, hi, mean in table.rows.values():
             assert lo == hi == mean == 5.0
+
+    def test_mean_past_float64_is_overflow(self):
+        # finite samples whose sum is not: no numpy warning, no inf mean
+        with pytest.raises(Overflow, match=r"mean of compartment S over the "
+                                           r"window \[0.0, 10.0\]"):
+            compartment_stats(_constant_traj(1e308), (0.0, 10.0))
 
     def test_reference_peaks(self):
         low = simulate_sir(sir_low_infectivity(), sir_twelve_node_init(),

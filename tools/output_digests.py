@@ -1,6 +1,6 @@
 """SHA-256 of every file the ``pseirs`` CLI writes for the shipped configs.
 
-Runs 20 commands against the package and configs of one checkout:
+Runs 22 commands against the package and configs of one checkout:
 ``simulate`` on each of the six configs, ``analyze`` of each stored
 trajectory with its own config, a 2-value ``params.p`` sweep of
 ``seirs_low_immunity``, a 3-value ``params.gamma`` sweep of
@@ -14,7 +14,10 @@ the grid, so reconstruction is covered at 4-step lags and at lags off the
 grid too. The third is ``sir_high_infectivity`` at step 0.07, which does
 not divide the horizon (the last sample is at t = 200.06), so the SIR
 solve, its trajectory CSV and ``analyze`` of it are covered on a second
-grid. Writes one JSON object mapping each output file (relative to the
+grid. Two ``generate-network`` runs cover the CLI's network files: 300
+nodes with m0 = m = 1, whose second node attaches to the sole seed node
+with an empty endpoint pool, and 2,000 nodes with m0 = m = 5. Writes one
+JSON object mapping each output file (relative to the
 run directory) to its digest, so two checkouts that must produce the same
 bytes can be compared with ``diff``:
 
@@ -41,10 +44,12 @@ SWEEPS = (("seirs_low_immunity", "params.p", "0.5,1"),
           ("seirs_baseline", "params.gamma", "0.02,0.1061,0.308"))
 EDGE_STEPS = (("seirs_baseline", "0.0375"), ("seirs_long_latency", "0.0071"),
               ("sir_high_infectivity", "0.07"))
+# (nodes, m0, m, seed) of each generate-network command
+NETWORKS = ((300, 1, 1, 3), (2000, 5, 5, 0))
 
 
 def commands(configs: Path, out: Path) -> list:
-    """(output directory, CLI argv) for each of the 20 commands, in order."""
+    """(output directory, CLI argv) for each of the 22 commands, in order."""
     cmds = []
     for name in CONFIGS:
         config = str(configs / f"{name}.json")
@@ -64,6 +69,10 @@ def commands(configs: Path, out: Path) -> list:
         cmds.append((out / "analyze-step" / f"{name}-{step}",
                      ["analyze", "--config", config,
                       "--trajectory", str(sim / "trajectory.csv")]))
+    for nodes, m0, m, seed in NETWORKS:
+        cmds.append((out / "generate-network" / f"{nodes}-{m0}-{m}-{seed}",
+                     ["generate-network", "--nodes", str(nodes), "--m0",
+                      str(m0), "--m", str(m), "--seed", str(seed)]))
     return cmds
 
 
