@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 

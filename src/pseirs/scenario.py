@@ -183,8 +183,9 @@ def _entry(entry, name: str, fields: set) -> dict:
 def _window(entry: dict, name: str):
     window = entry.get("window")
     _require(window is None or (isinstance(window, list) and len(window) == 2
-                                and all(map(_is_number, window))),
-             f"{name}.window", window, "null or [start, end]")
+                                and all(_is_number(v) and math.isfinite(v)
+                                        for v in window)),
+             f"{name}.window", window, "null or [start, end], both finite")
     return window
 
 
@@ -437,11 +438,11 @@ def _r0_block(config: ScenarioConfig, params) -> dict:
     return block
 
 
-def _write_run(out: Path, summary: dict, planes: list) -> None:
+def _write_run(out: Path, summary_text: str, planes: list) -> None:
     """Write the phase-plane CSVs and, last, summary.json into ``out``."""
     for name, text in planes:
         (out / name).write_text(text)
-    (out / "summary.json").write_text(_json_text(summary))
+    (out / "summary.json").write_text(summary_text)
 
 
 def run_scenario(config: ScenarioConfig, out_dir) -> dict:
@@ -477,6 +478,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
                                    config.step, rows_out=rows_out)
         summary, planes = _run_analyses(config, traj, params, network_info,
                                         outputs)
+        summary_text = _json_text(summary)
 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -486,7 +488,7 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
             stream.close()
     if graph is not None:
         _write_network(graph, out)
-    _write_run(out, summary, planes)
+    _write_run(out, summary_text, planes)
     return summary
 
 
@@ -508,10 +510,11 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
     traj, params, network_info = _rebuilt(config, trajectory_csv)
     summary, planes = _run_analyses(config, traj, params, network_info,
                                     {"trajectory": Path(trajectory_csv).name})
+    summary_text = _json_text(summary)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_run(out, summary, planes)
+    _write_run(out, summary_text, planes)
     return summary
 
 

@@ -108,9 +108,9 @@ def simulate_sir(params: SirParams, init: SirState, horizon: float,
     h6 = h / 6.0
     s, i, r = init.s, init.i, init.r
     rows = [s, i, r]
-    # the four RK4 stages written out, per stage the infection flow f, the
-    # recovery c and dI = f - c, with dS = -f negated where it is used, so
-    # every operation is the one the derivative tuples took
+    # the four RK4 stages written out: per stage the infection flow f, the
+    # recovery c and dI = f - c; dS = -f is negated where it is used
+    # (hh * -f1), since -(a + b) and -a + -b differ in the sign of a zero
     for k in range(1, n_steps + 1):
         f1 = beta * i * s
         c1 = alpha * i

@@ -330,6 +330,9 @@ def test_unknown_keys_rejected():
 @pytest.mark.parametrize("path, value", [
     ("analyses.stats", 5),
     ("analyses.stats", {"window": "ab"}),
+    # summary.json echoes the window, and JSON holds finite numbers only
+    ("analyses.stats", {"window": [0, math.inf]}),
+    ("analyses.phase_plane.0.window", [-math.inf, 10]),
     ("analyses.classify.tail_fraction", "x"),
     ("analyses.classify.tail", 0.1),
     ("analyses.integral_equivalence.checkpoints", "many"),
@@ -790,6 +793,21 @@ class TestCli:
     def test_json_text_refuses_non_finite_numbers(self, value):
         with pytest.raises(Overflow, match="JSON holds finite numbers only"):
             scenario._json_text({"stats": {"mean": value}})
+
+    def test_non_finite_summary_writes_nothing(self, tmp_path, capsys,
+                                               monkeypatch):
+        # summary.json's text is made before the first file is written
+        def infinite_stats(traj, window):
+            return stats.StatsTable(window, {"S": (0.0, math.inf, 1.0)})
+
+        monkeypatch.setattr(scenario, "compartment_stats", infinite_stats)
+        code = main(["simulate", "--config",
+                     str(CONFIG_DIR / "sir_low_infectivity.json"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "Overflow"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("rows, named", [
         (["0.0,11.0,1.0,0.0", "0.5,-0.5,1.0,0.0"], "S=-0.5 at t=0.5"),
