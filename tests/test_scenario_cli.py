@@ -330,9 +330,6 @@ def test_unknown_keys_rejected():
 @pytest.mark.parametrize("path, value", [
     ("analyses.stats", 5),
     ("analyses.stats", {"window": "ab"}),
-    # summary.json echoes the window, and JSON holds finite numbers only
-    ("analyses.stats", {"window": [0, math.inf]}),
-    ("analyses.phase_plane.0.window", [-math.inf, 10]),
     ("analyses.classify.tail_fraction", "x"),
     ("analyses.classify.tail", 0.1),
     ("analyses.integral_equivalence.checkpoints", "many"),
@@ -343,6 +340,9 @@ def test_unknown_keys_rejected():
     ("analyses.phase_plane.0", ["S", "I"]),
     ("analyses.threshold", "no"),
     ("network", {"n": 50.5, "m0": 3, "m": 2, "seed": 7, "per_contact_prob": 0.077}),
+    # summary.json echoes the window, and JSON holds finite numbers only
+    ("analyses.stats", {"window": [0, math.inf]}),
+    ("analyses.phase_plane.0.window", [-math.inf, 10]),
 ])
 def test_config_types_checked_at_parse(path, value):
     raw = load_config("seirs_baseline.json")
