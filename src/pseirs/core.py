@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, OutOfDomain, StepTooLarge, ZeroPopulation
+from .errors import InvalidParameter, OutOfDomain, Overflow, StepTooLarge, ZeroPopulation
 
 
 def _require(cond: bool, name: str, value, constraint: str) -> None:
@@ -23,10 +23,14 @@ def _require(cond: bool, name: str, value, constraint: str) -> None:
 
 def negativity_floor(row) -> float:
     """-1e-9*N of a run's first row (N summed left to right), or 0 if N < 0:
-    the least value any compartment of the run may take; none is clamped."""
+    the least value any compartment of the run may take; none is clamped.
+    Raises Overflow if N is past float64's range (the floor would be -inf)."""
     n = row[0]
     for value in row[1:]:
         n += value
+    if not math.isfinite(n):
+        raise Overflow(f"population N={n!r} of the first row is not finite; "
+                       "it exceeded float64's range")
     return min(-1e-9 * n, 0.0)
 
 
@@ -260,8 +264,9 @@ class Trajectory:
         _require(times.ndim == 1 and len(times) >= 2, "times", times.shape,
                  "at least two samples")
         _require(times[0] == 0.0, "times", float(times[0]), "grid starts at t = 0")
-        gaps = np.diff(times)
-        _require(bool(np.all(np.abs(gaps - self.step) <= 1e-9 * self.step)),
+        with np.errstate(over="ignore"):  # a gap of 1e308 fails, quietly
+            gaps = np.abs(np.diff(times) - self.step)
+        _require(bool(np.all(gaps <= 1e-9 * self.step)),
                  "times", None, "uniform spacing equal to the configured step")
         k = len(self.labels)
         _require(states.shape == (len(times), k), "states", states.shape,
@@ -286,17 +291,23 @@ class Trajectory:
         return self.states[:, self.labels.index(label)]
 
     def totals(self) -> np.ndarray:
-        """Population size N at every sample."""
-        return self.states.sum(axis=1)
+        """Population size N at every sample, inf past float64's range."""
+        with np.errstate(over="ignore"):
+            return self.states.sum(axis=1)
 
     def fractions(self, rows=slice(None)) -> np.ndarray:
         """The states at ``rows`` (an index or mask of ``times``; all of
         them by default), each divided by its population N: proportions on
-        the simplex.  Raises ZeroPopulation, naming t, at the first of
-        those rows whose N is not positive."""
+        the simplex.  Raises ZeroPopulation or Overflow, naming t, at the
+        first of those rows whose N is not positive or not finite."""
         n = self.totals()[rows]
-        if not (n > 0.0).all():
-            t = float(self.times[rows][np.argmin(n > 0.0)])
+        good = (n > 0.0) & (n < math.inf)
+        if not good.all():
+            k = int(np.argmin(good))
+            t = float(self.times[rows][k])
+            if n[k] > 0.0:
+                raise Overflow(f"population N={float(n[k])!r} is not finite at "
+                               f"t={t}; it exceeded float64's range")
             raise ZeroPopulation(f"population N reached zero at t={t}; "
                                  "proportions are undefined")
         return self.states[rows] / n[:, None]

@@ -7,37 +7,30 @@ The system (four compartments, two constant delays) is
     dI/dt = gamma*(S*I/N)(t-omega)*exp(-mu*omega) - (mu+epsilon+alpha)*I
     dR/dt = p*alpha*I - p*alpha*I(t-tau)*exp(-mu*tau) - mu*R
 
-integrated by the method of steps with fixed-step RK4 (Bellen & Zennaro,
-*Numerical Methods for Delay Differential Equations*, 2003, ch. 3-4).
-Every delayed lookup is one cubic Hermite lookup, ``_HermiteLookup``, into
-the stored (state, derivative) samples: the solver's RK4 stages,
-reconstruction's derivative rows, and the integral forms through
-``_eval_raw``.  A time within 1e-9*h of t = 0 reads the stored row 0
-(stage times t - lag can miss 0 by about an ulp); left of that it reads
-the prescribed history, right of it cell ``int(t/h)``, clamped to the
-last cell, with the stored row itself where the cell fraction is 0.
-Stage 4 integrates the branch left of any breaking point, so it reads
-the history up to t = 1e-9*h (E and R may jump at t = 0 under
-consistent init).  The step must not exceed min(omega, tau)/4, so every
-stage lookup lands in already-computed territory.
+integrated by the method of steps with fixed-step RK4 on a mesh of step h
+(Bellen & Zennaro, *Numerical Methods for Delay Differential Equations*,
+2003, ch. 3-4).  Both lags are constant, so every delayed lookup of step k
+lands at the same cell offset m and fraction th for all k (``_cell``):
+fraction a for RK4's stages 1 and 4, b for its stage-2/3 midpoint.  Entry
+n of a fraction reads the history below n = m, else the cubic Hermite
+interpolant of the stored (state, derivative) rows of cell [n - m, n - m
++ 1] at th, or the stored row itself where th is 0.  A lag within 1e-9
+steps of the grid, as in every shipped config, has th 0 for a and 0.5 for
+b, the cell midpoint.  Stage 4 integrates the branch left of the breaking
+point t = 0, so where its entry is row 0 it reads the history at t = 0 (E
+and R may jump there under consistent init).  The step is at most
+min(omega, tau)/4, so every entry is finished before a step reads it.
 
-Block method of steps.  The lags are constant, so the six lookups of an
-RK4 step (stage 1, the stage-2/3 midpoint and stage 4, at lags omega and
-tau) read rows finished earlier.  ``_LookupPlan`` works them out for a
-chunk of ``PLAN_CHUNK`` steps, and the steps advance in blocks: a block
-starting at step k0 may read cells up to [k0-2, k0-1] (row k0's
-derivative is its first stage), about min(omega, tau)/h - 2 steps.  One
-gather per block gives the lagged terms of all its steps, and the Python
-loop does only the undelayed arithmetic.  Reconstruction
-(``_derivative_rows``, which also gives the solver's last derivative row)
-needs stage 1 only and has every state up front: per chunk it runs the
-undelayed arithmetic once and plans each lag on its own, so only the
-omega lookups go a block at a time.
-
-Every bit matches a scalar cubic Hermite lookup taken one at a time (the
-tests' reference): numpy does the same IEEE-754 operations in the same
-order and fuses no multiply and add, and both decay factors are
-``math.exp`` values computed once per run (``_Rates``).
+The solver's scalar RK4 loop appends each lag's delayed term at both
+fractions to a Python list once a cell is finished (its right row's
+stage-1 derivative known): the incidence gamma*(S/N)*I*exp(-mu*omega) at
+lag omega, the return term p*alpha*I*exp(-mu*tau) at lag tau.  Step k
+reads entry k, with no numpy call in the loop, in chunks of ``CHUNK``
+steps, each stored with one ``np.fromiter`` before the entries it read
+are dropped.  Reconstruction (``_derivative_rows``, also the solver's row
+0) reads the same stage-1 entries with whole-array numpy and the same
+bits: numpy does the same IEEE-754 operations in the same order and fuses
+no multiply and add.
 
 Consistent initialization: E(0) and R(0) default to the integrals of the
 supplied history,
@@ -54,8 +47,7 @@ Callers may override either value; the trajectory then carries an
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -66,8 +58,9 @@ from .quadrature import adaptive_simpson
 
 PSEIRS_LABELS = ("S", "E", "I", "R")
 
-# steps per lookup plan: bounds the plan's memory, not the result
-PLAN_CHUNK = 1024
+# steps per chunk of the solver's loop: bounds the lag caches and the rows
+# held before they are stored, not the result
+CHUNK = 1024
 
 
 def _zero_population(t: float, lagged: bool = False) -> ZeroPopulation:
@@ -124,70 +117,25 @@ def consistent_initial_recovered(history: HistoryFunction,
                             -params.tau, 0.0)
 
 
-class _HermiteLookup:
-    """Cubic Hermite lookups into the samples at an (m, n) array of times
-    ``x``, one per row and column, with the module's conventions: row 0
-    within 1e-9*h of t = 0, the history left of it (up to 1e-9*h in a row
-    whose ``left`` flag asks for the left limit, read at min(x, 0)), cell
-    ``int(x/h)`` clamped to ``last`` right of it, and the stored row itself
-    at ``th == 0``.  Each value has the bits of the scalar lookup
-    ``((h00*S[j] + h01*S[j+1]) + h10*dS[j]) + h11*dS[j+1]``."""
-
-    def __init__(self, x: np.ndarray, left, h: float,
-                 history: HistoryFunction | None, last: int):
-        snap = 1e-9 * h  # times t-lag can miss t=0 by ~1 ulp
-        hist = np.where(left, x <= snap, x < -snap)
-        xs = np.where(x < snap, 0.0, x)  # history lookups get j = 0, th = 0
-        # xs >= 0: truncation is int()
-        j = np.minimum((xs / h).astype(np.int64), last)
-        th = ((xs - j * h) / h)[..., None]  # one weight per (S, E, I, R) row
-        t2 = th * th
-        t3 = t2 * th
-        # axes (row j or j+1, lookup, column, -), as the gathered rows;
-        # np.array, not np.stack: 2-3x less overhead per call (numpy 2.4),
-        # which shows at the 129-257 nodes of a verifier call
-        self.cells = np.array((j, j + 1))
-        self.value_weights = np.array((2.0 * t3 - 3.0 * t2 + 1.0,
-                                       3.0 * t2 - 2.0 * t3))
-        self.slope_weights = np.array(((t3 - 2.0 * t2 + th) * h,
-                                       (t3 - t2) * h))
-        self.exact = th == 0.0
-        self.hist = hist[..., None]
-        cols = np.flatnonzero(hist.any(axis=0))
-        # no column from hist_end on reads the history: an O(1) test per block
-        self.hist_end = int(cols[-1]) + 1 if len(cols) else 0
-        if self.hist_end:
-            self.hist_rows = np.zeros(x.shape + (4,))
-            at = np.where(left & (x > 0.0), 0.0, x)[hist]  # min(x, 0)
-            self.hist_rows[hist] = history.rows_at(at)
-
-    def rows(self, states: np.ndarray, derivs: np.ndarray, sl: slice):
-        """The (S, E, I, R) rows looked up in columns ``sl`` (a slice with
-        a start) of the samples ``states``, ``derivs``: an (m, columns, 4)
-        array."""
-        cells = self.cells[:, :, sl]
-        # take, not fancy indexing: the same rows, 3-5x faster per block
-        # (numpy 2.4)
-        values = states.take(cells, axis=0)
-        a = self.value_weights[:, :, sl] * values
-        d = self.slope_weights[:, :, sl] * derivs.take(cells, axis=0)
-        v = ((a[0] + a[1]) + d[0]) + d[1]
-        np.copyto(v, values[0], where=self.exact[:, sl])
-        if sl.start < self.hist_end:
-            np.copyto(v, self.hist_rows[:, sl], where=self.hist[:, sl])
-        return v
+def _weights(th, h: float) -> tuple:
+    """The cubic Hermite weights (h00, h01, h10, h11) at cell fraction th
+    (a float or an array) of a cell h wide."""
+    t2 = th * th
+    t3 = t2 * th
+    return (2.0 * t3 - 3.0 * t2 + 1.0, 3.0 * t2 - 2.0 * t3,
+            (t3 - 2.0 * t2 + th) * h, (t3 - t2) * h)
 
 
 def _eval_raw(traj: Trajectory, x: np.ndarray) -> np.ndarray:
-    """(S, E, I, R) rows at an array of times in [-kappa, horizon], read
-    through the solver's ``_HermiteLookup`` and its conventions.  Not exact
-    at grid points: ``int(t / h)`` can pick the cell left of a grid time,
-    whose interpolant misses the stored row by rounding (at 770 of the
-    40,001 grid points of the baseline run); the stored rows are exact
-    there.  The integral forms read all the nodes of a quadrature level at
-    once."""
+    """(S, E, I, R) rows at an array of times in [-kappa, horizon], for the
+    integral forms: row 0 within 1e-9*h of t = 0, the history left of it,
+    and right of it cell ``int(x/h)``, clamped to the last cell, read as
+    ``((h00*S[j] + h01*S[j+1]) + h10*dS[j]) + h11*dS[j+1]`` or the stored
+    row itself at fraction 0.  Not exact at grid points: ``int(t / h)`` can
+    pick the cell left of one, off the stored row by rounding (770 of the
+    40,001 grid points of the baseline run)."""
     x = np.asarray(x, dtype=float)
-    h = traj.step
+    h, states, derivs = traj.step, traj.states, traj.derivs
     if len(x):
         lo, hi = float(x.min()), float(x.max())
         if lo < -1e-9 * h and (traj.history is None or lo < -traj.kappa):
@@ -195,55 +143,51 @@ def _eval_raw(traj: Trajectory, x: np.ndarray) -> np.ndarray:
         if not hi <= traj.times[-1] + 1e-9 * h:  # NaN fails too
             raise OutOfDomain(f"t={hi} beyond the last computed sample "
                               f"{traj.times[-1]}")
-    lookup = _HermiteLookup(x[None], False, h, traj.history,
-                            len(traj.times) - 2)
-    return lookup.rows(traj.states, traj.derivs, slice(0, len(x)))[0]
+    snap = 1e-9 * h  # times t-lag can miss t=0 by ~1 ulp
+    xs = np.where(x < snap, 0.0, x)  # history lookups get j = 0, th = 0
+    j = np.minimum((xs / h).astype(np.int64), len(traj.times) - 2)  # xs >= 0
+    th = ((xs - j * h) / h)[:, None]  # one weight per (S, E, I, R)
+    h00, h01, h10, h11 = _weights(th, h)
+    v = (((h00 * states[j] + h01 * states[j + 1]) + h10 * derivs[j])
+         + h11 * derivs[j + 1])
+    np.copyto(v, states[j], where=th == 0.0)
+    hist = x < -snap
+    if hist.any():
+        v[hist] = traj.history.rows_at(x[hist])
+    return v
 
 
 def default_step(params: PseirsParams) -> float:
     return min(params.omega, params.tau, 1.0) / 20.0
 
 
-# Lookup stages as (offset in steps, left limit): RK4's stage 1, its
-# stage-2/3 midpoint and stage 4 for the solver; stage 1 alone for a
-# derivative row.
-_RK4_STAGES = ((0.0, False), (0.5, False), (1.0, True))
-_ROW_STAGES = _RK4_STAGES[:1]
+def _cell(steps: float, offset: float, lag: float) -> tuple:
+    """(m, th, offset, lag) of a lookup ``steps`` steps back: entry n, at
+    t = n*h + offset*h - lag, reads cell n - m at fraction th in [0, 1).
+    Within 1e-9 of a whole number of steps, where t - lag misses a grid
+    time by rounding, th is 0: the stored row itself."""
+    m = round(steps)
+    if abs(steps - m) <= 1e-9:
+        return m, 0.0, offset, lag
+    m = math.ceil(steps)
+    return m, m - steps, offset, lag
 
 
-class _LookupPlan(_HermiteLookup):
-    """The delayed lookups of steps c0 <= k < c1 in columns k - c0: for
-    each of ``lags`` in turn, one for each of ``stages``, at
-    t = k*h + offset*h - lag; and the block schedule over them.  The solver
-    plans (omega, tau), reconstruction each lag on its own.  The clamp to
-    cell ``last`` never fires: every lag is at least 4 steps."""
-
-    def __init__(self, history: HistoryFunction, h: float, last: int,
-                 c0: int, c1: int, stages: tuple, lags: tuple):
-        t = np.arange(c0, c1, dtype=float) * h
-        ts = [t + offset * h for offset, _ in stages]
-        x = np.stack([u - lag for lag in lags for u in ts])
-        left = np.array([lim for _, lim in stages] * len(lags))[:, None]
-        super().__init__(x, left, h, history, last)
-        self.c0, self.c1 = c0, c1
-        # the newest row a step reads; non-decreasing in k, so a block is
-        # a bisection
-        self.need = np.where(self.hist[..., 0], -1,
-                             self.cells[1]).max(axis=0).tolist()
-
-    def block_end(self, k0: int, stop: int) -> int:
-        """End of the block starting at k0: its lookups read rows <= k0-1.
-        Lags of >= 4 steps keep step k0 itself in the block."""
-        c0 = self.c0
-        return min(bisect_right(self.need, k0 - 1, k0 - c0) + c0, stop)
+def _fractions(lag: float, h: float) -> tuple:
+    """(a, b): the ``_cell`` of entry n at t = n*h - lag, and of the
+    midpoint half a step later."""
+    m, th, *_ = a = _cell(lag / h, 0.0, lag)
+    return a, _cell(m - th - 0.5, 0.5, lag)
 
 
 class _Rates:
-    """The model's delays and rate constants, worked out once per run, and
-    its two delayed terms of looked-up rows."""
+    """The lags (``_fractions``) and rate constants at step h, worked out
+    once per run, the history, and the two delayed terms of rows."""
 
-    def __init__(self, params: PseirsParams):
-        self.omega, self.tau = params.omega, params.tau
+    def __init__(self, params: PseirsParams, h: float,
+                 history: HistoryFunction):
+        self.h, self.history = h, history
+        self.lags = (_fractions(params.omega, h), _fractions(params.tau, h))
         self.beta, self.mu, self.gamma = params.beta, params.mu, params.gamma
         self.b = params.mu + params.epsilon + params.alpha
         self.pa = params.p * params.alpha
@@ -260,55 +204,57 @@ class _Rates:
         """p*alpha*I*exp(-mu*tau) of rows at lag tau."""
         return self.pa * v[..., 2] * self.decay_t
 
+    def entries(self, cell: tuple, states: np.ndarray, derivs: np.ndarray,
+                n0: int, n1: int) -> np.ndarray:
+        """The (S, E, I, R) rows of entries n0 <= n < n1 of a ``_cell``;
+        the rows they read must be finished."""
+        (m, th, offset, lag), h = cell, self.h
+        rows = np.empty((n1 - n0, 4))
+        c = min(max(n0, m), n1)  # entries below m read the history
+        if n0 < c:
+            rows[:c - n0] = self.history.rows_at(np.arange(n0, c) * h
+                                                 + offset * h - lag)
+        j0, j1 = c - m, n1 - m
+        if th == 0.0:
+            rows[c - n0:] = states[j0:j1]
+        else:
+            h00, h01, h10, h11 = _weights(th, h)
+            rows[c - n0:] = (((h00 * states[j0:j1] + h01 * states[j0 + 1:j1 + 1])
+                              + h10 * derivs[j0:j1]) + h11 * derivs[j0 + 1:j1 + 1])
+        return rows
 
-def _derivative_rows(rates: _Rates, history: HistoryFunction, h: float,
-                     states: np.ndarray, derivs: np.ndarray, k0: int,
-                     k1: int) -> None:
+
+def _derivative_rows(rates: _Rates, states: np.ndarray, derivs: np.ndarray,
+                     k0: int, k1: int) -> None:
     """Fill ``derivs[k0:k1]``, the model rows at the stored states of rows
-    k0 <= k < k1 and their stage-1 lookups, with the solver's stage-1
+    k0 <= k < k1 and their stage-1 entries, with the solver's stage-1
     arithmetic; the rows before k0 must be complete.  Raises
     ZeroPopulation, naming t, at the first row whose current N, or else
-    lagged N(t - omega), is <= 0.
-
-    A chunk of ``PLAN_CHUNK`` rows at a time: the undelayed terms of the
-    whole chunk first, then a lookup plan and a block schedule per lag.  A
-    tau block fills the dS and dR columns of its rows, and the omega blocks
-    inside it fill dE and dI, so every lookup reads finished rows."""
-    last = len(states) - 2
+    lagged N(t - omega), is <= 0.  All the rows at once where both
+    fractions a are 0 (the entries read stored states only), else blocks
+    of m - 1 rows for the least offset m of a lag off the grid, whose
+    entries read the derivative rows of earlier blocks."""
+    (wa, _), (ta, _) = rates.lags
+    block = min([m - 1 for m, th, *_ in (wa, ta) if th] or [max(k1 - k0, 1)])
     mu = rates.mu
     with np.errstate(all="ignore"):
-        for c0 in range(k0, k1, PLAN_CHUNK):
-            c1 = min(c0 + PLAN_CHUNK, k1)
-            w_plan = _LookupPlan(history, h, last, c0, c1, _ROW_STAGES,
-                                 (rates.omega,))
-            t_plan = _LookupPlan(history, h, last, c0, c1, _ROW_STAGES,
-                                 (rates.tau,))
+        for c0 in range(k0, k1, block):
+            c1 = min(c0 + block, k1)
             s, e, i, r = states[c0:c1].T
             n = s + e + i + r
             zero = n <= 0.0
             inc_now = rates.gamma * (s / n) * i
-            ds = rates.beta * n - mu * s - inc_now
-            mu_e, b_i = mu * e, rates.b * i
-            pa_i, mu_r = rates.pa * i, mu * r
+            lw, zero_w = rates.incidence(rates.entries(wa, states, derivs, c0, c1))
+            lt = rates.return_term(rates.entries(ta, states, derivs, c0, c1))
+            bad = zero | zero_w
+            if bad.any():
+                m = int(np.argmax(bad))
+                raise _zero_population((c0 + m) * rates.h, lagged=not zero[m])
             rows = derivs[c0:c1]
-            k = kt = c0
-            while k < c1:
-                if k == kt:
-                    kt = t_plan.block_end(k, c1)
-                    sl = slice(k - c0, kt - c0)
-                    lt = rates.return_term(t_plan.rows(states, derivs, sl))[0]
-                    rows[sl, 0] = ds[sl] + lt
-                    rows[sl, 3] = pa_i[sl] - lt - mu_r[sl]
-                kw = w_plan.block_end(k, kt)
-                sl = slice(k - c0, kw - c0)
-                lw, zero_w = rates.incidence(w_plan.rows(states, derivs, sl)[0])
-                bad = zero[sl] | zero_w
-                if bad.any():
-                    m = int(np.argmax(bad))
-                    raise _zero_population((k + m) * h, lagged=not zero[sl][m])
-                rows[sl, 1] = inc_now[sl] - lw - mu_e[sl]
-                rows[sl, 2] = lw - b_i[sl]
-                k = kw
+            rows[:, 0] = rates.beta * n - mu * s - inc_now + lt
+            rows[:, 1] = inc_now - lw - mu * e
+            rows[:, 2] = lw - rates.b * i
+            rows[:, 3] = rates.pa * i - lt - mu * r
 
 
 def _checked_kappa(params: PseirsParams, history: HistoryFunction,
@@ -334,7 +280,7 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     S(0) and I(0) come from the history at t=0; E(0) and R(0) come from the
     consistency integrals unless ``e0``/``r0`` override them.  ``rows_out``,
     if given, is called with the state rows as they are finished, in
-    order: row 0, then the rows of each block of steps.  Aborts with
+    order: row 0, then the rows of each chunk of steps.  Aborts with
     ``undershoot``'s StepTooLarge when a compartment falls below the
     ``negativity_floor`` of row 0, with ZeroPopulation, naming t, at the
     first stage whose current or lagged population N is <= 0, and with
@@ -349,104 +295,150 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     override = e0 is not None or r0 is not None
     e_init = consistent_initial_exposed(history, params) if e0 is None else e0
     r_init = consistent_initial_recovered(history, params) if r0 is None else r0
-    s0_t = history.rows_at(np.zeros(1))[0].tolist()
+    hist0 = history.rows_at(np.zeros(1))
     # Python floats: the same bits as numpy scalars, faster in the loop
-    s, e, i, r = s0_t[0], float(e_init), s0_t[2], float(r_init)
+    s, e, i, r = hist0[0, 0].item(), float(e_init), hist0[0, 2].item(), float(r_init)
     floor = negativity_floor((s, e, i, r))
 
-    hh = 0.5 * h
-    h6 = h / 6.0
-    # a block fills the derivative rows of its steps and the state rows
-    # after them
+    hh, h6 = 0.5 * h, h / 6.0
     states = np.zeros((n_steps + 1, 4))
     derivs = np.zeros((n_steps + 1, 4))
     states[0] = (s, e, i, r)
     if rows_out is not None:
         rows_out(states[:1])
-    k0 = 0
-    rates = _Rates(params)
+    rates = _Rates(params, h, history)
     beta, mu, gamma, b, pa = rates.beta, rates.mu, rates.gamma, rates.b, rates.pa
-    lags = (params.omega, params.tau)
+    dw, dt = rates.decay_w, rates.decay_t
+    (wa, wb), (ta, tb) = rates.lags
     # numpy stays as quiet as the scalar float arithmetic it replaces
     with np.errstate(all="ignore"):
-        plan = _LookupPlan(history, h, n_steps - 1, 0,
-                           min(PLAN_CHUNK, n_steps + 1), _RK4_STAGES, lags)
-        while True:
-            if k0 == plan.c1:
-                plan = _LookupPlan(history, h, n_steps - 1, k0,
-                                   min(k0 + PLAN_CHUNK, n_steps + 1),
-                                   _RK4_STAGES, lags)
-            if k0 == n_steps:
-                break
-            k1 = plan.block_end(k0, min(plan.c1, n_steps))
-            # rows: the three RK4 stages at lag omega, then at lag tau
-            v = plan.rows(states, derivs, slice(k0 - plan.c0, k1 - plan.c0))
-            inc, zero = rates.incidence(v[:3])
-            ret = rates.return_term(v[3:])
-            # NaN lagged terms wherever lagged N <= 0 make every state NaN
-            # from the first on: no later check fires before the raise
-            if lagged_zero := zero.any():
-                inc[zero] = ret[zero] = math.nan
+        # row 0's derivative row, stage 1 of step 0, checks its populations
+        _derivative_rows(rates, states, derivs, 0, 1)
+
+        def entries(cell):  # the history's, up to entry n_steps
+            return rates.entries(cell, states, derivs, 0,
+                                 min(cell[0], n_steps + 1))
+
+        def omega_terms(rows):  # None where the lagged N is <= 0
+            inc, zero = rates.incidence(rows)
+            return np.where(zero, None, inc).tolist()
+
+        caches = (omega_terms(entries(wa)), omega_terms(entries(wb)),
+                  rates.return_term(entries(ta)).tolist(),
+                  rates.return_term(entries(tb)).tolist())
+        inc_a, inc_b, ret_a, ret_b = caches
+        # where stage 4's entry is row 0, at step p, it reads the history's
+        # left limit at t = 0
+        (left,), p = omega_terms(hist0), wa[0] - 1 if wa[1] == 0.0 else -1
+        # each fraction: its Hermite weights, or the row itself (th = 0)
+        wa0, wa1, wa2, wa3 = _weights(wa[1], h)
+        wb0, wb1, wb2, wb3 = _weights(wb[1], h)
+        ta0, ta1, ta2, ta3 = _weights(ta[1], h)
+        tb0, tb1, tb2, tb3 = _weights(tb[1], h)
+        wa_row, wb_row, ta_row, tb_row = (c[1] == 0.0 for c in (wa, wb, ta, tb))
+        wa_add, wb_add, ta_add, tb_add = (c.append for c in caches)
+
+        ds, de, di, dr = derivs[0].tolist()
+        inc, pai = gamma * (s / (s + e + i + r)) * i, pa * i  # row 0's terms
+        k0 = done = 0
+        while k0 < n_steps:
+            k1 = min(k0 + CHUNK, n_steps)
+            for cache in caches:
+                del cache[:k0 - done]  # the entries before k0 are read
+            done = k0
+            # entry k for stages 2 and 3 of step k, entry k+1 for its stage
+            # 4 and for stage 1 of step k+1
+            a4 = islice(inc_a, 1, None)
+            if k0 <= p < k1:
+                a4 = chain(islice(inc_a, 1, p - k0 + 1), (left,),
+                           islice(inc_a, p - k0 + 2, None))
             out = []
-            for lw1, lwm, lw4, lt1, ltm, lt4 in zip(*inc.tolist(), *ret.tolist()):
-                n = s + e + i + r
-                if n <= 0.0:
-                    raise _zero_population((k0 + len(out) // 8) * h)
-                inc_now = gamma * (s / n) * i
-                d1s = beta * n - mu * s - inc_now + lt1
-                d1e = inc_now - lw1 - mu * e
-                d1i = lw1 - b * i
-                d1r = pa * i - lt1 - mu * r
-                s2 = s + hh * d1s
-                e2 = e + hh * d1e
-                i2 = i + hh * d1i
-                r2 = r + hh * d1r
-                n = s2 + e2 + i2 + r2
-                if n <= 0.0:
-                    raise _zero_population((k0 + len(out) // 8) * h + hh)
-                inc_now = gamma * (s2 / n) * i2
-                d2s = beta * n - mu * s2 - inc_now + ltm
-                d2e = inc_now - lwm - mu * e2
-                d2i = lwm - b * i2
-                d2r = pa * i2 - ltm - mu * r2
-                s2 = s + hh * d2s
-                e2 = e + hh * d2e
-                i2 = i + hh * d2i
-                r2 = r + hh * d2r
-                n = s2 + e2 + i2 + r2
-                if n <= 0.0:
-                    raise _zero_population((k0 + len(out) // 8) * h + hh)
-                inc_now = gamma * (s2 / n) * i2
-                d3s = beta * n - mu * s2 - inc_now + ltm
-                d3e = inc_now - lwm - mu * e2
-                d3i = lwm - b * i2
-                d3r = pa * i2 - ltm - mu * r2
-                s2 = s + h * d3s
-                e2 = e + h * d3e
-                i2 = i + h * d3i
-                r2 = r + h * d3r
-                n = s2 + e2 + i2 + r2
-                if n <= 0.0:
-                    raise _zero_population((k0 + len(out) // 8) * h + h)
-                inc_now = gamma * (s2 / n) * i2
-                d4s = beta * n - mu * s2 - inc_now + lt4
-                d4e = inc_now - lw4 - mu * e2
-                d4i = lw4 - b * i2
-                d4r = pa * i2 - lt4 - mu * r2
-                s += h6 * (d1s + 2.0 * d2s + 2.0 * d3s + d4s)
-                e += h6 * (d1e + 2.0 * d2e + 2.0 * d3e + d4e)
-                i += h6 * (d1i + 2.0 * d2i + 2.0 * d3i + d4i)
-                r += h6 * (d1r + 2.0 * d2r + 2.0 * d3r + d4r)
-                if s < floor or e < floor or i < floor or r < floor:
-                    raise undershoot((k0 + len(out) // 8 + 1) * h, floor,
-                                     PSEIRS_LABELS, (s, e, i, r))
-                out += (d1s, d1e, d1i, d1r, s, e, i, r)
-            if lagged_zero:  # at the first in (step, stage) order
-                k, stage = divmod(int(np.argmax(zero.T)), 3)
-                raise _zero_population((k0 + k) * h + (0.0, hh, h)[stage],
-                                       lagged=True)
-            block = np.fromiter(out, float, len(out)).reshape(-1, 8)
-            derivs[k0:k1] = block[:, :4]
+            try:
+                for lwm, lw4, lw1, ltm, lt1 in islice(
+                        zip(inc_b, a4, islice(inc_a, 1, None), ret_b,
+                            islice(ret_a, 1, None)), k1 - k0):
+                    s2 = s + hh * ds
+                    e2 = e + hh * de
+                    i2 = i + hh * di
+                    r2 = r + hh * dr
+                    n = s2 + e2 + i2 + r2
+                    if n <= 0.0:
+                        raise _zero_population((k0 + len(out) // 8) * h + hh)
+                    inc2 = gamma * (s2 / n) * i2
+                    d2s = beta * n - mu * s2 - inc2 + ltm
+                    d2e = inc2 - lwm - mu * e2
+                    d2i = lwm - b * i2
+                    d2r = pa * i2 - ltm - mu * r2
+                    s2 = s + hh * d2s
+                    e2 = e + hh * d2e
+                    i2 = i + hh * d2i
+                    r2 = r + hh * d2r
+                    n = s2 + e2 + i2 + r2
+                    if n <= 0.0:
+                        raise _zero_population((k0 + len(out) // 8) * h + hh)
+                    inc2 = gamma * (s2 / n) * i2
+                    d3s = beta * n - mu * s2 - inc2 + ltm
+                    d3e = inc2 - lwm - mu * e2
+                    d3i = lwm - b * i2
+                    d3r = pa * i2 - ltm - mu * r2
+                    s2 = s + h * d3s
+                    e2 = e + h * d3e
+                    i2 = i + h * d3i
+                    r2 = r + h * d3r
+                    n = s2 + e2 + i2 + r2
+                    if n <= 0.0:
+                        raise _zero_population((k0 + len(out) // 8) * h + h)
+                    inc2 = gamma * (s2 / n) * i2
+                    d4s = beta * n - mu * s2 - inc2 + lt1
+                    d4e = inc2 - lw4 - mu * e2
+                    d4i = lw4 - b * i2
+                    d4r = pa * i2 - lt1 - mu * r2
+                    s1 = s + h6 * (ds + 2.0 * d2s + 2.0 * d3s + d4s)
+                    e1 = e + h6 * (de + 2.0 * d2e + 2.0 * d3e + d4e)
+                    i1 = i + h6 * (di + 2.0 * d2i + 2.0 * d3i + d4i)
+                    r1 = r + h6 * (dr + 2.0 * d2r + 2.0 * d3r + d4r)
+                    if s1 < floor or e1 < floor or i1 < floor or r1 < floor:
+                        raise undershoot((k0 + len(out) // 8 + 1) * h, floor,
+                                         PSEIRS_LABELS, (s1, e1, i1, r1))
+                    # stage 1 of step k+1: the derivative row of row k+1
+                    n = s1 + e1 + i1 + r1
+                    if n <= 0.0:
+                        raise _zero_population((k0 + len(out) // 8 + 1) * h)
+                    inc1, pai1 = gamma * (s1 / n) * i1, pa * i1
+                    f_s = beta * n - mu * s1 - inc1 + lt1
+                    f_e = inc1 - lw1 - mu * e1
+                    f_i = lw1 - b * i1
+                    f_r = pai1 - lt1 - mu * r1
+                    # cell [k, k+1] is finished: its entries (row k's at th 0)
+                    if wa_row:
+                        wa_add(inc * dw)
+                    else:
+                        xs = wa0 * s + wa1 * s1 + wa2 * ds + wa3 * f_s
+                        xi = wa0 * i + wa1 * i1 + wa2 * di + wa3 * f_i
+                        n = (xs + (wa0 * e + wa1 * e1 + wa2 * de + wa3 * f_e) + xi
+                             + (wa0 * r + wa1 * r1 + wa2 * dr + wa3 * f_r))
+                        wa_add(None if n <= 0.0 else gamma * (xs / n) * xi * dw)
+                    if wb_row:
+                        wb_add(inc * dw)
+                    else:
+                        xs = wb0 * s + wb1 * s1 + wb2 * ds + wb3 * f_s
+                        xi = wb0 * i + wb1 * i1 + wb2 * di + wb3 * f_i
+                        n = (xs + (wb0 * e + wb1 * e1 + wb2 * de + wb3 * f_e) + xi
+                             + (wb0 * r + wb1 * r1 + wb2 * dr + wb3 * f_r))
+                        wb_add(None if n <= 0.0 else gamma * (xs / n) * xi * dw)
+                    ta_add(pai * dt if ta_row else
+                           pa * (ta0 * i + ta1 * i1 + ta2 * di + ta3 * f_i) * dt)
+                    tb_add(pai * dt if tb_row else
+                           pa * (tb0 * i + tb1 * i1 + tb2 * di + tb3 * f_i) * dt)
+                    out += (f_s, f_e, f_i, f_r, s1, e1, i1, r1)
+                    s, e, i, r, ds, de, di, dr = s1, e1, i1, r1, f_s, f_e, f_i, f_r
+                    inc, pai = inc1, pai1
+            except TypeError:  # a None entry: lagged N <= 0 at stage 2 or 4
+                raise _zero_population((k0 + len(out) // 8) * h
+                                       + (hh if lwm is None else h),
+                                       lagged=True) from None
+            block = np.fromiter(out, float, 8 * (k1 - k0)).reshape(-1, 8)
+            derivs[k0 + 1:k1 + 1] = block[:, :4]
             states[k0 + 1:k1 + 1] = block[:, 4:]
             if rows_out is not None:
                 rows_out(states[k0 + 1:k1 + 1])
@@ -460,15 +452,9 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
             raise Overflow(f"compartment {PSEIRS_LABELS[col]}="
                            f"{float(states[k, col])!r} is not finite at "
                            f"t={k * h}; it exceeded float64's range")
-        # the derivative row of the last sample: stage 1 of a step not taken
-        _derivative_rows(rates, history, h, states, derivs, n_steps,
-                         n_steps + 1)
 
     times = np.arange(n_steps + 1, dtype=float) * h
-    # copies made after the solve: holding the arrays allocated before the
-    # lookup plans left more of the heap resident (median peak RSS of the
-    # analyze_stored benchmark, whose set-up solves: 62.6 MB, 59.6 with copies)
-    return Trajectory(times=times, states=states.copy(), derivs=derivs.copy(),
+    return Trajectory(times=times, states=states, derivs=derivs,
                       step=h, labels=PSEIRS_LABELS, history=history,
                       kappa=kap, init_override=override)
 
@@ -480,9 +466,8 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     state samples, e.g. a trajectory CSV written by an earlier run.
 
     Derivatives are recomputed by evaluating the model rows at every sample,
-    resolving delayed lookups exactly as the solver did (its lookup plans,
-    stage 1 only, one plan per lag), so analyses run on the reconstruction
-    match the original run.
+    reading the solver's stage-1 entries of both lags with whole-array
+    numpy, so analyses run on the reconstruction match the original run.
 
     ``rows_in``, if given, is the source that fills ``times`` and
     ``states`` in order during the reconstruction, the mirror of the
@@ -506,10 +491,10 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     kap = _checked_kappa(params, history, h)
 
     derivs = np.zeros((len(times), 4))
-    rates = _Rates(params)
+    rates = _Rates(params, h, history)
     done = 0
     for upto in chain((len(times) if first is None else first,), filled):
-        _derivative_rows(rates, history, h, states, derivs, done, upto)
+        _derivative_rows(rates, states, derivs, done, upto)
         done = upto
 
     e_consistent = consistent_initial_exposed(history, params)

@@ -100,14 +100,15 @@ def verify_integral_equivalence(traj: Trajectory, params: PseirsParams,
         raise TrajectoryTooShort(
             f"horizon {traj.horizon} must exceed kappa {kap}")
     times = np.linspace(kap, traj.horizon, n_checkpoints)
-    states = _eval_raw(traj, times)
+    # Python floats: an integral past float64's range gives a quiet NaN
+    states = _eval_raw(traj, times).tolist()
     e_res = np.empty(n_checkpoints)
     r_res = np.empty(n_checkpoints)
     for idx, t in enumerate(times.tolist()):
         e_res[idx] = _relative_residual(
-            exposed_integral(traj, t, params), states[idx, 1])
+            exposed_integral(traj, t, params), states[idx][1])
         r_res[idx] = _relative_residual(
-            recovered_integral(traj, t, params), states[idx, 3])
+            recovered_integral(traj, t, params), states[idx][3])
     return EquivalenceReport(times=times, e_residuals=e_res, r_residuals=r_res,
                              max_residual=float(max(e_res.max(), r_res.max())),
                              consistent_init=not traj.init_override)

@@ -44,24 +44,26 @@ def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float,
         return 0.0
     h = (b - a) / panels
     odd = even = 0.0
-    for c0 in range(0, panels + 1, CHUNK):
-        c1 = min(c0 + CHUNK, panels + 1)
-        x = a + np.arange(c0, c1, dtype=float) * h
-        first, last = c0 == 0, c1 == panels + 1
-        if first:
-            x[0] = a
-        if last:
-            x[-1] = b
-        y = f(x)
-        if first:
-            fa = y[0]
-        if last:
-            fb = y[-1]
-        # c0 is even: local and global node numbers share their parity, and
-        # the endpoints are even nodes
-        odd = _running_sum(odd, y[1::2])
-        even = _running_sum(even, y[2 if first else 0:-1 if last else None:2])
-    return float((fa + fb + 4.0 * odd + 2.0 * even) * (h / 3.0))
+    # an integrand past float64's range gives an inf or NaN estimate
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c0 in range(0, panels + 1, CHUNK):
+            c1 = min(c0 + CHUNK, panels + 1)
+            x = a + np.arange(c0, c1, dtype=float) * h
+            first, last = c0 == 0, c1 == panels + 1
+            if first:
+                x[0] = a
+            if last:
+                x[-1] = b
+            y = f(x)
+            if first:
+                fa = y[0]
+            if last:
+                fb = y[-1]
+            # c0 is even: local and global node numbers share their parity, and
+            # the endpoints are even nodes
+            odd = _running_sum(odd, y[1::2])
+            even = _running_sum(even, y[2 if first else 0:-1 if last else None:2])
+        return float((fa + fb + 4.0 * odd + 2.0 * even) * (h / 3.0))
 
 
 def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float,

@@ -29,7 +29,7 @@ from . import _fork
 from .core import (CompartmentState, ConstantHistory, HistoryFunction,
                    PseirsParams, SirParams, SirState, Trajectory, _require,
                    kappa, negativity_floor, step_count)
-from .dde import PLAN_CHUNK, default_step, reconstruct_trajectory, simulate_pseirs
+from .dde import CHUNK, default_step, reconstruct_trajectory, simulate_pseirs
 from .errors import (InvalidParameter, Overflow, PseirsError, TrajectoryTooShort,
                      WorkerDied)
 from .integro import verify_integral_equivalence
@@ -313,7 +313,7 @@ class _ParseFailed(Exception):
 
 class _ForkedParse(_fork.Child):
     """The rows of a pSEIRS trajectory CSV's body, ``data[start:]``, parsed
-    by a forked ``_parse_child`` and read back in order, PLAN_CHUNK rows
+    by a forked ``_parse_child`` and read back in order, CHUNK rows
     at a time, into the ``times`` and ``states`` that
     ``reconstruct_trajectory`` takes.  Every row it reads is one the
     serial read would return, so it checks none."""
@@ -325,7 +325,7 @@ class _ForkedParse(_fork.Child):
         self._filled = 0
         # one buffer for every read: each page this process writes while
         # the child lives costs a copy-on-write fault
-        self._piece = np.empty((PLAN_CHUNK, columns))
+        self._piece = np.empty((CHUNK, columns))
         super().__init__(_parse_child, data, start, columns)
         self._pipe = open(self.fd, "rb", closefd=False)  # closed by close
 
@@ -333,7 +333,7 @@ class _ForkedParse(_fork.Child):
         """Read the rows up to ``stop``; False if the pipe ends first."""
         while self._filled < stop:
             k = self._filled
-            piece = self._piece[:min(stop - k, PLAN_CHUNK)]
+            piece = self._piece[:min(stop - k, CHUNK)]
             if self._pipe.readinto(piece) != piece.nbytes:
                 return False
             self.times[k:k + len(piece)] = piece[:, 0]
@@ -342,12 +342,12 @@ class _ForkedParse(_fork.Child):
         return True
 
     def rows_in(self):
-        """The counts of rows read, PLAN_CHUNK more each time: the
+        """The counts of rows read, CHUNK more each time: the
         ``rows_in`` of ``reconstruct_trajectory``.  Raises ``_ParseFailed``
         if the pipe ends early."""
         rows = len(self.times)
         while self._filled < rows:
-            if not self._fill(min(self._filled + PLAN_CHUNK, rows)):
+            if not self._fill(min(self._filled + CHUNK, rows)):
                 raise _ParseFailed
             yield self._filled
 

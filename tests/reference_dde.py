@@ -3,8 +3,15 @@ through the solver's lookup plan, kept unchanged as the reference: one
 cubic Hermite lookup per call (``_interp4``), the four model rows at one
 point (``_pseirs_rhs``) and one history row at a time (``history_reader``,
 with the linear interpolation ``SampledHistory`` had as a scalar
-``raw_at``).  The block lookups, the solver, reconstruction and
-``rows_at`` must give the same bits."""
+``raw_at``).  ``_eval_raw`` and ``rows_at`` must give the same bits.
+
+Beside it, ``fixed_fraction_lookups``: the same ``_interp4`` at the cell
+offset and fraction a constant lag has at every step, which the solver and
+reconstruction must match bit for bit.  The per-time lookup of the
+reference loops, at t - lag with a fraction worked out for each t, stays a
+check within rounding."""
+
+import math
 
 import numpy as np
 
@@ -75,3 +82,41 @@ def _pseirs_rhs(t, s, e, i, r, s_w, e_w, i_w, r_w, i_tau,
             inc_now - inc_lag - mu * e,
             inc_lag - (mu + epsilon + alpha) * i,
             p * alpha * i - ret - mu * r)
+
+
+def _cell(steps):
+    """(m, th): ``steps`` steps back is cell -m at fraction th in [0, 1),
+    with th = 0 within 1e-9 of a whole number."""
+    m = round(steps)
+    if abs(steps - m) <= 1e-9:
+        return m, 0.0
+    m = math.ceil(steps)
+    return m, m - steps
+
+
+def fixed_fraction_lookups(history, h, columns, clamp_to=None):
+    """A function of (lag, k, stage) giving the (S, E, I, R) row that
+    stage 1 (stage 0 here), the stage-2/3 midpoint (1) or stage 4 (2) of
+    step k reads at ``lag``.  Stages 1 and 4 read entry k and k+1 of
+    fraction a, at t = n*h - lag; the midpoint entry k of fraction b, at
+    t = n*h + h/2 - lag.  Entry n of a fraction (m, th) is the history
+    below n = m, else ``_interp4`` of cell n - m at th, except that stage 4
+    reads the history at t = 0 where its entry is row 0.  ``columns`` are
+    the (S, E, I, R, dS, dE, dI, dR) lists as they fill; no lookup reads
+    past a finished cell, so ``clamp_to`` is not used."""
+    hist_raw = history_reader(history)
+    cells = {}
+
+    def at(lag, k, stage):
+        if lag not in cells:
+            m, th = _cell(lag / h)
+            cells[lag] = ((m, th), _cell(m - th - 0.5))
+        (m, th), offset = cells[lag][stage == 1], 0.5 * (stage == 1)
+        n = k + (stage == 2)
+        if n < m:
+            return hist_raw(n * h + offset * h - lag)
+        if stage == 2 and n == m and th == 0.0:
+            return hist_raw(0.0)
+        return _interp4(n - m, th, h, *columns)
+
+    return at

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +13,11 @@ from pseirs import (CompartmentState, ConstantHistory, InvalidParameter,
                     Trajectory, ZeroPopulation, consistent_initial_exposed,
                     consistent_initial_recovered, reconstruct_trajectory,
                     simulate_pseirs)
-from pseirs.dde import PLAN_CHUNK, _eval_raw, default_step
+from pseirs.dde import CHUNK, _eval_raw, default_step
 from pseirs.presets import baseline_history, baseline_pseirs
 
-from reference_dde import _interp4, _pseirs_rhs, history_reader
+from reference_dde import (_interp4, _pseirs_rhs, fixed_fraction_lookups,
+                           history_reader)
 from reference_quadrature import adaptive_simpson
 
 # frozen hand evaluations of the derivative rows at the baseline point
@@ -228,6 +231,27 @@ class TestSimulate:
             simulate_pseirs(NEGATIVITY_PARAMS, NEGATIVITY_HISTORY, 10.0,
                             step=1.0, e0=0.0)
 
+    def test_memory_is_bounded_by_the_result(self, canonical_params,
+                                             canonical_history):
+        # the lag caches drop the entries each chunk has read, and a
+        # chunk's rows are stored when it ends: over the 40,001-step
+        # seirs_baseline run the traced peak stays under three times the
+        # result's state and derivative arrays (a whole run's lists of
+        # Python floats would take about nine times them)
+        # (a no-op profile function runs the loop unspecialized: CPython
+        # 3.11's specialized float arithmetic is 20 times slower traced)
+        simulate_pseirs(canonical_params, canonical_history, 1.0)
+        sys.setprofile(lambda *args: None)
+        tracemalloc.start()
+        try:
+            traj = simulate_pseirs(canonical_params, canonical_history, 300.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sys.setprofile(None)
+        assert len(traj.times) == 40001
+        assert peak < 3 * (traj.states.nbytes + traj.derivs.nbytes)
+
     def test_zero_population_abort(self):
         hist = ConstantHistory(CompartmentState(0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ZeroPopulation) as got:
@@ -298,15 +322,15 @@ class TestReconstruct:
 
     def test_rows_in_rebuilds_the_same_rows(self, canonical_params,
                                             canonical_history):
-        # the rows arrive a part at a time, the parts not aligned to
-        # PLAN_CHUNK; rows not filled yet hold NaN, which no rebuilt row
-        # may read
+        # the rows arrive a part at a time, the parts splitting the
+        # solver's chunks; rows not filled yet hold NaN, which no rebuilt
+        # row may read
         traj = simulate_pseirs(canonical_params, canonical_history, 40.0)
         times = np.full_like(traj.times, np.nan)
         states = np.full_like(traj.states, np.nan)
 
         def rows_in():
-            for upto in (*range(PLAN_CHUNK // 2, len(times), PLAN_CHUNK),
+            for upto in (*range(CHUNK // 2, len(times), CHUNK),
                          len(times)):
                 times[:upto] = traj.times[:upto]
                 states[:upto] = traj.states[:upto]
@@ -322,7 +346,7 @@ class TestReconstruct:
         traj = simulate_pseirs(canonical_params, canonical_history, 40.0)
 
         def rows_in():
-            yield PLAN_CHUNK
+            yield CHUNK
             raise BrokenPipeError("the rows stopped")
 
         with pytest.raises(BrokenPipeError):
@@ -332,10 +356,15 @@ class TestReconstruct:
 
 # The solver and reconstruction loops as they were written before they
 # shared one lookup-and-derivative core, kept as the reference: every state
-# and derivative bit of the library must match them.
+# and derivative bit of the library must match them with the solver's
+# fixed-fraction lookups, and with the per-time lookups they were written
+# with they must agree within rounding.
 
-def _reference_lookups(params, history, h, Ss, Es, Is, Rs, dSs, dEs, dIs, dRs,
-                       clamp_to):
+def per_time_lookups(history, h, columns, clamp_to):
+    """A function of (lag, k, stage) as ``fixed_fraction_lookups``, reading
+    ``_interp4`` at t - lag with the cell and fraction of each t: stages 1
+    and 4 at t = k*h and k*h + h, the midpoint at k*h + h/2."""
+    Ss, Es, Is, Rs, dSs, dEs, dIs, dRs = columns
     hist_raw = history_reader(history)
     snap = 1e-9 * h
 
@@ -351,12 +380,14 @@ def _reference_lookups(params, history, h, Ss, Es, Is, Rs, dSs, dEs, dIs, dRs,
         return _interp4(j, (x - j * h) / h, h, Ss, Es, Is, Rs,
                         dSs, dEs, dIs, dRs)
 
-    def past_left(x):
-        if x <= snap:
+    def at(lag, k, stage):
+        t = k * h
+        x = (t, t + 0.5 * h, t + h)[stage] - lag
+        if stage == 2 and x <= snap:  # the left limit at t = 0
             return hist_raw(min(x, 0.0))
         return past(x)
 
-    return past, past_left
+    return at
 
 
 def _reference_rates(params):
@@ -365,7 +396,8 @@ def _reference_rates(params):
             math.exp(-params.mu * params.tau))
 
 
-def reference_simulate(params, history, horizon, step=None, e0=None, r0=None):
+def reference_simulate(params, history, horizon, step=None, e0=None, r0=None,
+                       lookups=fixed_fraction_lookups):
     h = float(step if step is not None else default_step(params))
     e_init = consistent_initial_exposed(history, params) if e0 is None else float(e0)
     r_init = consistent_initial_recovered(history, params) if r0 is None else float(r0)
@@ -373,8 +405,8 @@ def reference_simulate(params, history, horizon, step=None, e0=None, r0=None):
     Ss, Es, Is, Rs = [s0_t[0]], [e_init], [s0_t[2]], [r_init]
     floor = -1e-9 * (Ss[0] + Es[0] + Is[0] + Rs[0])
     dSs, dEs, dIs, dRs = [], [], [], []
-    past, past_left = _reference_lookups(params, history, h, Ss, Es, Is, Rs,
-                                         dSs, dEs, dIs, dRs, clamp_to=Ss)
+    at = lookups(history, h, (Ss, Es, Is, Rs, dSs, dEs, dIs, dRs),
+                 clamp_to=Ss)
     rates = _reference_rates(params)
     om, tau = params.omega, params.tau
     n_steps = int(math.ceil(horizon / h - 1e-12))
@@ -383,13 +415,13 @@ def reference_simulate(params, history, horizon, step=None, e0=None, r0=None):
     h6 = h / 6.0
     for k in range(n_steps):
         t = k * h
-        lw = past(t - om)
-        lt = past(t - tau)
+        lw = at(om, k, 0)
+        lt = at(tau, k, 0)
         d1 = _pseirs_rhs(t, s, e, i, r, lw[0], lw[1], lw[2], lw[3], lt[2], *rates)
         dSs.append(d1[0]); dEs.append(d1[1]); dIs.append(d1[2]); dRs.append(d1[3])
         tm = t + hh
-        lw2 = past(tm - om)
-        lt2 = past(tm - tau)
+        lw2 = at(om, k, 1)
+        lt2 = at(tau, k, 1)
         d2 = _pseirs_rhs(tm, s + hh * d1[0], e + hh * d1[1], i + hh * d1[2],
                          r + hh * d1[3], lw2[0], lw2[1], lw2[2], lw2[3], lt2[2],
                          *rates)
@@ -397,8 +429,8 @@ def reference_simulate(params, history, horizon, step=None, e0=None, r0=None):
                          r + hh * d2[3], lw2[0], lw2[1], lw2[2], lw2[3], lt2[2],
                          *rates)
         te = t + h
-        lw4 = past_left(te - om)
-        lt4 = past_left(te - tau)
+        lw4 = at(om, k, 2)
+        lt4 = at(tau, k, 2)
         d4 = _pseirs_rhs(te, s + h * d3[0], e + h * d3[1], i + h * d3[2],
                          r + h * d3[3], lw4[0], lw4[1], lw4[2], lw4[3], lt4[2],
                          *rates)
@@ -411,26 +443,27 @@ def reference_simulate(params, history, horizon, step=None, e0=None, r0=None):
                 f"compartment below {floor} at t={(k + 1) * h}; reduce the step")
         Ss.append(s); Es.append(e); Is.append(i); Rs.append(r)
     tn = n_steps * h
-    lw = past(tn - om)
-    lt = past(tn - tau)
+    lw = at(om, n_steps, 0)
+    lt = at(tau, n_steps, 0)
     dlast = _pseirs_rhs(tn, s, e, i, r, lw[0], lw[1], lw[2], lw[3], lt[2], *rates)
     dSs.append(dlast[0]); dEs.append(dlast[1]); dIs.append(dlast[2]); dRs.append(dlast[3])
     return (np.column_stack([Ss, Es, Is, Rs]),
             np.column_stack([dSs, dEs, dIs, dRs]))
 
 
-def reference_reconstruct(params, history, times, states):
+def reference_reconstruct(params, history, times, states,
+                          lookups=fixed_fraction_lookups):
     h = float(times[1] - times[0])
     Ss, Es, Is, Rs = (states[:, c].tolist() for c in range(4))
     dSs, dEs, dIs, dRs = [], [], [], []
-    past, _ = _reference_lookups(params, history, h, Ss, Es, Is, Rs,
-                                 dSs, dEs, dIs, dRs, clamp_to=dSs)
+    at = lookups(history, h, (Ss, Es, Is, Rs, dSs, dEs, dIs, dRs),
+                 clamp_to=dSs)
     rates = _reference_rates(params)
     om, tau = params.omega, params.tau
     for k in range(len(times)):
         t = k * h
-        lw = past(t - om)
-        lt = past(t - tau)
+        lw = at(om, k, 0)
+        lt = at(tau, k, 0)
         d = _pseirs_rhs(t, Ss[k], Es[k], Is[k], Rs[k],
                         lw[0], lw[1], lw[2], lw[3], lt[2], *rates)
         dSs.append(d[0]); dEs.append(d[1]); dIs.append(d[2]); dRs.append(d[3])
@@ -457,7 +490,7 @@ def _sampled_history(kind=SampledHistory):
 
 # (params, history, step, e0/r0 overrides, horizon).  The first six runs go
 # past tau = 30, so both lags read the solver's own samples; the others sit
-# on the edges of the solver's lookup plan and blocks.
+# on the edges of the solver's lag caches and chunks.
 PINNED_RUNS = {
     "p_1": (baseline_pseirs(), baseline_history(), None, {}, 40.0),
     "p_0.4": (baseline_pseirs(p=0.4), baseline_history(), None, {}, 40.0),
@@ -466,15 +499,15 @@ PINNED_RUNS = {
                        {"e0": 0.0, "r0": 0.0}, 40.0),
     "sampled_history": (baseline_pseirs(), _sampled_history(), None, {}, 40.0),
     "off_grid_step": (baseline_pseirs(), baseline_history(), 0.0071, {}, 40.0),
-    # min(omega, tau)/4: 4-step lags, 2-step blocks
+    # min(omega, tau)/4: 4-step lags, each entry read 3 steps after it is made
     "minimum_step": (baseline_pseirs(), baseline_history(), 0.0375, {}, 40.0),
-    # 14 steps, fewer than one block, the last one past the horizon
+    # 14 steps, fewer than either lag, the last one past the horizon
     "horizon_under_one_block": (baseline_pseirs(), baseline_history(), None,
                                 {}, 0.1),
     "omega_above_tau": (dataclasses.replace(baseline_pseirs(), omega=12.0,
                                             tau=3.0),
                         _sampled_history(), None, {}, 40.0),
-    # every lookup lands in the history, across several lookup plans
+    # every lookup lands in the history, across several chunks, off the grid
     "horizon_below_omega": (baseline_pseirs(omega=30.0), _sampled_history(),
                             0.0071, {}, 20.0),
     # step 599's stage-4 lookup lands 3.6e-15 right of t = 0
@@ -484,8 +517,8 @@ PINNED_RUNS = {
     "signed_zero_history": (baseline_pseirs(),
                             ConstantHistory(CompartmentState(63.0, 0.0, -0.0, 0.0)),
                             None, {}, 1.0),
-    # lags of 20 and 400 steps: reconstruction's tau blocks end inside each
-    # plan chunk, and the run spans more than three chunks
+    # lags of 20 and 400 steps, both shorter than a chunk, and the run
+    # spans more than three chunks
     "tau_inside_a_chunk": (dataclasses.replace(baseline_pseirs(), omega=0.15,
                                                tau=3.0),
                            baseline_history(), None, {}, 25.0),
@@ -509,6 +542,21 @@ def test_solver_bits_match_reference_loops(name):
     assert _same_bits(rebuilt.derivs,
                       reference_reconstruct(params, hist, traj.times, traj.states))
     assert _same_bits(rebuilt.derivs, traj.derivs)
+
+
+@pytest.mark.parametrize("name", PINNED_RUNS)
+def test_solver_within_rounding_of_per_time_lookups(name):
+    # the fixed fractions read the stored row where t - lag lands on the
+    # grid, and the per-time lookup a fraction near 0 or 1 worked out
+    # from t - lag: a difference at rounding level, relative to each
+    # compartment's maximum
+    params, hist, step, init, horizon = PINNED_RUNS[name]
+    traj = simulate_pseirs(params, hist, horizon, step, **init)
+    states, derivs = reference_simulate(params, hist, horizon, step, **init,
+                                        lookups=per_time_lookups)
+    for got, want in ((traj.states, states), (traj.derivs, derivs)):
+        scale = np.abs(want).max(axis=0)
+        assert (np.abs(got - want) <= 1e-12 * scale).all()
 
 
 def _abort_time(error):
@@ -555,6 +603,28 @@ def test_abort_matches_reference_loop(params, hist, init, error, lagged):
     assert ("lagged" in str(got.value)) == lagged == ("lagged" in str(want.value))
 
 
+@pytest.mark.parametrize("params, hist, t", [
+    # the zero population at t = -1.5 is read by the midpoint of step 2
+    (dataclasses.replace(ABORT_PARAMS, p=1.0),
+     SampledHistory(np.array([-4.0, -2.0, -1.5, -1.0, 0.0]),
+                    np.array([_ROW, _ROW, [0.0] * 4, _ROW, _ROW])), "2.5"),
+    # the history's zero population at t = 0 (row 0 holds E(0), R(0) > 0)
+    # is read by stage 4 of step 3, as the left limit there
+    (dataclasses.replace(ABORT_PARAMS, gamma=0.05),
+     SampledHistory(np.array([-4.0, -1.0, 0.0]),
+                    np.array([_ROW, _ROW, [0.0] * 4])), "4.0"),
+], ids=["midpoint", "left_limit"])
+def test_lagged_zero_at_each_kind_of_entry(params, hist, t):
+    with pytest.raises(ZeroPopulation) as got:
+        simulate_pseirs(params, hist, 10.0, step=1.0)
+    for lookups in (fixed_fraction_lookups, per_time_lookups):
+        with pytest.raises(ZeroPopulation) as want:
+            reference_simulate(params, hist, 10.0, step=1.0, lookups=lookups)
+        assert str(got.value) == str(want.value)
+    assert _abort_time(got.value) == t
+    assert "lagged" in str(got.value)
+
+
 def _stored(zero_rows=()):
     """11 stored rows 1.0 apart, the constant _ROW but for all-zero rows."""
     states = np.tile(np.array(_ROW), (11, 1))
@@ -580,11 +650,13 @@ def test_reconstruct_abort_matches_reference_loop(hist, zero_rows, t, lagged):
     assert ("lagged" in str(got.value)) == lagged
 
 
-@pytest.mark.parametrize("rows", [2, PLAN_CHUNK, PLAN_CHUNK + 1])
+@pytest.mark.parametrize("rows", [2, CHUNK, CHUNK + 1])
 @pytest.mark.parametrize("name", ["p_1", "minimum_step", "off_grid_step",
                                   "tau_inside_a_chunk"])
 def test_reconstruct_bits_at_plan_edges(name, rows):
-    # a plan of 2 rows, exactly one full plan, and one row into a second
+    # a run of one step, one step short of a chunk and exactly one chunk,
+    # against the first rows of a run over several chunks, whose caches
+    # are trimmed at each chunk start
     params, hist, step, init, horizon = PINNED_RUNS[name]
     traj = simulate_pseirs(params, hist, horizon, step, **init)
     times, states = traj.times[:rows], traj.states[:rows]
@@ -592,11 +664,14 @@ def test_reconstruct_bits_at_plan_edges(name, rows):
     assert _same_bits(rebuilt.derivs,
                       reference_reconstruct(params, hist, times, states))
     assert _same_bits(rebuilt.derivs, traj.derivs[:rows])
+    short = simulate_pseirs(params, hist, (rows - 1) * traj.step, step, **init)
+    assert _same_bits(short.states, states)
+    assert _same_bits(short.derivs, rebuilt.derivs)
 
 
-# Lags of 21.1 and 422.5 steps (omega 0.15, tau 3, step 0.0071): row 1101
-# lies in the first tau block of the second plan chunk, row 1501 in its
-# second one.  The (63, 0, 7, 0) rows keep N flat, the S = 1 rows grow it
+# Lags of 21.1 and 422.5 steps (omega 0.15, tau 3, step 0.0071), off the
+# grid: reconstruction goes in blocks of 21 rows, and rows 1101 and 1501
+# lie past the first 1,024.  The (63, 0, 7, 0) rows keep N flat, the S = 1 rows grow it
 # at 1e4 per unit time, and the Hermite lookup 0.87 into a cell after them
 # dips below zero: the lagged N of the row 21 after the first S = 1 row.
 EDGE_PARAMS = PseirsParams(beta=1e4, mu=0.0, epsilon=1e5, alpha=0.0,

@@ -9,7 +9,7 @@ from pseirs import (CompartmentState, ConstantHistory, InconsistentInit,
                     OutOfDomain, Trajectory, consistent_initial_exposed,
                     exposed_integral, kappa, recovered_integral,
                     simulate_pseirs, verify_integral_equivalence)
-from pseirs.dde import _eval_raw, _HermiteLookup
+from pseirs.dde import _eval_raw
 from pseirs.presets import baseline_history, baseline_pseirs
 
 from reference_dde import _interp4, history_reader
@@ -270,17 +270,14 @@ def test_exposed_integral_across_the_breaking_point():
 
 @pytest.mark.parametrize("name", ["p_1", "sampled_history"])
 def test_eval_raw_reads_through_the_solver_lookup(name):
-    # within 1e-9*h of t = 0 both read the stored row 0 (consistent E(0)
-    # and R(0), not the history's), and both clamp the horizon to the last
-    # cell
+    # within 1e-9*h of t = 0 _eval_raw reads the stored row 0 (consistent
+    # E(0) and R(0), not the history's), and it clamps the horizon to the
+    # last cell as the scalar lookup does
     params, hist, step, init, horizon = PINNED_RUNS[name]
     traj = simulate_pseirs(params, hist, horizon, step, **init)
     h = traj.step
     x = np.array([-1e-12 * h, 0.0, 1e-12 * h, traj.horizon])
-    lookup = _HermiteLookup(x[None], False, h, traj.history,
-                            len(traj.times) - 2)
     got = _eval_raw(traj, x)
-    assert _same_bits(got, lookup.rows(traj.states, traj.derivs,
-                                       slice(0, len(x)))[0])
+    assert _same_bits(got[3], np.array(reference_lookup(traj)(traj.horizon)))
     assert _same_bits(got[:3], np.tile(traj.states[0], (3, 1)))
     assert _at(traj, -1e-12 * h) == tuple(traj.states[0])

@@ -828,6 +828,40 @@ class TestCli:
         assert error["message"].endswith(f"below -1e-9*N(0) ({named})")
         assert not (tmp_path / "re").exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        ((15000, 15001), "population N=inf is not finite at t=149.99; it "
+                         "exceeded float64's range"),
+        # N(0) = inf would make the floor -inf, which every value passes
+        ((1, 2), "population N=inf of the first row is not finite; it "
+                 "exceeded float64's range"),
+    ], ids=["later_rows", "first_row"])
+    def test_analyze_of_a_population_past_float64_is_overflow(
+            self, tmp_path, capsys, rows, message):
+        # two stored rows of S = I = 1e308: N = inf, which used to give
+        # phase-plane points (0.0, 0.0) and numpy's overflow warning
+        raw = load_config("sir_low_infectivity.json")
+        raw["analyses"] = {"classify": {"tail_fraction": 0.5},
+                           "phase_plane": [{"axes": ["S", "I"],
+                                            "proportions": True}]}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "run" / "trajectory.csv").read_text().split("\n")
+        for k in rows:
+            cells = lines[k].split(",")
+            cells[1] = cells[2] = "1e308"
+            lines[k] = ",".join(cells)
+        csv = tmp_path / "damaged.csv"
+        csv.write_text("\n".join(lines))
+        code = main(["analyze", "--config", str(config), "--trajectory",
+                     str(csv), "--out", str(tmp_path / "re")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": {"type": "Overflow", "message": message}}
+        assert not (tmp_path / "re").exists()
+
     def test_analyze_summary_independent_of_path_spelling(self, tmp_path,
                                                           monkeypatch):
         config = str(CONFIG_DIR / "seirs_baseline.json")

@@ -7,10 +7,11 @@ trajectory with its own config, a 2-value ``params.p`` sweep of
 ``seirs_baseline`` whose threshold probe gives ``decaying``, ``marginal``
 and ``growing`` (the shipped configs all give ``growing``), and three
 ``simulate`` runs at non-default steps, each followed by ``analyze`` of its
-trajectory. Two sit at the edges of the solver's lookup plan:
-``seirs_baseline`` at the smallest legal step (omega/4, so 4-step lags and
-2-step blocks) and ``seirs_long_latency`` at a step that puts both lags off
-the grid, so reconstruction is covered at 4-step lags and at lags off the
+trajectory. Two sit at the edges of the solver's lag caches:
+``seirs_baseline`` at the smallest legal step (omega/4, so 4-step lags,
+each entry read 3 steps after it is made) and ``seirs_long_latency`` at a
+step that puts both lags off the grid (fixed Hermite weights), so the
+solver and reconstruction are covered at 4-step lags and at lags off the
 grid too. The third is ``sir_high_infectivity`` at step 0.07, which does
 not divide the horizon (the last sample is at t = 200.06), so the SIR
 solve, its trajectory CSV and ``analyze`` of it are covered on a second
