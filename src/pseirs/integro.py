@@ -110,5 +110,5 @@ def verify_integral_equivalence(traj: Trajectory, params: PseirsParams,
         r_res[idx] = _relative_residual(
             recovered_integral(traj, t, params), states[idx][3])
     return EquivalenceReport(times=times, e_residuals=e_res, r_residuals=r_res,
-                             max_residual=float(max(e_res.max(), r_res.max())),
+                             max_residual=float(np.maximum(e_res.max(), r_res.max())),
                              consistent_init=not traj.init_override)

@@ -8,7 +8,8 @@ import pytest
 from pseirs import (CompartmentState, ConstantHistory, InconsistentInit,
                     OutOfDomain, Trajectory, consistent_initial_exposed,
                     exposed_integral, kappa, recovered_integral,
-                    simulate_pseirs, verify_integral_equivalence)
+                    reconstruct_trajectory, simulate_pseirs,
+                    verify_integral_equivalence)
 from pseirs.dde import _eval_raw
 from pseirs.presets import baseline_history, baseline_pseirs
 
@@ -281,3 +282,18 @@ def test_eval_raw_reads_through_the_solver_lookup(name):
     assert _same_bits(got[3], np.array(reference_lookup(traj)(traj.horizon)))
     assert _same_bits(got[:3], np.tile(traj.states[0], (3, 1)))
     assert _at(traj, -1e-12 * h) == tuple(traj.states[0])
+
+
+def test_an_infinite_integral_is_no_small_residual():
+    # one stored I of 1e308 makes the integral of R infinite at every
+    # checkpoint whose window holds it: its residual is NaN, which the
+    # maximum must keep (Python's max dropped it and reported 7.9e-8)
+    params = dataclasses.replace(baseline_pseirs(), tau=3.0)
+    traj = simulate_pseirs(params, baseline_history(), 4.0)
+    states = traj.states.copy()
+    states[267, 2] = 1e308
+    damaged = reconstruct_trajectory(params, baseline_history(), traj.times,
+                                     states)
+    report = verify_integral_equivalence(damaged, params, n_checkpoints=20)
+    assert math.isnan(report.max_residual)
+    assert report.e_residuals.max() < 1e-6
