@@ -241,6 +241,7 @@ class TestSimulate:
         # (a no-op profile function runs the loop unspecialized: CPython
         # 3.11's specialized float arithmetic is 20 times slower traced)
         simulate_pseirs(canonical_params, canonical_history, 1.0)
+        profile = sys.getprofile()
         sys.setprofile(lambda *args: None)
         tracemalloc.start()
         try:
@@ -248,7 +249,7 @@ class TestSimulate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            sys.setprofile(None)
+            sys.setprofile(profile)
         assert len(traj.times) == 40001
         assert peak < 3 * (traj.states.nbytes + traj.derivs.nbytes)
 
