@@ -1,16 +1,16 @@
-"""Forked processes for the sweep and ``analyze``'s CSV reader
-(``scenario``) and the CSV formatters (``stats``): how many processes may
-share a job, and ``Child``, where every sweep worker, formatter and parser
-child is started, ended and reaped.  A child first closes every pipe end
-``_fork`` handed to its parent that is still open, so it holds only its
-own, and a closed read end means EPIPE to the one child that writes it.
-It exits 0 when its work returns and 1 when the work raises.
+"""Forked processes for the sweep (``scenario``) and the CSV formatters
+(``stats``): how many processes may share a job, and ``Child``, where
+every sweep worker and formatter child is started, ended and reaped.  A
+child first closes every pipe end ``_fork`` handed to its parent that is
+still open, so it holds only its own, and a closed read end means EPIPE
+to the one child that writes it.  It exits 0 when its work returns and 1
+when the work raises.
 
 Forking goes one level deep: every ``Child`` forks nothing of its own
 (``fork_width`` is 1 there), so a pSEIRS trajectory is formatted during
 the solve, and a large phase plane or SIR trajectory split after it,
-only outside a sweep worker.  ``analyze`` parses a long pSEIRS
-trajectory in one forked child while it rebuilds the derivative rows.
+only outside a sweep worker.  ``analyze`` reads and parses a stored
+trajectory in its own process; only its phase-plane CSVs may be split.
 """
 
 from __future__ import annotations

@@ -225,21 +225,20 @@ class _Rates:
 
 
 def _derivative_rows(rates: _Rates, states: np.ndarray, derivs: np.ndarray,
-                     k0: int, k1: int) -> None:
-    """Fill ``derivs[k0:k1]``, the model rows at the stored states of rows
-    k0 <= k < k1 and their stage-1 entries, with the solver's stage-1
-    arithmetic; the rows before k0 must be complete.  Raises
-    ZeroPopulation, naming t, at the first row whose current N, or else
-    lagged N(t - omega), is <= 0.  All the rows at once where both
-    fractions a are 0 (the entries read stored states only), else blocks
-    of m - 1 rows for the least offset m of a lag off the grid, whose
-    entries read the derivative rows of earlier blocks."""
+                     n_rows: int) -> None:
+    """Fill ``derivs[:n_rows]``, the model rows at the stored states of the
+    first ``n_rows`` rows and their stage-1 entries, with the solver's
+    stage-1 arithmetic.  Raises ZeroPopulation, naming t, at the first row
+    whose current N, or else lagged N(t - omega), is <= 0.  All the rows at
+    once where both fractions a are 0 (the entries read stored states
+    only), else blocks of m - 1 rows for the least offset m of a lag off
+    the grid, whose entries read the derivative rows of earlier blocks."""
     (wa, _), (ta, _) = rates.lags
-    block = min([m - 1 for m, th, *_ in (wa, ta) if th] or [max(k1 - k0, 1)])
+    block = min([m - 1 for m, th, *_ in (wa, ta) if th] or [n_rows])
     mu = rates.mu
     with np.errstate(all="ignore"):
-        for c0 in range(k0, k1, block):
-            c1 = min(c0 + block, k1)
+        for c0 in range(0, n_rows, block):
+            c1 = min(c0 + block, n_rows)
             s, e, i, r = states[c0:c1].T
             n = s + e + i + r
             zero = n <= 0.0
@@ -313,7 +312,7 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
     # numpy stays as quiet as the scalar float arithmetic it replaces
     with np.errstate(all="ignore"):
         # row 0's derivative row, stage 1 of step 0, checks its populations
-        _derivative_rows(rates, states, derivs, 0, 1)
+        _derivative_rows(rates, states, derivs, 1)
 
         def entries(cell):  # the history's, up to entry n_steps
             return rates.entries(cell, states, derivs, 0,
@@ -460,27 +459,16 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
 
 
 def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
-                           times: np.ndarray, states: np.ndarray, *,
-                           rows_in=None) -> Trajectory:
+                           times: np.ndarray, states: np.ndarray) -> Trajectory:
     """Rebuild a full Trajectory (including derivative samples) from stored
     state samples, e.g. a trajectory CSV written by an earlier run.
 
     Derivatives are recomputed by evaluating the model rows at every sample,
     reading the solver's stage-1 entries of both lags with whole-array
     numpy, so analyses run on the reconstruction match the original run.
-
-    ``rows_in``, if given, is the source that fills ``times`` and
-    ``states`` in order during the reconstruction, the mirror of the
-    solvers' ``rows_out``: an iterable of how many leading rows hold their
-    values, at least 2 at first and all of them at last.  The derivative
-    rows up to each count are rebuilt as soon as it arrives, with the
-    bits of one pass, since a row reads only earlier rows.  Whatever
-    ``rows_in`` raises propagates.
     """
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
-    filled = iter(() if rows_in is None else rows_in)
-    first = next(filled, None)  # None: every row holds its values
     _require(times.ndim == 1 and len(times) >= 2 and times[0] == 0.0,
              "times", None, "uniform grid starting at 0")
     _require(states.shape == (len(times), 4), "states", states.shape,
@@ -491,11 +479,7 @@ def reconstruct_trajectory(params: PseirsParams, history: HistoryFunction,
     kap = _checked_kappa(params, history, h)
 
     derivs = np.zeros((len(times), 4))
-    rates = _Rates(params, h, history)
-    done = 0
-    for upto in chain((len(times) if first is None else first,), filled):
-        _derivative_rows(rates, states, derivs, done, upto)
-        done = upto
+    _derivative_rows(_Rates(params, h, history), states, derivs, len(times))
 
     e_consistent = consistent_initial_exposed(history, params)
     r_consistent = consistent_initial_recovered(history, params)

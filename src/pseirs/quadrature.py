@@ -12,11 +12,12 @@ on Python 3.12 and later.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameter, QuadratureNotConverged
+from .errors import InvalidParameter, Overflow, QuadratureNotConverged
 
 # Doubling stops once two successive estimates agree to this relative
 # tolerance, keeping quadrature error well below the 1e-4 acceptance
@@ -66,19 +67,32 @@ def composite_simpson(f: Callable[[np.ndarray], np.ndarray], a: float,
         return float((fa + fb + 4.0 * odd + 2.0 * even) * (h / 3.0))
 
 
+def _level(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+           panels: int) -> float:
+    """``composite_simpson``'s estimate; Overflow, naming [a, b], if it is
+    not finite, where no later level could agree with it."""
+    est = composite_simpson(f, a, b, panels)
+    if not math.isfinite(est):
+        raise Overflow(f"the Simpson estimate over [{a}, {b}] at {panels} "
+                       f"panels is {est}; the integrand exceeded float64's range")
+    return est
+
+
 def adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float,
                      b: float) -> float:
     """Composite Simpson from INITIAL_PANELS panels, doubling the count until
     two successive estimates differ by at most REL_TOL relative
     (identically-zero integrands converge immediately to 0.0).  Raises
-    QuadratureNotConverged when they still differ at MAX_PANELS panels."""
+    Overflow at the first level whose estimate is inf or NaN, and
+    QuadratureNotConverged when the estimates still differ at MAX_PANELS
+    panels."""
     if a == b:
         return 0.0
-    prev = composite_simpson(f, a, b, INITIAL_PANELS)
+    prev = _level(f, a, b, INITIAL_PANELS)
     n = INITIAL_PANELS
     while n < MAX_PANELS:
         n *= 2
-        cur = composite_simpson(f, a, b, n)
+        cur = _level(f, a, b, n)
         if cur == 0.0 and prev == 0.0:
             return 0.0
         if abs(cur - prev) <= REL_TOL * abs(cur):

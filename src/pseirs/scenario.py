@@ -29,7 +29,7 @@ from . import _fork
 from .core import (CompartmentState, ConstantHistory, HistoryFunction,
                    PseirsParams, SirParams, SirState, Trajectory, _require,
                    kappa, negativity_floor, step_count)
-from .dde import CHUNK, default_step, reconstruct_trajectory, simulate_pseirs
+from .dde import default_step, reconstruct_trajectory, simulate_pseirs
 from .errors import (InvalidParameter, Overflow, PseirsError, TrajectoryTooShort,
                      WorkerDied)
 from .integro import verify_integral_equivalence
@@ -54,21 +54,6 @@ THRESHOLD_NOTE = (
     "threshold values for these scenarios (7.77 at omega=0.15, 0.3703 at "
     "omega=30, 8.621329079589127e-01 for the 5000-node run) are "
     "reproducible from neither formula.")
-
-# smallest stored pSEIRS trajectory, in rows, whose CSV body ``analyze``
-# parses in a forked child while it rebuilds the derivative rows.  In a
-# 45 MB process on a 2-vCPU VM (medians of 30-40 alternating pairs), the
-# baseline broke even near 5,000 rows and gained 6% at 8,000 and 18-20% at
-# 20,000-40,001; long latency, whose long lags make reconstruction cheap,
-# lost 10% at 6,001 rows, broke even near 9,000-18,000 and gained 7% at
-# 24,001 and 16% at 40,001
-PIPELINE_MIN_ROWS = 20000
-# bytes of CSV text per ``np.loadtxt`` call in that child: a chunk's rows
-# (about 28 KB) fit in a 64 KB pipe, so the child seldom waits on its
-# reader; 256 KB chunks made an analyze of the baseline 16% slower
-_PARSE_CHUNK = 1 << 16
-# the columns ``write_trajectory_csv`` gives a pSEIRS trajectory
-_PSEIRS_COLUMNS = ["t", "S", "E", "I", "R", "N"]
 
 _TOP_KEYS = {"schema", "model", "params", "init", "history", "horizon",
              "step", "analyses", "network", "out_dir"}
@@ -281,83 +266,6 @@ def read_trajectory_csv(path: Path, data: bytes):
     return body[:, 0].copy(), body[:, 1:1 + len(labels)].copy(), labels
 
 
-def _parse_child(fd, data: bytes, start: int, columns: int):
-    """A forked CSV parser's work: parse the lines of ``data[start:]`` in
-    chunks of about _PARSE_CHUNK bytes, cut after a newline, each with
-    ``read_trajectory_csv``'s ``np.loadtxt``, and write each chunk's
-    float64 rows to the pipe ``fd`` as soon as it is parsed: one row of
-    ``columns`` finite numbers >= 0 per line, as the serial read parses
-    it.  Any other chunk raises: one not ASCII, with a CR (a line end to
-    the serial read's universal newlines), another shape, or a negative
-    number, which only the serial route's floor check judges.  So does
-    any error or warning, and the child exits non-zero."""
-    warnings.simplefilter("error")
-    with open(fd, "wb") as pipe:
-        while start < len(data):
-            stop = data.find(b"\n", start + _PARSE_CHUNK) + 1 or len(data)
-            chunk = data[start:stop]
-            if b"\r" in chunk:
-                raise ValueError("a line end the serial read differs on")
-            rows = np.loadtxt(io.StringIO(chunk.decode("ascii")),
-                              delimiter=",", ndmin=2)
-            if (rows.shape != (chunk.count(b"\n"), columns)
-                    or not ((rows >= 0.0) & (rows < math.inf)).all()):
-                raise ValueError("not one row of numbers >= 0 per line")
-            pipe.write(rows)
-            start = stop
-
-
-class _ParseFailed(Exception):
-    """The forked parser ended before it sent every row."""
-
-
-class _ForkedParse(_fork.Child):
-    """The rows of a pSEIRS trajectory CSV's body, ``data[start:]``, parsed
-    by a forked ``_parse_child`` and read back in order, CHUNK rows
-    at a time, into the ``times`` and ``states`` that
-    ``reconstruct_trajectory`` takes.  Every row it reads is one the
-    serial read would return, so it checks none."""
-
-    def __init__(self, data: bytes, start: int, rows: int):
-        columns = len(_PSEIRS_COLUMNS)
-        self.times = np.empty(rows)
-        self.states = np.empty((rows, 4))
-        self._filled = 0
-        # one buffer for every read: each page this process writes while
-        # the child lives costs a copy-on-write fault
-        self._piece = np.empty((CHUNK, columns))
-        super().__init__(_parse_child, data, start, columns)
-        self._pipe = open(self.fd, "rb", closefd=False)  # closed by close
-
-    def _fill(self, stop: int) -> bool:
-        """Read the rows up to ``stop``; False if the pipe ends first."""
-        while self._filled < stop:
-            k = self._filled
-            piece = self._piece[:min(stop - k, CHUNK)]
-            if self._pipe.readinto(piece) != piece.nbytes:
-                return False
-            self.times[k:k + len(piece)] = piece[:, 0]
-            self.states[k:k + len(piece)] = piece[:, 1:5]
-            self._filled += len(piece)
-        return True
-
-    def rows_in(self):
-        """The counts of rows read, CHUNK more each time: the
-        ``rows_in`` of ``reconstruct_trajectory``.  Raises ``_ParseFailed``
-        if the pipe ends early."""
-        rows = len(self.times)
-        while self._filled < rows:
-            if not self._fill(min(self._filled + CHUNK, rows)):
-                raise _ParseFailed
-            yield self._filled
-
-    def finish(self) -> bool:
-        """Read the rows not read yet and reap the child: whether it sent
-        every row and exited 0."""
-        sent = self._fill(len(self.times))
-        return self.wait() == 0 and sent
-
-
 def _json_text(obj) -> str:
     """Strict JSON: a non-finite number raises Overflow, not ``Infinity``."""
     try:
@@ -499,13 +407,10 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
     For a pSEIRS trajectory the config supplies the parameters and history
     needed to resolve delayed lookups; derivative samples are recomputed,
     so interpolating analyses (integral_equivalence among them) match the
-    original run.  An SIR trajectory is read as states only.  Every route
-    reads the file once and refuses a compartment below -1e-9*N(0).  Where
-    it pays (``_pipelined``), a forked child parses a pSEIRS trajectory
-    while this process builds the network and rebuilds the derivative rows
-    as they arrive; a file it does not parse cleanly (a negative number
-    too) is parsed again serially, with the serial read's results and
-    errors.  Nothing is written unless the file and every analysis pass.
+    original run.  An SIR trajectory is read as states only.  Every file
+    is read once, parsed in this process by ``read_trajectory_csv`` and
+    refused if a compartment is below -1e-9*N(0).  Nothing is written
+    unless the file and every analysis pass.
     """
     traj, params, network_info = _rebuilt(config, trajectory_csv)
     summary, planes = _run_analyses(config, traj, params, network_info,
@@ -520,15 +425,13 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
 
 def _rebuilt(config: ScenarioConfig, path):
     """(trajectory, params, network info) of the stored trajectory CSV at
-    ``path``, its bytes read once for every model and CPU count and taken
-    by ``_pipelined`` or else by ``read_trajectory_csv``, whose columns
-    and ``negativity_floor`` of row 0 are checked before the network is
-    built.  The bytes are dropped on return, before the analyses run."""
+    ``path``, its bytes read once and parsed by ``read_trajectory_csv``;
+    the columns and the ``negativity_floor`` of row 0 are checked before
+    the network is built, and a pSEIRS trajectory's derivative rows are
+    rebuilt by one ``reconstruct_trajectory`` call.  The bytes are dropped
+    on return, before the analyses run."""
     with open(path, "rb") as f:
         data = f.read()
-    rebuilt = _pipelined(config, data)
-    if rebuilt is not None:
-        return rebuilt
     times, states, labels = read_trajectory_csv(path, data)
     want = ("S", "I", "R") if config.model == "sir" else ("S", "E", "I", "R")
     _require(labels == want, "trajectory", labels,
@@ -543,45 +446,6 @@ def _rebuilt(config: ScenarioConfig, path):
                           step=float(times[1] - times[0]), labels=labels)
     else:
         traj = reconstruct_trajectory(params, config.init, times, states)
-    return traj, params, network_info
-
-
-def _pipelined(config: ScenarioConfig, data: bytes):
-    """``_rebuilt``'s result for the trajectory CSV ``data``, its body
-    parsed by a ``_ForkedParse`` while this process builds the network and
-    rebuilds the derivative rows; None unless the config is pSEIRS, a
-    child can be forked, the file has ``write_trajectory_csv``'s pSEIRS
-    header and PIPELINE_MIN_ROWS rows or more, and the child sent every
-    row.  An error of the network or the reconstruction waits until the
-    parse has ended, so a damaged file goes to the serial read, whose
-    ``InvalidParameter`` wins."""
-    header = (",".join(_PSEIRS_COLUMNS) + "\n").encode()
-    if (config.model != "pseirs" or _fork.fork_width(2) == 1
-            or not data.startswith(header)):
-        return None
-    start = len(header)
-    rows = data.count(b"\n", start)
-    if rows < PIPELINE_MIN_ROWS:
-        return None
-    parse = _ForkedParse(data, start, rows)
-    held = None
-    try:
-        try:
-            _, params, network_info = _prepare_network(config)
-            traj = reconstruct_trajectory(params, config.init, parse.times,
-                                          parse.states,
-                                          rows_in=parse.rows_in())
-        except PseirsError as exc:
-            held = exc
-        except _ParseFailed:
-            pass  # finish says so
-        parsed = parse.finish()
-    finally:
-        parse.close()
-    if not parsed:
-        return None
-    if held is not None:
-        raise held
     return traj, params, network_info
 
 

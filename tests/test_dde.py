@@ -321,39 +321,6 @@ class TestReconstruct:
                                          traj.times, traj.states)
         assert rebuilt.init_override
 
-    def test_rows_in_rebuilds_the_same_rows(self, canonical_params,
-                                            canonical_history):
-        # the rows arrive a part at a time, the parts splitting the
-        # solver's chunks; rows not filled yet hold NaN, which no rebuilt
-        # row may read
-        traj = simulate_pseirs(canonical_params, canonical_history, 40.0)
-        times = np.full_like(traj.times, np.nan)
-        states = np.full_like(traj.states, np.nan)
-
-        def rows_in():
-            for upto in (*range(CHUNK // 2, len(times), CHUNK),
-                         len(times)):
-                times[:upto] = traj.times[:upto]
-                states[:upto] = traj.states[:upto]
-                yield upto
-
-        rebuilt = reconstruct_trajectory(canonical_params, canonical_history,
-                                         times, states, rows_in=rows_in())
-        assert np.array_equal(rebuilt.derivs, traj.derivs)
-        assert not rebuilt.init_override
-
-    def test_rows_in_error_propagates(self, canonical_params,
-                                      canonical_history):
-        traj = simulate_pseirs(canonical_params, canonical_history, 40.0)
-
-        def rows_in():
-            yield CHUNK
-            raise BrokenPipeError("the rows stopped")
-
-        with pytest.raises(BrokenPipeError):
-            reconstruct_trajectory(canonical_params, canonical_history,
-                                   traj.times, traj.states, rows_in=rows_in())
-
 
 # The solver and reconstruction loops as they were written before they
 # shared one lookup-and-derivative core, kept as the reference: every state

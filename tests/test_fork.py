@@ -1,6 +1,7 @@
-"""``_fork.Child``, the one lifecycle of every forked formatter and parser:
-its exit code says whether its work returned, its parent can always end
-it, it forks nothing itself, and it holds no pipe end but its own."""
+"""``_fork.Child``, the one lifecycle of every forked sweep worker and CSV
+formatter: its exit code says whether its work returned, its parent can
+always end it, it forks nothing itself, and it holds no pipe end but its
+own."""
 
 import json
 import os

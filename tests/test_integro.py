@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pseirs import (CompartmentState, ConstantHistory, InconsistentInit,
-                    OutOfDomain, Trajectory, consistent_initial_exposed,
+                    OutOfDomain, Overflow, Trajectory,
+                    consistent_initial_exposed,
                     exposed_integral, kappa, recovered_integral,
                     reconstruct_trajectory, simulate_pseirs,
                     verify_integral_equivalence)
@@ -286,14 +287,13 @@ def test_eval_raw_reads_through_the_solver_lookup(name):
 
 def test_an_infinite_integral_is_no_small_residual():
     # one stored I of 1e308 makes the integral of R infinite at every
-    # checkpoint whose window holds it: its residual is NaN, which the
-    # maximum must keep (Python's max dropped it and reported 7.9e-8)
+    # checkpoint whose window holds it: quadrature raises Overflow there,
+    # so no residual, small or NaN, is reported
     params = dataclasses.replace(baseline_pseirs(), tau=3.0)
     traj = simulate_pseirs(params, baseline_history(), 4.0)
     states = traj.states.copy()
     states[267, 2] = 1e308
     damaged = reconstruct_trajectory(params, baseline_history(), traj.times,
                                      states)
-    report = verify_integral_equivalence(damaged, params, n_checkpoints=20)
-    assert math.isnan(report.max_residual)
-    assert report.e_residuals.max() < 1e-6
+    with pytest.raises(Overflow):
+        verify_integral_equivalence(damaged, params, n_checkpoints=20)

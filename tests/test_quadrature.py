@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pseirs import quadrature
-from pseirs.errors import InvalidParameter, QuadratureNotConverged
+from pseirs.errors import InvalidParameter, Overflow, QuadratureNotConverged
 from pseirs.quadrature import adaptive_simpson, composite_simpson
 
 import reference_quadrature
@@ -83,6 +83,34 @@ def test_one_composite_call_of_panels_plus_one_nodes_per_level(monkeypatch):
     for panels, chunks in calls:
         assert sum(chunks) == panels + 1
         assert max(chunks) <= quadrature.CHUNK
+
+
+def _inf_at_a_256_panel_node(x):
+    # 129/256 is a node of 256 panels over [0, 1], not of 128
+    return np.where(x == 129 / 256, math.inf, 1.0)
+
+
+@pytest.mark.parametrize("f, levels", [
+    (lambda x: np.full_like(x, math.inf), 1),
+    (_inf_at_a_256_panel_node, 2),
+], ids=["inf_everywhere", "inf_at_one_node"])
+def test_a_non_finite_estimate_is_overflow_at_its_level(monkeypatch, f,
+                                                        levels):
+    # the first non-finite estimate ends the doubling: two infs never
+    # agree, and inf after a finite estimate would pass the convergence
+    # test, since inf <= REL_TOL*inf
+    calls = []
+    composite = quadrature.composite_simpson
+
+    def recording(f, a, b, panels):
+        calls.append(panels)
+        return composite(f, a, b, panels)
+
+    monkeypatch.setattr(quadrature, "composite_simpson", recording)
+    panels = 128 << (levels - 1)
+    with pytest.raises(Overflow, match=rf"over \[0.0, 1.0\] at {panels} panels is inf"):
+        adaptive_simpson(f, 0.0, 1.0)
+    assert calls == [128 << k for k in range(levels)]
 
 
 def _cubic(x):

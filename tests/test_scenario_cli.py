@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -254,6 +255,105 @@ def set_path(raw, dotted, value):
     for key in parents:
         node = node[key]
     node[leaf] = value
+
+
+PSEIRS_CONFIGS = ("scale_free_5000", "seirs_baseline", "seirs_long_latency",
+                  "seirs_low_immunity")
+
+
+@pytest.fixture(scope="module")
+def stored(tmp_path_factory):
+    """name -> (config path, stored trajectory path) for the four shipped
+    pSEIRS configs and ``sir_low_infectivity``."""
+    root = tmp_path_factory.mktemp("stored")
+    runs = {}
+    for name in (*PSEIRS_CONFIGS, "sir_low_infectivity"):
+        config = CONFIG_DIR / f"{name}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(config),
+                         "--out", str(root / name)]) == 0
+        runs[name] = (config, root / name / "trajectory.csv")
+    return runs
+
+
+def analyze(config, trajectory, out):
+    """(exit code, stderr, output tree) of one ``pseirs analyze``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["analyze", "--config", str(config),
+                     "--trajectory", str(trajectory), "--out", str(out)])
+    return code, err.getvalue(), tree_bytes(out) if out.exists() else None
+
+
+def damaged(lines, kind):
+    """The text of ``lines`` (a stored trajectory, header first) with one
+    damage of ``kind`` three quarters of the way into its rows; a zero
+    population row goes a quarter of the way in, before that cell."""
+    header, rows = lines[0], [line.split(",") for line in lines[1:]]
+    k = 3 * len(rows) // 4
+    end = "\n"
+    if kind.startswith("ragged_row"):
+        rows[k] = rows[k][:-1] if kind.endswith("short") else rows[k] + ["1.0"]
+    elif kind.startswith(("non_numeric_field", "negative_field")):
+        rows[k][2] = kind.rpartition(":")[2]
+    elif kind.startswith("non_finite_field"):
+        rows[k][3] = kind.rpartition(":")[2]
+    elif kind == "header_only":
+        rows = []
+    elif kind == "dropped_last_column_rows":
+        rows = [row[:-1] for row in rows]
+    elif kind == "dropped_last_column_header":
+        header = header.rpartition(",")[0]
+    elif kind.startswith("zero_population_row"):
+        rows[k // 3] = [rows[k // 3][0]] + ["0.0"] * (len(rows[k // 3]) - 1)
+        if kind.endswith("then_non_numeric"):
+            rows[k][2] = "x"
+    elif kind == "non_uniform_time":
+        rows[k][0] = repr(float(rows[k][0]) + 0.3 * float(rows[1][0]))
+    text = [header] + [",".join(row) for row in rows]
+    if kind == "crlf":
+        return "\r\n".join(text) + "\r\n"
+    if kind == "crlf_rows":
+        return text[0] + "\n" + "\r\n".join(text[1:]) + "\r\n"
+    if kind == "blank_line":
+        text.insert(k, "")
+    elif kind == "comment_line":
+        text.insert(k, "# a comment")
+    elif kind == "no_final_newline":
+        end = ""
+    elif kind == "non_ascii_byte":
+        text[k] = text[k].replace(".", "\u00e9", 1)
+    return "\n".join(text) + end
+
+
+# damage of a stored file -> the type of its one error record, or None
+# where the file is analysed: to the clean file's bytes unless the damage
+# is in ABOVE_THE_FLOOR
+DAMAGE = {
+    "ragged_row:short": "InvalidParameter", "ragged_row:long": "InvalidParameter",
+    "non_numeric_field:x": "InvalidParameter", "non_numeric_field:": "InvalidParameter",
+    "non_numeric_field:1.0.0": "InvalidParameter",
+    "non_numeric_field:0x10": "InvalidParameter",
+    "non_numeric_field:--1": "InvalidParameter",
+    "non_numeric_field:1,0": "InvalidParameter",
+    "non_finite_field:nan": "InvalidParameter",
+    "non_finite_field:-inf": "InvalidParameter",
+    "non_finite_field:1e999": "InvalidParameter",
+    "header_only": "InvalidParameter",
+    "dropped_last_column_rows": "InvalidParameter",
+    "dropped_last_column_header": "InvalidParameter",
+    "zero_population_row": "ZeroPopulation",
+    # the whole file is parsed before a row is rebuilt
+    "zero_population_row_then_non_numeric": "InvalidParameter",
+    "non_uniform_time": "InvalidParameter",
+    "crlf": None, "crlf_rows": None, "blank_line": None, "comment_line": None,
+    "no_final_newline": None,
+    "non_ascii_byte": "InvalidParameter",
+    "negative_field:-1e-12": None,
+}
+# damage above the floor -1e-9*N(0): the file is analysed, with other stats
+ABOVE_THE_FLOOR = {"negative_field:-1e-12"}
 
 
 def test_shipped_configs_parse():
@@ -680,6 +780,61 @@ def test_sweep_latency_classifications(tmp_path):
     assert kinds == ["disease_free", "disease_free"]
 
 
+@pytest.mark.parametrize("name", PSEIRS_CONFIGS)
+def test_shipped_configs_analyze_to_the_same_bytes_at_one_and_two_cpus(
+        tmp_path, monkeypatch, stored, name):
+    # two CPUs may split a phase plane's CSV; the stored file is parsed
+    # in this process either way
+    config, trajectory = stored[name]
+    results = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(_fork, "usable_cpus", lambda n=cpus: n)
+        results.append(analyze(config, trajectory, tmp_path / f"cpus{cpus}"))
+    code, err, tree = results[0]
+    assert code == 0 and err == "" and "summary.json" in tree
+    assert results[1] == results[0]
+    assert not children_left()
+
+
+def test_analyze_of_a_long_trajectory_starts_no_child(tmp_path, monkeypatch,
+                                                      stored):
+    # the 40,001 rows of seirs_baseline are read and rebuilt in this
+    # process; without a phase plane, whose CSV may be split, nothing forks
+    _, trajectory = stored["seirs_baseline"]
+    raw = load_config("seirs_baseline.json")
+    del raw["analyses"]["phase_plane"]
+    no_plane = tmp_path / "config.json"
+    no_plane.write_text(json.dumps(raw))
+    started = []
+    child_init = _fork.Child.__init__
+
+    def recorded_init(self, work, *args):
+        started.append(work.__name__)
+        child_init(self, work, *args)
+
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fork.Child, "__init__", recorded_init)
+    assert len(trajectory.read_text().splitlines()) == 40002
+    code, err, _ = analyze(no_plane, trajectory, tmp_path / "out")
+    assert (code, err) == (0, "")
+    assert started == []
+
+
+@pytest.mark.parametrize("name", ["seirs_baseline", "sir_low_infectivity"])
+def test_fifo_is_read_once(tmp_path, stored, name):
+    config, trajectory = stored[name]
+    _, _, from_file = analyze(config, trajectory, tmp_path / "file")
+    fifo = tmp_path / "trajectory.csv"
+    os.mkfifo(fifo)
+    writer = subprocess.Popen(["sh", "-c", f"cat {shlex.quote(str(trajectory))}"
+                               f" > {shlex.quote(str(fifo))}"])
+    try:
+        result = analyze(config, fifo, tmp_path / "fifo")
+    finally:
+        writer.wait(timeout=60)
+    assert result == (0, "", from_file)
+
+
 class TestCli:
     def test_simulate_and_analyze(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -749,6 +904,43 @@ class TestCli:
         assert record["error"]["type"] == "InvalidParameter"
         assert not (tmp_path / "re").exists()
 
+    @pytest.mark.parametrize("kind", DAMAGE)
+    def test_analyze_damaged_long_trajectory(self, tmp_path, stored, kind):
+        # one damage in the 40,001 rows of a stored seirs_baseline run
+        config, trajectory = stored["seirs_baseline"]
+        csv = tmp_path / "trajectory.csv"
+        csv.write_bytes(damaged(trajectory.read_text().splitlines(),
+                                kind).encode("utf-8"))
+        code, err, tree = analyze(config, csv, tmp_path / "re")
+        if DAMAGE[kind] is None:
+            assert (code, err) == (0, "") and "summary.json" in tree
+            if kind not in ABOVE_THE_FLOOR:
+                assert tree == analyze(config, trajectory, tmp_path / "clean")[2]
+        else:
+            assert code == 1 and tree is None
+            assert len(err.splitlines()) == 1
+            record = json.loads(err)
+            assert list(record) == ["error"]
+            assert record["error"]["type"] == DAMAGE[kind]
+
+    def test_damaged_file_wins_over_a_bad_network(self, tmp_path, stored):
+        # m > m0 fails only when the graph is generated, after the file is
+        # read and checked
+        raw = load_config("scale_free_5000.json")
+        raw["network"]["m"] = raw["network"]["m0"] + 1
+        config = tmp_path / "bad_network.json"
+        config.write_text(json.dumps(raw))
+        _, trajectory = stored["scale_free_5000"]
+        code, err, _ = analyze(config, trajectory, tmp_path / "clean")
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "InvalidGraphParams"
+        csv = tmp_path / "trajectory.csv"
+        csv.write_text(damaged(trajectory.read_text().splitlines(),
+                               "non_finite_field:nan"))
+        code, err, _ = analyze(config, csv, tmp_path / "damaged")
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "InvalidParameter"
+
     def test_analyze_zero_population_names_t(self, tmp_path, capsys):
         # 60 samples of the baseline state at its default step, one all zero
         rows = [f"{k * 0.0075!r},63.0,0.0,7.0,0.0,70.0" for k in range(60)]
@@ -809,23 +1001,33 @@ class TestCli:
         assert error["type"] == "Overflow"
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("rows, named", [
-        (["0.0,11.0,1.0,0.0", "0.5,-0.5,1.0,0.0"], "S=-0.5 at t=0.5"),
+    @pytest.mark.parametrize("config, rows, named", [
+        ("sir_low_infectivity", ["t,S,I,R", "0.0,11.0,1.0,0.0",
+                                 "0.5,-0.5,1.0,0.0"], "S=-0.5 at t=0.5"),
         # N(0) < 0: the floor is 0, so the negative I is named, not S = 0
-        (["0.0,0.0,-1.0,0.0", "0.5,11.0,1.0,0.0"], "I=-1.0 at t=0.0"),
-    ], ids=["positive_n0", "negative_n0"])
+        ("sir_low_infectivity", ["t,S,I,R", "0.0,0.0,-1.0,0.0",
+                                 "0.5,11.0,1.0,0.0"], "I=-1.0 at t=0.0"),
+        ("seirs_baseline", None, "E=-1.0 at t=225.0"),
+    ], ids=["positive_n0", "negative_n0", "pseirs_long"])
     def test_analyze_names_the_compartment_below_the_floor(self, tmp_path,
-                                                           capsys, rows,
+                                                           capsys, stored,
+                                                           config, rows,
                                                            named):
+        # None: the stored run of the config, one E cell set to -1.0 three
+        # quarters of the way into its rows
         csv = tmp_path / "trajectory.csv"
-        csv.write_text("\n".join(["t,S,I,R", *rows]) + "\n")
-        code = main(["analyze", "--config",
-                     str(CONFIG_DIR / "sir_low_infectivity.json"),
+        if rows is None:
+            lines = stored[config][1].read_text().splitlines()
+            csv.write_text(damaged(lines, "negative_field:-1.0"))
+        else:
+            csv.write_text("\n".join(rows) + "\n")
+        code = main(["analyze", "--config", str(CONFIG_DIR / f"{config}.json"),
                      "--trajectory", str(csv), "--out", str(tmp_path / "re")])
         assert code == 1
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "InvalidParameter"
-        assert error["message"].endswith(f"below -1e-9*N(0) ({named})")
+        assert error["message"] == (f"trajectory={str(csv)!r} violates: no "
+                                    f"compartment below -1e-9*N(0) ({named})")
         assert not (tmp_path / "re").exists()
 
     @pytest.mark.parametrize("rows, message", [
