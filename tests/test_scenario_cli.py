@@ -780,22 +780,6 @@ def test_sweep_latency_classifications(tmp_path):
     assert kinds == ["disease_free", "disease_free"]
 
 
-@pytest.mark.parametrize("name", PSEIRS_CONFIGS)
-def test_shipped_configs_analyze_to_the_same_bytes_at_one_and_two_cpus(
-        tmp_path, monkeypatch, stored, name):
-    # two CPUs may split a phase plane's CSV; the stored file is parsed
-    # in this process either way
-    config, trajectory = stored[name]
-    results = []
-    for cpus in (2, 1):
-        monkeypatch.setattr(_fork, "usable_cpus", lambda n=cpus: n)
-        results.append(analyze(config, trajectory, tmp_path / f"cpus{cpus}"))
-    code, err, tree = results[0]
-    assert code == 0 and err == "" and "summary.json" in tree
-    assert results[1] == results[0]
-    assert not children_left()
-
-
 def test_analyze_of_a_long_trajectory_starts_no_child(tmp_path, monkeypatch,
                                                       stored):
     # the 40,001 rows of seirs_baseline are read and rebuilt in this
