@@ -3,9 +3,8 @@ classical SIR system and a delayed SEIRS variant in which recovery grants
 temporary immunity only with probability p, plus scale-free network
 generation, threshold analysis and reporting tools."""
 
-from .core import (CompartmentState, ConstantHistory, HistoryFunction,
-                   PseirsParams, SampledHistory, SirParams, SirState,
-                   Trajectory, kappa)
+from .core import (ConstantHistory, HistoryFunction, PseirsParams,
+                   SampledHistory, SirParams, SirState, Trajectory, kappa)
 from .dde import (consistent_initial_exposed, consistent_initial_recovered,
                   default_step, reconstruct_trajectory, simulate_pseirs)
 from .errors import (EmptyWindow, InconsistentInit, InsufficientTail,

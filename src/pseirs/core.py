@@ -133,23 +133,6 @@ def step_count(horizon: float, h: float) -> int:
     return int(math.ceil(horizon / h - 1e-12))
 
 
-@dataclass(frozen=True)
-class CompartmentState:
-    """One (S, E, I, R) sample."""
-
-    s: float
-    e: float
-    i: float
-    r: float
-
-    def __post_init__(self):
-        for name in ("s", "e", "i", "r"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.s, self.e, self.i, self.r)
-
-
 class HistoryFunction(ABC):
     """Prescribed solution values on [-kappa, 0] needed to start the DDE.
 
@@ -171,17 +154,22 @@ class HistoryFunction(ABC):
 
 @dataclass(frozen=True)
 class ConstantHistory(HistoryFunction):
-    """History frozen at a single non-negative state for all t <= 0."""
+    """History frozen at one finite, non-negative (S, E, I, R) state for all t <= 0."""
 
-    state: CompartmentState
+    s: float
+    e: float
+    i: float
+    r: float
 
     def __post_init__(self):
         for name in ("s", "e", "i", "r"):
-            _require(getattr(self.state, name) >= 0, f"history.{name}",
-                     getattr(self.state, name), "history states must be non-negative")
+            value = _finite(f"history.{name}", getattr(self, name))
+            _require(value >= 0, f"history.{name}", value,
+                     "history states must be non-negative")
+            object.__setattr__(self, name, value)
 
     def rows_at(self, x):
-        return np.tile(self.state.as_tuple(), (len(x), 1))
+        return np.tile((self.s, self.e, self.i, self.r), (len(x), 1))
 
     def domain_start(self):
         return -math.inf

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import PseirsParams, Trajectory, _require, kappa
 from .dde import _eval_raw, _exposed_integrand, _recovered_integrand
-from .errors import InconsistentInit, OutOfDomain, TrajectoryTooShort
+from .errors import InconsistentInit, OutOfDomain, Overflow, TrajectoryTooShort
 from .quadrature import adaptive_simpson
 
 
@@ -74,6 +74,21 @@ def recovered_integral(traj: Trajectory, t: float,
     return _window_integral(traj, t, params.tau, _recovered_integrand, params)
 
 
+def _checked_integral(integral, name: str, lag: float, traj: Trajectory, t: float,
+                      params: PseirsParams) -> float:
+    """``integral(traj, t, params)``; an Overflow names ``name``, t and the
+    largest stored I of the cells the window [t - lag, t] reads."""
+    try:
+        return integral(traj, t, params)
+    except Overflow as exc:
+        times, infected = traj.times, traj.column("I")
+        j0 = max(int(np.searchsorted(times, t - lag, side="right")) - 1, 0)
+        k = j0 + int(np.argmax(infected[j0:int(np.searchsorted(times, t)) + 1]))
+        raise Overflow(f"the integral form of {name} at t={t} exceeded float64's range; the "
+                       f"largest stored I in its window is {float(infected[k])!r} at "
+                       f"t={float(times[k])}") from exc
+
+
 def _relative_residual(a: float, b: float) -> float:
     d = abs(a - b)
     if d == 0.0:
@@ -105,10 +120,10 @@ def verify_integral_equivalence(traj: Trajectory, params: PseirsParams,
     e_res = np.empty(n_checkpoints)
     r_res = np.empty(n_checkpoints)
     for idx, t in enumerate(times.tolist()):
-        e_res[idx] = _relative_residual(
-            exposed_integral(traj, t, params), states[idx][1])
-        r_res[idx] = _relative_residual(
-            recovered_integral(traj, t, params), states[idx][3])
+        e_res[idx] = _relative_residual(_checked_integral(
+            exposed_integral, "E", params.omega, traj, t, params), states[idx][1])
+        r_res[idx] = _relative_residual(_checked_integral(
+            recovered_integral, "R", params.tau, traj, t, params), states[idx][3])
     return EquivalenceReport(times=times, e_residuals=e_res, r_residuals=r_res,
                              max_residual=float(np.maximum(e_res.max(), r_res.max())),
                              consistent_init=not traj.init_override)

@@ -7,7 +7,7 @@ prescribes no initial state.
 
 from __future__ import annotations
 
-from .core import CompartmentState, ConstantHistory, PseirsParams, SirParams, SirState
+from .core import ConstantHistory, PseirsParams, SirParams, SirState
 
 
 def baseline_pseirs(p: float = 1.0, omega: float = 0.15,
@@ -17,7 +17,7 @@ def baseline_pseirs(p: float = 1.0, omega: float = 0.15,
 
 
 def baseline_history() -> ConstantHistory:
-    return ConstantHistory(CompartmentState(63.0, 0.0, 7.0, 0.0))
+    return ConstantHistory(63.0, 0.0, 7.0, 0.0)
 
 
 def sir_low_infectivity() -> SirParams:

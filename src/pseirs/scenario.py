@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
-import io
 import itertools
 import json
 import math
@@ -26,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _fork
-from .core import (CompartmentState, ConstantHistory, HistoryFunction,
-                   PseirsParams, SirParams, SirState, Trajectory, _require,
-                   kappa, negativity_floor, step_count)
+from .core import (ConstantHistory, HistoryFunction, PseirsParams, SirParams,
+                   SirState, Trajectory, _require, kappa, negativity_floor,
+                   step_count)
 from .dde import default_step, reconstruct_trajectory, simulate_pseirs
 from .errors import (InvalidParameter, Overflow, PseirsError, TrajectoryTooShort,
                      WorkerDied)
@@ -62,12 +61,13 @@ _ANALYSIS_KEYS = {"stats", "phase_plane", "integral_equivalence", "threshold", "
 
 @dataclass
 class ScenarioConfig:
-    """``params``/``init``: SirParams/SirState or PseirsParams/history."""
+    """``params``/``init``: SirParams/SirState or PseirsParams/history;
+    ``step`` is the configured step or None (``run_scenario`` resolves it)."""
 
     raw: dict
     model: str
     horizon: float
-    step: float
+    step: float | None
     params: SirParams | PseirsParams
     init: SirState | HistoryFunction
     analyses: dict
@@ -90,10 +90,8 @@ class ScenarioConfig:
             _require(step > 0, "step", step, "step > 0")
 
         if model == "sir":
-            p = _block(raw, "params", {"beta", "alpha"})
-            params = SirParams(beta=p["beta"], alpha=p["alpha"])
-            init = _block(raw, "init", {"s", "i", "r"})
-            init = SirState(s=init["s"], i=init["i"], r=init["r"])
+            params = SirParams(**_block(raw, "params", {"beta", "alpha"}))
+            init = SirState(**_block(raw, "init", {"s", "i", "r"}))
             _require("history" not in raw, "history", None,
                      "history only valid for the pseirs model")
             _require("network" not in raw, "network", None,
@@ -109,13 +107,10 @@ class ScenarioConfig:
                      hist.get("kind"), "'constant' (the only configurable kind)")
             extra = set(hist) - {"kind", "s", "e", "i", "r"}
             _require(not extra, "history", sorted(extra), "unknown keys")
-            init = ConstantHistory(CompartmentState(
-                *(_number(hist.get(k, 0.0), f"history.{k}") for k in "seir")))
+            init = ConstantHistory(
+                *(_number(hist.get(k, 0.0), f"history.{k}") for k in "seir"))
             _require("init" not in raw, "init", None,
                      "init only valid for the sir model")
-        if step is None:
-            step = 0.01 if model == "sir" else default_step(params)
-        step_count(horizon, step)  # rejects a step count too large
 
         analyses = _parse_analyses(raw.get("analyses", {}), model)
         network = None
@@ -244,13 +239,13 @@ def write_trajectory_csv(traj: Trajectory, path: Path,
         f.writelines(rows)
 
 
-def read_trajectory_csv(path: Path, data: bytes):
-    """(times, states, labels) of ``data``, the bytes of the trajectory CSV
-    at ``path``; a trailing N column is dropped (recomputed).  Every row
-    must hold one finite number per header column.  The only reader that
-    rejects a stored trajectory's text."""
+def read_trajectory_csv(path: Path):
+    """(times, states, labels) of the trajectory CSV at ``path``, opened,
+    read once and parsed here; a trailing N column is dropped
+    (recomputed).  Every row must hold one finite number per header
+    column.  The only reader that rejects a stored trajectory's text."""
     try:
-        with io.TextIOWrapper(io.BytesIO(data)) as f, warnings.catch_warnings():
+        with open(path) as f, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows: checked below
             header = f.readline().rstrip("\n").split(",")
             body = np.loadtxt(f, delimiter=",", ndmin=2)
@@ -356,18 +351,21 @@ def _write_run(out: Path, summary_text: str, planes: list) -> None:
 def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     """Simulate one scenario, write its files, return the summary.json dict.
 
-    The solve and every analysis finish before anything touches the
-    filesystem, so a config that fails writes no files.  Where it pays,
+    The step (the configured one, else 0.01 for SIR and ``default_step``
+    for pSEIRS) is bounded by ``step_count`` before the network and the
+    solve, and the solve and every analysis finish before anything touches
+    the filesystem, so a config that fails writes no files.  Where it pays,
     a forked child formats a pSEIRS ``trajectory.csv`` during the solve
     and the analyses (``trajectory_stream``), closed on every path; an
     SIR trajectory is formatted after them, like a phase plane.
     """
-    steps = step_count(config.horizon, config.step)
+    step = config.step or (0.01 if config.model == "sir" else default_step(config.params))
+    steps = step_count(config.horizon, step)
     if config.model == "pseirs" and ("classify" in config.analyses
                                      or "integral_equivalence" in config.analyses):
         # the analyses' own check, on the horizon the solver will reach,
         # before the network and the solve
-        end = steps * config.step
+        end = steps * step
         kap = kappa(config.params)
         if end <= kap:
             raise TrajectoryTooShort(f"horizon {end} must exceed kappa {kap}")
@@ -378,12 +376,12 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     stream = None
     try:
         if config.model == "sir":
-            traj = simulate_sir(params, config.init, config.horizon, config.step)
+            traj = simulate_sir(params, config.init, config.horizon, step)
         else:
-            stream = trajectory_stream(config.step, steps + 1)
+            stream = trajectory_stream(step, steps + 1)
             rows_out = None if stream is None else stream.send
-            traj = simulate_pseirs(params, config.init, config.horizon,
-                                   config.step, rows_out=rows_out)
+            traj = simulate_pseirs(params, config.init, config.horizon, step,
+                                   rows_out=rows_out)
         summary, planes = _run_analyses(config, traj, params, network_info,
                                         outputs)
         summary_text = _json_text(summary)
@@ -407,10 +405,11 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
     For a pSEIRS trajectory the config supplies the parameters and history
     needed to resolve delayed lookups; derivative samples are recomputed,
     so interpolating analyses (integral_equivalence among them) match the
-    original run.  An SIR trajectory is read as states only.  Every file
-    is read once, parsed in this process by ``read_trajectory_csv`` and
-    refused if a compartment is below -1e-9*N(0).  Nothing is written
-    unless the file and every analysis pass.
+    original run.  An SIR trajectory is read as states only.  The stored
+    times, not the config, set the horizon and the step.  Every file is
+    parsed in this process by ``read_trajectory_csv`` and refused if a
+    compartment is below -1e-9*N(0).  Nothing is written unless the file
+    and every analysis pass.
     """
     traj, params, network_info = _rebuilt(config, trajectory_csv)
     summary, planes = _run_analyses(config, traj, params, network_info,
@@ -425,14 +424,11 @@ def analyze_stored(config: ScenarioConfig, trajectory_csv, out_dir) -> dict:
 
 def _rebuilt(config: ScenarioConfig, path):
     """(trajectory, params, network info) of the stored trajectory CSV at
-    ``path``, its bytes read once and parsed by ``read_trajectory_csv``;
-    the columns and the ``negativity_floor`` of row 0 are checked before
-    the network is built, and a pSEIRS trajectory's derivative rows are
-    rebuilt by one ``reconstruct_trajectory`` call.  The bytes are dropped
-    on return, before the analyses run."""
-    with open(path, "rb") as f:
-        data = f.read()
-    times, states, labels = read_trajectory_csv(path, data)
+    ``path``, read by ``read_trajectory_csv``; the columns and the
+    ``negativity_floor`` of row 0 are checked before the network is built,
+    and a pSEIRS trajectory's derivative rows are rebuilt by one
+    ``reconstruct_trajectory`` call."""
+    times, states, labels = read_trajectory_csv(path)
     want = ("S", "I", "R") if config.model == "sir" else ("S", "E", "I", "R")
     _require(labels == want, "trajectory", labels,
              f"{', '.join(want)} columns for a {config.model} config")
@@ -458,8 +454,8 @@ def _resolve_path(raw: dict, dotted: str):
         node = node[part]
     _require(isinstance(node, dict) and parts[-1] in node, "parameter", dotted,
              "a dotted path to an existing scalar config field")
-    _require(isinstance(node[parts[-1]], (int, float)), "parameter", dotted,
-             "a scalar config field")
+    _require(_is_number(node[parts[-1]]), "parameter", dotted,
+             "a numeric config field (not a bool)")
     return node, parts[-1]
 
 

@@ -41,7 +41,7 @@ def history_reader(history):
     """A function of one time t <= 0 giving the (S, E, I, R) of a
     ConstantHistory or a SampledHistory with scalar arithmetic."""
     if isinstance(history, ConstantHistory):
-        row = history.state.as_tuple()
+        row = (history.s, history.e, history.i, history.r)
         return lambda t: row
     return lambda t: sampled_raw_at(history, t)
 

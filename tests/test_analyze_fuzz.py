@@ -117,3 +117,25 @@ def test_damaged_trajectory_is_an_error_record(stored, data, model):
         assert issubclass(getattr(errors, record["error"]["type"]),
                           errors.PseirsError)
         assert not out.exists()
+
+
+def test_an_infinite_integral_names_its_checkpoint_and_the_stored_i(stored, tmp_path):
+    # I = 1e308 at t = 0.0075 makes the integral form of R infinite at the
+    # first checkpoint, t = kappa = 3: the record names R, that t and the
+    # stored I, not only the Simpson window [0, 3]
+    config, lines = stored["pseirs"]
+    row = lines[2].split(",")
+    assert row[0] == "0.0075"
+    row[3] = "1e308"
+    csv = tmp_path / "trajectory.csv"
+    csv.write_text("\n".join([*lines[:2], ",".join(row), *lines[3:]]) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["analyze", "--config", str(config), "--trajectory", str(csv),
+                     "--out", str(tmp_path / "re")])
+    assert code == 1
+    assert json.loads(err.getvalue())["error"] == {
+        "type": "Overflow",
+        "message": "the integral form of R at t=3.0 exceeded float64's range; the "
+                   "largest stored I in its window is 1e+308 at t=0.0075"}
+    assert not (tmp_path / "re").exists()

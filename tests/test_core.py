@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pseirs import (CompartmentState, ConstantHistory, HistoryFunction,
+from pseirs import (ConstantHistory, HistoryFunction,
                     InvalidParameter, OutOfDomain, PseirsParams,
                     SampledHistory, SirParams, SirState, Trajectory, kappa,
                     simulate_pseirs, simulate_sir)
@@ -103,17 +103,20 @@ class TestKappa:
         assert kappa(params) >= params.tau
 
 
-class TestCompartmentState:
+class TestConstantHistory:
     @given(s=finite_counts, e=finite_counts, i=finite_counts, r=finite_counts)
     def test_total_is_exact_sum(self, s, e, i, r):
-        row = CompartmentState(s, e, i, r).as_tuple()
-        traj = Trajectory(times=[0.0, 1.0], states=[row, row], step=1.0,
+        rows = ConstantHistory(s, e, i, r).rows_at(np.array([-1.0, 0.0]))
+        traj = Trajectory(times=[0.0, 1.0], states=rows, step=1.0,
                           labels=("S", "E", "I", "R"))
         assert traj.totals().tolist() == [s + e + i + r] * 2
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidParameter):
-            CompartmentState(1.0, math.inf, 0.0, 0.0)
+        # named as a config's history block names it, as SirState names init.*
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidParameter) as err:
+                ConstantHistory(1.0, value, 0.0, 0.0)
+            assert err.value.name == "history.e"
 
 
 class TestSirTypes:
@@ -132,7 +135,7 @@ class TestSirTypes:
 
 class TestHistories:
     def test_constant_history_covers_everything(self):
-        hist = ConstantHistory(CompartmentState(63.0, 0.0, 7.0, 0.0))
+        hist = ConstantHistory(63.0, 0.0, 7.0, 0.0)
         assert hist.covers(1e9)
         rows = hist.rows_at(np.array([-30.0, 0.0]))
         assert rows.tolist() == [[63.0, 0.0, 7.0, 0.0]] * 2
@@ -140,7 +143,7 @@ class TestHistories:
 
     def test_constant_history_rejects_negative_states(self):
         with pytest.raises(InvalidParameter):
-            ConstantHistory(CompartmentState(63.0, 0.0, -7.0, 0.0))
+            ConstantHistory(63.0, 0.0, -7.0, 0.0)
 
     def test_sampled_history_interpolates(self):
         times = np.array([-2.0, -1.0, 0.0])
@@ -168,7 +171,7 @@ class TestHistories:
     def test_rows_at_matches_raw_at(self, kind):
         times, states = _wave_history()
         hist = {"sampled": SampledHistory(times, states),
-                "constant": ConstantHistory(CompartmentState(63.0, 0.0, -0.0, 0.0)),
+                "constant": ConstantHistory(63.0, 0.0, -0.0, 0.0),
                 "rows_at_only": _RowsAtOnly(times, states)}[kind]
         x = _history_times(times)
         rows = hist.rows_at(x)

@@ -95,7 +95,7 @@ def same_bits(a, b) -> bool:
 def check_trajectory_round_trip(traj, path):
     write_trajectory_csv(traj, path)
     assert_same_text(path.read_bytes().decode(), reference_trajectory_csv(traj))
-    times, states, labels = read_trajectory_csv(path, path.read_bytes())
+    times, states, labels = read_trajectory_csv(path)
     assert labels == traj.labels
     assert same_bits(times, traj.times)
     assert same_bits(states, traj.states)

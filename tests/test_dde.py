@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseirs import (CompartmentState, ConstantHistory, InvalidParameter,
-                    OutOfDomain, PseirsParams, SampledHistory, StepTooLarge,
+from pseirs import (ConstantHistory, InvalidParameter, OutOfDomain,
+                    PseirsParams, SampledHistory, StepTooLarge,
                     Trajectory, ZeroPopulation, consistent_initial_exposed,
                     consistent_initial_recovered, reconstruct_trajectory,
                     simulate_pseirs)
@@ -34,7 +34,7 @@ DR_BASELINE = 0.046124340804843844
 E0_BASELINE = 0.2909290622842519
 R0_BASELINE = 7.6873901341406405
 
-BASE_STATE = CompartmentState(63.0, 0.0, 7.0, 0.0)
+BASE_STATE = (63.0, 0.0, 7.0, 0.0)
 
 positive_states = st.floats(min_value=1e-3, max_value=1e6)
 
@@ -44,9 +44,9 @@ def _first_row(params, state):
     history are ``state``: at t = 0 every lookup reads the history, so this
     is f(state, state, state)."""
     h = default_step(params)
-    traj = reconstruct_trajectory(params, ConstantHistory(state),
+    traj = reconstruct_trajectory(params, ConstantHistory(*state),
                                   np.array([0.0, h]),
-                                  np.array([state.as_tuple()] * 2))
+                                  np.array([state] * 2))
     return traj.derivs[0]
 
 
@@ -61,7 +61,7 @@ class TestDerivativeRows:
 
     def test_infection_free_flow(self):
         params = baseline_pseirs()
-        d = _first_row(params, CompartmentState(70.0, 0.0, 0.0, 0.0))
+        d = _first_row(params, (70.0, 0.0, 0.0, 0.0))
         assert d[0] == pytest.approx(params.beta * 70.0 - params.mu * 70.0, rel=1e-12)
         assert tuple(d[1:]) == (0.0, 0.0, 0.0)
 
@@ -103,7 +103,7 @@ class TestConsistentInitialization:
         assert got == pytest.approx(E0_BASELINE, abs=1e-5)
 
     def test_exposed_zero_infection(self):
-        hist = ConstantHistory(CompartmentState(70.0, 0.0, 0.0, 0.0))
+        hist = ConstantHistory(70.0, 0.0, 0.0, 0.0)
         assert consistent_initial_exposed(hist, baseline_pseirs()) == 0.0
 
     def test_exposed_vanishing_death_rate_limit(self):
@@ -124,7 +124,7 @@ class TestConsistentInitialization:
             baseline_history(), baseline_pseirs(p=0.0)) == 0.0
 
     def test_recovered_zero_infection(self):
-        hist = ConstantHistory(CompartmentState(70.0, 0.0, 0.0, 0.0))
+        hist = ConstantHistory(70.0, 0.0, 0.0, 0.0)
         assert consistent_initial_recovered(hist, baseline_pseirs()) == 0.0
 
 
@@ -137,7 +137,7 @@ class TestSimulate:
         assert not canonical_run.init_override
 
     def test_zero_infection_stays_zero(self):
-        hist = ConstantHistory(CompartmentState(70.0, 0.0, 0.0, 0.0))
+        hist = ConstantHistory(70.0, 0.0, 0.0, 0.0)
         traj = simulate_pseirs(baseline_pseirs(), hist, 40.0)
         assert np.all(traj.states[:, 1:] == 0.0)
         # with nothing to integrate, the history at 0 is the first sample
@@ -254,7 +254,7 @@ class TestSimulate:
         assert peak < 3 * (traj.states.nbytes + traj.derivs.nbytes)
 
     def test_zero_population_abort(self):
-        hist = ConstantHistory(CompartmentState(0.0, 0.0, 0.0, 0.0))
+        hist = ConstantHistory(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ZeroPopulation) as got:
             simulate_pseirs(baseline_pseirs(), hist, 10.0)
         # the current-N check of step 0's first stage
@@ -483,7 +483,7 @@ PINNED_RUNS = {
                            _sampled_history(_LeftLimitHistory), None, {}, 40.0),
     # I(0) = -0.0: only the exact-row branch of a lookup keeps that sign
     "signed_zero_history": (baseline_pseirs(),
-                            ConstantHistory(CompartmentState(63.0, 0.0, -0.0, 0.0)),
+                            ConstantHistory(63.0, 0.0, -0.0, 0.0),
                             None, {}, 1.0),
     # lags of 20 and 400 steps, both shorter than a chunk, and the run
     # spans more than three chunks
@@ -603,7 +603,7 @@ def _stored(zero_rows=()):
 @pytest.mark.parametrize("hist, zero_rows, t, lagged", [
     # row 3 reads the history's zero population at t = -1
     (GAP_HISTORY, (), "3.0", True),
-    (ConstantHistory(CompartmentState(*_ROW)), (5,), "5.0", False),
+    (ConstantHistory(*_ROW), (5,), "5.0", False),
     # both at row 3: the current population is named first
     (GAP_HISTORY, (3,), "3.0", False),
 ], ids=["lagged_zero", "current_zero", "current_before_lagged"])
@@ -660,7 +660,7 @@ def test_reconstruct_abort_past_the_first_chunk(row, current, lagged):
     if current:
         states[row] = 0.0
     times = np.arange(1600) * EDGE_STEP
-    hist = ConstantHistory(CompartmentState(*_ROW))
+    hist = ConstantHistory(*_ROW)
     with pytest.raises(ZeroPopulation) as got:
         reconstruct_trajectory(EDGE_PARAMS, hist, times, states)
     with pytest.raises(ZeroPopulation) as want:
@@ -672,7 +672,7 @@ def test_reconstruct_abort_past_the_first_chunk(row, current, lagged):
 
 @pytest.mark.parametrize("shape", [(11, 3), (10, 4), (11, 4, 1)])
 def test_reconstruct_rejects_misshapen_states(shape):
-    hist = ConstantHistory(CompartmentState(*_ROW))
+    hist = ConstantHistory(*_ROW)
     times, _ = _stored()
     with pytest.raises(InvalidParameter, match="states"):
         reconstruct_trajectory(ABORT_PARAMS, hist, times, np.ones(shape))

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from pseirs import (CompartmentState, ConstantHistory, InconsistentInit,
-                    OutOfDomain, Overflow, Trajectory,
+from pseirs import (ConstantHistory, InconsistentInit, OutOfDomain,
+                    Overflow, Trajectory,
                     consistent_initial_exposed,
                     exposed_integral, kappa, recovered_integral,
                     reconstruct_trajectory, simulate_pseirs,
@@ -25,7 +25,7 @@ def _frozen_trajectory(state=(63.0, 0.0, 7.0, 0.0), horizon=60.0, step=0.5):
     times = np.arange(n, dtype=float) * step
     states = np.tile(np.asarray(state, dtype=float), (n, 1))
     derivs = np.zeros((n, 4))
-    hist = ConstantHistory(CompartmentState(*state))
+    hist = ConstantHistory(*state)
     return Trajectory(times=times, states=states, derivs=derivs, step=step,
                       labels=("S", "E", "I", "R"), history=hist, kappa=30.0)
 
@@ -114,7 +114,7 @@ class TestVerifyIntegralEquivalence:
             verify_integral_equivalence(traj, canonical_params, 5)
 
     def test_zero_infection_residuals_exactly_zero(self, canonical_params):
-        hist = ConstantHistory(CompartmentState(70.0, 0.0, 0.0, 0.0))
+        hist = ConstantHistory(70.0, 0.0, 0.0, 0.0)
         traj = simulate_pseirs(canonical_params, hist, 40.0)
         report = verify_integral_equivalence(traj, canonical_params, 5)
         assert np.all(report.e_residuals == 0.0)
@@ -135,7 +135,7 @@ class TestVerifyIntegralEquivalence:
         # the system is homogeneous of degree one, and scaling by a power
         # of two commutes with rounding, so residuals match bitwise
         a = simulate_pseirs(canonical_params, baseline_history(), 60.0)
-        hist4 = ConstantHistory(CompartmentState(63.0 * 4, 0.0, 7.0 * 4, 0.0))
+        hist4 = ConstantHistory(63.0 * 4, 0.0, 7.0 * 4, 0.0)
         b = simulate_pseirs(canonical_params, hist4, 60.0)
         assert np.array_equal(b.states, 4.0 * a.states)
         ra = verify_integral_equivalence(a, canonical_params, 10)

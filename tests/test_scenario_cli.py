@@ -477,16 +477,35 @@ def test_out_dir_is_a_path_or_null(tmp_path, monkeypatch, capsys, out_dir,
         assert (tmp_path / written / "trajectory.csv").exists()
 
 
-@pytest.mark.parametrize("name", ["seirs_baseline.json", "sir_low_infectivity.json"])
-def test_step_count_bounded_at_parse(name):
+class Reached(Exception):
+    """Raised in place of the network, the solvers and the CSV stream."""
+
+
+@pytest.mark.parametrize("name", ["seirs_baseline.json", "sir_low_infectivity.json",
+                                  "scale_free_5000.json"])
+def test_step_count_bounded_before_the_solve(tmp_path, monkeypatch, name):
+    # the grid is checked where it is used: from_dict accepts a config of
+    # more than MAX_STEPS steps, and run_scenario refuses it, naming step,
+    # before the network and the solve; a sweep member gets that error
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for target in ("generate_ba", "simulate_pseirs", "simulate_sir", "trajectory_stream"):
+        monkeypatch.setattr(scenario, target, reached)
     raw = load_config(name)
     raw["step"] = 2.0 ** -10
     raw["horizon"] = MAX_STEPS * 2.0 ** -10
-    ScenarioConfig.from_dict(raw)
+    with pytest.raises(Reached):
+        run_scenario(ScenarioConfig.from_dict(raw), tmp_path / "run")
     raw["horizon"] = (MAX_STEPS + 1) * 2.0 ** -10
+    config = ScenarioConfig.from_dict(raw)
     with pytest.raises(InvalidParameter) as err:
-        ScenarioConfig.from_dict(raw)
+        run_scenario(config, tmp_path / "run")
     assert err.value.name == "step"
+    assert not (tmp_path / "run").exists()
+    [entry] = sweep_scenario(raw, "horizon", [raw["horizon"]], tmp_path / "sweep")
+    assert entry["error"] == {"type": "InvalidParameter", "message": str(err.value)}
+    assert os.listdir(tmp_path / "sweep") == ["sweep.json"]
 
 
 def test_integral_equivalence_rejected_for_sir():
@@ -503,7 +522,7 @@ def test_trajectory_csv_round_trip(tmp_path, canonical_params,
     path = tmp_path / "t.csv"
     write_trajectory_csv(traj, path)
     first = path.read_text()
-    times, states, labels = read_trajectory_csv(path, path.read_bytes())
+    times, states, labels = read_trajectory_csv(path)
     assert labels == ("S", "E", "I", "R")
     assert np.array_equal(times, traj.times)
     assert np.array_equal(states, traj.states)
@@ -765,9 +784,13 @@ def test_cli_import_leaves_out_multiprocessing(tmp_path):
 
 
 def test_sweep_bad_path_fails_fast(tmp_path):
+    # a missing field, and a boolean one: a bool is no number to sweep
     raw = load_config("seirs_baseline.json")
-    with pytest.raises(InvalidParameter):
-        sweep_scenario(raw, "params.nope", [1.0], tmp_path)
+    for parameter in ("params.nope", "analyses.threshold"):
+        with pytest.raises(InvalidParameter) as err:
+            sweep_scenario(raw, parameter, [1.0, 2.0], tmp_path / "out")
+        assert err.value.name == "parameter"
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_latency_classifications(tmp_path):
@@ -1080,6 +1103,18 @@ class TestCli:
                      "--out", str(tmp_path / "re")]) == 0
         summary = json.loads((tmp_path / "re" / "summary.json").read_text())
         assert summary["integral_equivalence"]["max_residual"] <= 1e-4
+        # analyze resolves no grid: --horizon 1e6, 1.3e8 steps of the
+        # config's default step, changes only the echoed config
+        for horizon, name in (("1e6", "far"), (None, "plain")):
+            argv = [] if horizon is None else ["--horizon", horizon]
+            assert main(["analyze", "--config", config, *argv, "--trajectory",
+                         str(tmp_path / "run" / "trajectory.csv"),
+                         "--out", str(tmp_path / name)]) == 0
+        assert capsys.readouterr().err == ""
+        far, plain = (json.loads((tmp_path / name / "summary.json").read_text())
+                      for name in ("far", "plain"))
+        assert (far["config"].pop("horizon"), plain["config"].pop("horizon")) == (1e6, 300)
+        assert far == plain
         short = tmp_path / "short.csv"
         write_trajectory_csv(simulate_pseirs(baseline_pseirs(),
                                              baseline_history(), 20.0), short)
@@ -1088,7 +1123,7 @@ class TestCli:
                      "--out", str(tmp_path / "short")]) == 1
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "TrajectoryTooShort"
-        end = float(read_trajectory_csv(short, short.read_bytes())[0][-1])
+        end = float(read_trajectory_csv(short)[0][-1])
         assert error["message"] == f"horizon {end!r} must exceed kappa 30.0"
         assert not (tmp_path / "short").exists()
 
@@ -1114,6 +1149,7 @@ class TestCli:
     @pytest.mark.parametrize("config, argv", [
         (None, ["sweep", "--param", "params.p", "--values", "a,b"]),
         (None, ["sweep", "--param", "params.p", "--values", "0.5,nan"]),
+        (None, ["sweep", "--param", "analyses.threshold", "--values", "1,2"]),
         ({"out_dir": 5}, ["simulate"]),
         ([1, 2], ["simulate", "--horizon", "40"]),
         ([1, 2], ["sweep", "--param", "horizon", "--values", "40", "--step", "0.01"]),
@@ -1123,7 +1159,7 @@ class TestCli:
         (None, ["simulate", "--step", "1e-13"]),
         ("sir_low_infectivity.json", ["simulate", "--step", "1e-9"]),
         (None, ["simulate", "--step", "5e-324"]),
-    ], ids=["non_numeric_sweep_values", "non_finite_sweep_value",
+    ], ids=["non_numeric_sweep_values", "non_finite_sweep_value", "boolean_sweep_field",
             "non_string_out_dir",
             "list_root_with_horizon", "list_root_with_step", "string_root_with_seed",
             "infinite_horizon", "step_count_above_cap", "sir_step_count_above_cap",

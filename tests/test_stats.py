@@ -70,8 +70,8 @@ class TestPhasePlane:
         assert np.array_equal(a.points[:, 1], b.points[:, 0])
 
     def test_disease_free_run_converges_to_origin(self, canonical_params):
-        from pseirs import CompartmentState, ConstantHistory
-        hist = ConstantHistory(CompartmentState(70.0, 0.0, 0.0, 0.0))
+        from pseirs import ConstantHistory
+        hist = ConstantHistory(70.0, 0.0, 0.0, 0.0)
         traj = simulate_pseirs(canonical_params, hist, 40.0)
         series = phase_plane(traj, ("E", "I", "R"), proportions=True)
         assert series.labels == ("e", "i", "r")

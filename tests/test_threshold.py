@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseirs import (CompartmentState, ConstantHistory, EquilibriumKind,
-                    InvalidParameter, PseirsParams, StabilityClass, Trajectory,
+from pseirs import (ConstantHistory, EquilibriumKind, InvalidParameter,
+                    PseirsParams, StabilityClass, Trajectory,
                     TrajectoryTooShort, classify_equilibrium, r0_linearized,
                     r0_nominal, simulate_pseirs, stability_probe)
 from pseirs.core import _require
@@ -269,7 +269,7 @@ def _constant_proportion_trajectory(fractions, n=200.0, horizon=100.0,
 
 class TestClassify:
     def test_zero_infection_run_is_disease_free(self, canonical_params):
-        hist = ConstantHistory(CompartmentState(70.0, 0.0, 0.0, 0.0))
+        hist = ConstantHistory(70.0, 0.0, 0.0, 0.0)
         traj = simulate_pseirs(canonical_params, hist, 40.0)
         assert classify_equilibrium(traj, 0.25).kind is EquilibriumKind.DISEASE_FREE
 
