@@ -124,7 +124,9 @@ MAX_STEPS = 10**7
 
 def step_count(horizon: float, h: float) -> int:
     """Steps of a run; its last sample is at ``step_count(horizon, h) * h``.
-    Raises InvalidParameter, naming ``step``, past MAX_STEPS steps."""
+    The one check of a run's grid: raises InvalidParameter naming
+    ``horizon`` below one step, or naming ``step`` past MAX_STEPS steps."""
+    _require(horizon >= h, "horizon", horizon, "horizon >= step")
     # near 1e7, the -1e-12 below is under half an ulp of the quotient, so
     # the bound on the quotient bounds the count; an infinite quotient (an
     # infinite horizon, or step 5e-324) fails here instead of in ceil()

@@ -276,19 +276,18 @@ def simulate_pseirs(params: PseirsParams, history: HistoryFunction,
                     r0: float | None = None, rows_out=None) -> Trajectory:
     """Integrate the delayed system from the given history.
 
-    S(0) and I(0) come from the history at t=0; E(0) and R(0) come from the
-    consistency integrals unless ``e0``/``r0`` override them.  ``rows_out``,
-    if given, is called with the state rows as they are finished, in
-    order: row 0, then the rows of each chunk of steps.  Aborts with
-    ``undershoot``'s StepTooLarge when a compartment falls below the
-    ``negativity_floor`` of row 0, with ZeroPopulation, naming t, at the
-    first stage whose current or lagged population N is <= 0, and with
-    Overflow, naming t and the compartment, at the first state that is not
-    finite.
+    The step and the grid are checked first, by ``_checked_kappa`` and
+    ``step_count``.  S(0) and I(0) come from the history at t=0; E(0) and
+    R(0) come from the consistency integrals unless ``e0``/``r0`` override
+    them.  ``rows_out``, if given, is called with the state rows as they are
+    finished, in order: row 0, then the rows of each chunk of steps.  Aborts
+    with ``undershoot``'s StepTooLarge when a compartment falls below the
+    ``negativity_floor`` of row 0, with ZeroPopulation, naming t, at the first
+    stage whose current or lagged population N is <= 0, and with Overflow,
+    naming t and the compartment, at the first state that is not finite.
     """
     h = float(default_step(params) if step is None else step)
     kap = _checked_kappa(params, history, h)
-    _require(horizon >= h, "horizon", horizon, "horizon >= step")
     n_steps = step_count(horizon, h)
 
     override = e0 is not None or r0 is not None

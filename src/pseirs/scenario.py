@@ -26,9 +26,9 @@ import numpy as np
 
 from . import _fork
 from .core import (ConstantHistory, HistoryFunction, PseirsParams, SirParams,
-                   SirState, Trajectory, _require, kappa, negativity_floor,
-                   step_count)
-from .dde import default_step, reconstruct_trajectory, simulate_pseirs
+                   SirState, Trajectory, _require, negativity_floor, step_count)
+from .dde import (_checked_kappa, default_step, reconstruct_trajectory,
+                  simulate_pseirs)
 from .errors import (InvalidParameter, Overflow, PseirsError, TrajectoryTooShort,
                      WorkerDied)
 from .integro import verify_integral_equivalence
@@ -117,7 +117,9 @@ class ScenarioConfig:
         if raw.get("network") is not None:
             net = _block(raw, "network", {"n", "m0", "m", "seed", "per_contact_prob"})
             network = {k: _integer(net[k], f"network.{k}") for k in ("n", "m0", "m", "seed")}
-            network["per_contact_prob"] = float(net["per_contact_prob"])
+            prob = network["per_contact_prob"] = float(net["per_contact_prob"])
+            _require(0.0 <= prob <= 1.0, "network.per_contact_prob", prob,
+                     "0 <= per_contact_prob <= 1")
         return ScenarioConfig(raw=raw, model=model, horizon=horizon, step=step,
                               params=params, init=init, analyses=analyses,
                               network=network)
@@ -352,21 +354,22 @@ def run_scenario(config: ScenarioConfig, out_dir) -> dict:
     """Simulate one scenario, write its files, return the summary.json dict.
 
     The step (the configured one, else 0.01 for SIR and ``default_step``
-    for pSEIRS) is bounded by ``step_count`` before the network and the
-    solve, and the solve and every analysis finish before anything touches
-    the filesystem, so a config that fails writes no files.  Where it pays,
+    for pSEIRS) and the grid are checked first, before the network: for
+    pSEIRS the solver's step bound (``_checked_kappa``), then ``step_count``.
+    The solve and every analysis finish before anything touches the
+    filesystem, so a config that fails writes no files.  Where it pays,
     a forked child formats a pSEIRS ``trajectory.csv`` during the solve
     and the analyses (``trajectory_stream``), closed on every path; an
     SIR trajectory is formatted after them, like a phase plane.
     """
     step = config.step or (0.01 if config.model == "sir" else default_step(config.params))
+    if config.model == "pseirs":
+        kap = _checked_kappa(config.params, config.init, step)
     steps = step_count(config.horizon, step)
     if config.model == "pseirs" and ("classify" in config.analyses
                                      or "integral_equivalence" in config.analyses):
-        # the analyses' own check, on the horizon the solver will reach,
-        # before the network and the solve
+        # the analyses' own check, on the horizon the solver will reach
         end = steps * step
-        kap = kappa(config.params)
         if end <= kap:
             raise TrajectoryTooShort(f"horizon {end} must exceed kappa {kap}")
     graph, params, network_info = _prepare_network(config)

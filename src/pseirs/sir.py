@@ -94,15 +94,15 @@ def simulate_sir(params: SirParams, init: SirState, horizon: float,
                  step: float) -> Trajectory:
     """Fixed-step explicit RK4 trajectory of the SIR system.
 
-    Aborts with ``undershoot``'s StepTooLarge below ``init``'s
-    ``negativity_floor``; conservation then holds at rounding level.
+    The step and the grid are checked first (``step_count``).  Aborts with
+    ``undershoot``'s StepTooLarge below ``init``'s ``negativity_floor``;
+    conservation then holds at rounding level.
     """
     _require(step > 0, "step", step, "step > 0")
-    _require(horizon >= step, "horizon", horizon, "horizon >= step")
+    n_steps = step_count(horizon, step)
     beta, alpha = params.beta, params.alpha
     floor = negativity_floor((init.s, init.i, init.r))
 
-    n_steps = step_count(horizon, step)
     h = step
     hh = 0.5 * h
     h6 = h / 6.0

@@ -6,7 +6,6 @@ import filecmp
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +14,11 @@ from pseirs import (StabilityClass, degree_histogram, generate_ba,
                     mean_degree, powerlaw_slope, r0_linearized, r0_nominal,
                     reconstruct_trajectory, simulate_pseirs, simulate_sir,
                     sir_peak_oracle, stability_probe, verify_integral_equivalence)
-from pseirs.presets import (baseline_history, baseline_pseirs,
-                            sir_high_infectivity, sir_low_infectivity,
-                            sir_twelve_node_init)
 from pseirs.scenario import ScenarioConfig, run_scenario
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from shipped import (CONFIG_DIR, baseline_history, baseline_pseirs, shipped,
+                     sir_high_infectivity, sir_low_infectivity,
+                     sir_twelve_node_init)
 
 
 def _report(criterion, ok, detail):
@@ -60,7 +58,7 @@ def test_criterion_03_threshold_formulas(tmp_path):
     params = baseline_pseirs()
     nominal = r0_nominal(params)
     linearized = r0_linearized(params)
-    raw = json.loads((CONFIG_DIR / "seirs_baseline.json").read_text())
+    raw = shipped("seirs_baseline").raw
     raw["horizon"] = 40
     del raw["analyses"]["integral_equivalence"]
     summary = run_scenario(ScenarioConfig.from_dict(raw), tmp_path)

@@ -14,16 +14,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pseirs import errors
 from pseirs.cli import main
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from shipped import shipped
 
 
 def _short_configs():
     """Short pSEIRS and SIR scenarios, 534 and 501 rows.  The SIR phase plane
     takes proportions, so a zero-population row is an error for it too."""
-    pseirs = json.loads((CONFIG_DIR / "seirs_baseline.json").read_text())
+    pseirs = shipped("seirs_baseline").raw
     pseirs["params"]["tau"] = 3
     pseirs["horizon"] = 4
-    sir = json.loads((CONFIG_DIR / "sir_low_infectivity.json").read_text())
+    sir = shipped("sir_low_infectivity").raw
     sir["horizon"] = 5
     sir["analyses"] = {"stats": {"window": [0, 5]},
                        "phase_plane": [{"axes": ["S", "I"],

@@ -6,8 +6,7 @@ import pytest
 
 from pseirs import _fork
 
-from test_scenario_cli import (PSEIRS_CONFIGS, analyze, children_left,
-                               stored)  # noqa: F401 (a fixture)
+from conftest import PSEIRS_CONFIGS, analyze, children_left
 
 
 @pytest.mark.parametrize("name", PSEIRS_CONFIGS)

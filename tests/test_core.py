@@ -6,23 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pseirs import (ConstantHistory, HistoryFunction,
-                    InvalidParameter, OutOfDomain, PseirsParams,
+                    InvalidParameter, OutOfDomain,
                     SampledHistory, SirParams, SirState, Trajectory, kappa,
                     simulate_pseirs, simulate_sir)
 from pseirs.core import MAX_STEPS
 from pseirs.dde import default_step
-from pseirs.presets import baseline_history
 
 from reference_dde import sampled_raw_at
+from shipped import baseline_history, baseline_pseirs
 
 finite_counts = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
-
-
-def make_params(**overrides):
-    base = dict(beta=0.330, mu=0.006, epsilon=0.060, alpha=0.040,
-                gamma=0.308, omega=0.15, tau=30.0, p=1.0)
-    base.update(overrides)
-    return PseirsParams(**base)
 
 
 class _RowsAtOnly(HistoryFunction):
@@ -56,7 +49,7 @@ def _history_times(times):
 class TestPseirsParams:
     def test_baseline_parameters_validate(self):
         # dataclasses.replace re-runs the checks, as a derived gamma needs
-        params = make_params()
+        params = baseline_pseirs()
         assert dataclasses.replace(params, gamma=0.5).gamma == 0.5
         with pytest.raises(InvalidParameter) as err:
             dataclasses.replace(params, gamma=-0.5)
@@ -64,27 +57,27 @@ class TestPseirsParams:
 
     def test_immunity_probability_bound(self):
         with pytest.raises(InvalidParameter) as err:
-            make_params(p=1.5)
+            baseline_pseirs(p=1.5)
         assert err.value.name == "p"
         assert err.value.value == 1.5
 
     def test_zero_latency_rejected(self):
         with pytest.raises(InvalidParameter) as err:
-            make_params(omega=0.0)
+            baseline_pseirs(omega=0.0)
         assert err.value.name == "omega"
 
     @pytest.mark.parametrize("field", ["beta", "mu", "epsilon", "alpha", "gamma"])
     def test_negative_rates_rejected(self, field):
         with pytest.raises(InvalidParameter):
-            make_params(**{field: -0.1})
+            baseline_pseirs(**{field: -0.1})
 
     def test_zero_immunity_period_rejected(self):
         with pytest.raises(InvalidParameter):
-            make_params(tau=0.0)
+            baseline_pseirs(tau=0.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidParameter):
-            make_params(gamma=float("nan"))
+            baseline_pseirs(gamma=float("nan"))
 
 
 class TestKappa:
@@ -94,11 +87,11 @@ class TestKappa:
         (30.0, 1.0, 30.0),
     ])
     def test_values(self, omega, tau, expected):
-        assert kappa(make_params(omega=omega, tau=tau)) == expected
+        assert kappa(baseline_pseirs(omega=omega, tau=tau)) == expected
 
     @given(omega=st.floats(1e-6, 1e3), tau=st.floats(1e-6, 1e3))
     def test_dominates_both_delays(self, omega, tau):
-        params = make_params(omega=omega, tau=tau)
+        params = baseline_pseirs(omega=omega, tau=tau)
         assert kappa(params) >= params.omega
         assert kappa(params) >= params.tau
 
@@ -244,7 +237,7 @@ def test_solvers_refuse_more_than_max_steps(steps):
     # the limit the config parser applies, raised before any allocation:
     # an infinite horizon used to end in OverflowError from ceil(), and
     # simulate_sir at 1e30 steps looped, growing its lists
-    params = make_params()
+    params = baseline_pseirs()
     h = default_step(params)
     with pytest.raises(InvalidParameter) as err:
         simulate_pseirs(params, baseline_history(), steps * h, h)

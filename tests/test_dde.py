@@ -14,11 +14,11 @@ from pseirs import (ConstantHistory, InvalidParameter, OutOfDomain,
                     consistent_initial_recovered, reconstruct_trajectory,
                     simulate_pseirs)
 from pseirs.dde import CHUNK, _eval_raw, default_step
-from pseirs.presets import baseline_history, baseline_pseirs
 
 from reference_dde import (_interp4, _pseirs_rhs, fixed_fraction_lookups,
                            history_reader)
 from reference_quadrature import adaptive_simpson
+from shipped import baseline_history, baseline_pseirs
 
 # frozen hand evaluations of the derivative rows at the baseline point
 # now = lagged = (S=63, E=0, I=7, R=0), N=70:

@@ -14,7 +14,8 @@ import pytest
 
 from pseirs import _fork, stats
 
-from test_scenario_cli import children_left, run_forked
+from conftest import children_left
+from test_scenario_cli import run_forked
 
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                                 reason="no /proc/self/fd")

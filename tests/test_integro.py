@@ -12,10 +12,10 @@ from pseirs import (ConstantHistory, InconsistentInit, OutOfDomain,
                     reconstruct_trajectory, simulate_pseirs,
                     verify_integral_equivalence)
 from pseirs.dde import _eval_raw
-from pseirs.presets import baseline_history, baseline_pseirs
 
 from reference_dde import _interp4, history_reader
 from reference_quadrature import adaptive_simpson
+from shipped import baseline_history, baseline_pseirs
 from test_dde import PINNED_RUNS, _at, _same_bits
 
 

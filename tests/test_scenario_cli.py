@@ -9,7 +9,6 @@ import shlex
 import signal
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +21,8 @@ from pseirs.errors import (EmptyWindow, InvalidParameter, Overflow,
 from pseirs.scenario import (ScenarioConfig, read_trajectory_csv, run_scenario,
                              sweep_scenario, write_trajectory_csv)
 
-ROOT = Path(__file__).resolve().parent.parent
-CONFIG_DIR = ROOT / "configs"
+from conftest import analyze, children_left, tree_bytes
+from shipped import CONFIG_DIR, baseline_history, baseline_pseirs, shipped
 
 
 MALFORMED_PSEIRS = {
@@ -45,10 +44,6 @@ MALFORMED_SIR = {
     "negative_cell": ["0.0,11.0,1.0,0.0", "0.01,-0.5,1.0,0.0"],
     "negative_population": ["0.0,11.0,1.0,0.0", "0.01,-20.0,1.0,0.0"],
 }
-
-
-def load_config(name):
-    return json.loads((CONFIG_DIR / name).read_text())
 
 
 @pytest.fixture
@@ -83,11 +78,6 @@ def workers(monkeypatch):
 
     monkeypatch.setattr(_fork, "Child", RecordedChild)
     return started
-
-
-def tree_bytes(root):
-    return {path.relative_to(root).as_posix(): path.read_bytes()
-            for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 _sweep_member = scenario._sweep_member
@@ -192,14 +182,6 @@ class FullDisk(io.RawIOBase):
         return len(data)
 
 
-def children_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return False
-    return True
-
-
 def lead_group(target, *args):
     """Process target: ``target(*args)`` in a process group of its own."""
     os.setpgid(0, 0)
@@ -255,35 +237,6 @@ def set_path(raw, dotted, value):
     for key in parents:
         node = node[key]
     node[leaf] = value
-
-
-PSEIRS_CONFIGS = ("scale_free_5000", "seirs_baseline", "seirs_long_latency",
-                  "seirs_low_immunity")
-
-
-@pytest.fixture(scope="module")
-def stored(tmp_path_factory):
-    """name -> (config path, stored trajectory path) for the four shipped
-    pSEIRS configs and ``sir_low_infectivity``."""
-    root = tmp_path_factory.mktemp("stored")
-    runs = {}
-    for name in (*PSEIRS_CONFIGS, "sir_low_infectivity"):
-        config = CONFIG_DIR / f"{name}.json"
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["simulate", "--config", str(config),
-                         "--out", str(root / name)]) == 0
-        runs[name] = (config, root / name / "trajectory.csv")
-    return runs
-
-
-def analyze(config, trajectory, out):
-    """(exit code, stderr, output tree) of one ``pseirs analyze``."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
-        code = main(["analyze", "--config", str(config),
-                     "--trajectory", str(trajectory), "--out", str(out)])
-    return code, err.getvalue(), tree_bytes(out) if out.exists() else None
 
 
 def damaged(lines, kind):
@@ -362,7 +315,7 @@ def test_shipped_configs_parse():
 
 
 def test_sir_scenario_summary(tmp_path):
-    cfg = ScenarioConfig.from_dict(load_config("sir_low_infectivity.json"))
+    cfg = shipped("sir_low_infectivity")
     summary = run_scenario(cfg, tmp_path)
     assert summary["r0"]["value"] == pytest.approx(0.6, rel=1e-12)
     max_i = summary["stats"]["compartments"]["I"]["max"]
@@ -375,7 +328,7 @@ def test_sir_scenario_summary(tmp_path):
 
 
 def test_pseirs_scenario_summary(tmp_path):
-    raw = load_config("seirs_baseline.json")
+    raw = shipped("seirs_baseline").raw
     raw["horizon"] = 60
     cfg = ScenarioConfig.from_dict(raw)
     summary = run_scenario(cfg, tmp_path)
@@ -395,7 +348,7 @@ def test_pseirs_scenario_summary(tmp_path):
 
 
 def test_network_scenario(tmp_path):
-    raw = load_config("scale_free_5000.json")
+    raw = shipped("scale_free_5000").raw
     raw["horizon"] = 40
     cfg = ScenarioConfig.from_dict(raw)
     summary = run_scenario(cfg, tmp_path)
@@ -413,7 +366,7 @@ def test_invalid_config_writes_nothing(tmp_path):
     for path, value, error in [("params.p", 2.0, InvalidParameter),
                                ("horizon", 20, TrajectoryTooShort),
                                ("analyses.stats", {"window": [400, 500]}, EmptyWindow)]:
-        raw = load_config("seirs_baseline.json")
+        raw = shipped("seirs_baseline").raw
         set_path(raw, path, value)
         with pytest.raises(error):
             run_scenario(ScenarioConfig.from_dict(raw), tmp_path / "run")
@@ -421,7 +374,7 @@ def test_invalid_config_writes_nothing(tmp_path):
 
 
 def test_unknown_keys_rejected():
-    raw = load_config("seirs_baseline.json")
+    raw = shipped("seirs_baseline").raw
     raw["extra"] = 1
     with pytest.raises(InvalidParameter):
         ScenarioConfig.from_dict(raw)
@@ -445,7 +398,7 @@ def test_unknown_keys_rejected():
     ("analyses.phase_plane.0.window", [-math.inf, 10]),
 ])
 def test_config_types_checked_at_parse(path, value):
-    raw = load_config("seirs_baseline.json")
+    raw = shipped("seirs_baseline").raw
     set_path(raw, path, value)
     with pytest.raises(InvalidParameter):
         ScenarioConfig.from_dict(raw)
@@ -460,7 +413,7 @@ def test_out_dir_is_a_path_or_null(tmp_path, monkeypatch, capsys, out_dir,
     # written: where the run writes, or None for an error record and no
     # files; a non-string truthy out_dir is a case of
     # TestCli::test_bad_input_is_an_error_record
-    raw = load_config("sir_low_infectivity.json")
+    raw = shipped("sir_low_infectivity").raw
     raw["horizon"] = 10.0
     raw["out_dir"] = out_dir
     (tmp_path / "config.json").write_text(json.dumps(raw))
@@ -492,7 +445,7 @@ def test_step_count_bounded_before_the_solve(tmp_path, monkeypatch, name):
 
     for target in ("generate_ba", "simulate_pseirs", "simulate_sir", "trajectory_stream"):
         monkeypatch.setattr(scenario, target, reached)
-    raw = load_config(name)
+    raw = shipped(name).raw
     raw["step"] = 2.0 ** -10
     raw["horizon"] = MAX_STEPS * 2.0 ** -10
     with pytest.raises(Reached):
@@ -508,8 +461,35 @@ def test_step_count_bounded_before_the_solve(tmp_path, monkeypatch, name):
     assert os.listdir(tmp_path / "sweep") == ["sweep.json"]
 
 
+@pytest.mark.parametrize("path, value", [
+    ("horizon", 0.001),  # below the default step 0.0075
+    ("step", 0.5),  # above min(omega, tau)/4 = 0.0375
+    ("network.per_contact_prob", 2.0),
+])
+def test_config_error_builds_no_network(tmp_path, monkeypatch, capsys, path,
+                                        value):
+    # each is refused before the 5,000-node graph is generated
+    def no_network(*args):
+        raise AssertionError("the network was built")
+
+    monkeypatch.setattr(scenario, "generate_ba", no_network)
+    raw = shipped("scale_free_5000").raw
+    set_path(raw, path, value)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    code = main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidParameter"
+    assert error["message"].startswith(f"{path}={value!r} violates: ")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def test_integral_equivalence_rejected_for_sir():
-    raw = load_config("sir_low_infectivity.json")
+    raw = shipped("sir_low_infectivity").raw
     raw["analyses"]["integral_equivalence"] = True
     with pytest.raises(InvalidParameter):
         ScenarioConfig.from_dict(raw)
@@ -533,7 +513,7 @@ def test_trajectory_csv_round_trip(tmp_path, canonical_params,
 
 
 def test_sweep_orders_and_continues_on_error(tmp_path, monkeypatch, workers):
-    raw = load_config("seirs_baseline.json")
+    raw = shipped("seirs_baseline").raw
     raw["horizon"] = 40
     del raw["analyses"]["integral_equivalence"]
     trees = []
@@ -556,7 +536,7 @@ def test_sweep_orders_and_continues_on_error(tmp_path, monkeypatch, workers):
 
 
 def test_sweep_empty_values(tmp_path, workers):
-    raw = load_config("seirs_baseline.json")
+    raw = shipped("seirs_baseline").raw
     results = sweep_scenario(raw, "params.p", [], tmp_path)
     assert results == []
     assert json.loads((tmp_path / "sweep.json").read_text()) == []
@@ -588,7 +568,7 @@ def test_dead_worker_stops_the_other_workers(tmp_path, monkeypatch, member):
     # run, is killed rather than waited for, and members 2-7 never start
     monkeypatch.setattr(scenario, "_sweep_member", member)
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
-    raw = load_config("seirs_baseline.json")
+    raw = shipped("seirs_baseline").raw
     values = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
     with pytest.raises(WorkerDied, match="exit code 3"):
         sweep_scenario(raw, "params.p", values, tmp_path)
@@ -627,7 +607,7 @@ def test_sweep_worker_os_error_is_an_error_record(tmp_path, capsys,
 def test_csv_child_death_is_one_error_record(tmp_path, monkeypatch, streams,
                                              child, config, opened):
     # no phase plane: the child that dies formats trajectory.csv
-    raw = load_config(config)
+    raw = shipped(config).raw
     raw["analyses"].pop("phase_plane", None)
     path = tmp_path / config
     path.write_text(json.dumps(raw))
@@ -657,7 +637,7 @@ def test_solve_failing_mid_stream_leaves_no_child(tmp_path, monkeypatch,
                                                   streams):
     # births off and deaths at rate 1: N underflows to 0 at t = 217.525,
     # 4,350 of the 16,001 steps in, after some 4,000 rows went to the child
-    raw = load_config("seirs_low_immunity.json")
+    raw = shipped("seirs_low_immunity").raw
     raw["params"].update(beta=0.0, mu=1.0, omega=1.0, tau=1.0)
     raw["horizon"] = 800
     config = tmp_path / "zero.json"
@@ -691,7 +671,7 @@ def test_full_disk_reaps_the_stream_child(tmp_path, monkeypatch, streams):
     monkeypatch.setattr(scenario, "open", raising=False, value=lambda path, mode:
                         io.TextIOWrapper(io.BufferedWriter(FullDisk(10**5)),
                                          encoding="ascii"))
-    config = ScenarioConfig.from_dict(load_config("seirs_long_latency.json"))
+    config = shipped("seirs_long_latency")
     assert run_forked(run_to_full_disk, config, tmp_path / "out") == 0
     assert len(streams.read_text().splitlines()) == 1
 
@@ -750,7 +730,7 @@ def test_streamed_runs_write_the_serial_bytes(tmp_path, monkeypatch, streams):
 
 
 def test_sweep_workers_format_csv_serially(tmp_path, monkeypatch, workers):
-    raw = load_config("seirs_baseline.json")
+    raw = shipped("seirs_baseline").raw
     raw["horizon"] = 120
     del raw["analyses"]["integral_equivalence"]
     monkeypatch.setattr(_fork, "usable_cpus", lambda: 2)
@@ -774,7 +754,7 @@ def test_cli_import_leaves_out_multiprocessing(tmp_path):
             "--param", "params.p", "--values", "0.25,0.5", "--horizon", "40",
             "--out", str(tmp_path / "out")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        filter(None, [str(CONFIG_DIR.parent / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120,
                           check=True)
@@ -785,7 +765,7 @@ def test_cli_import_leaves_out_multiprocessing(tmp_path):
 
 def test_sweep_bad_path_fails_fast(tmp_path):
     # a missing field, and a boolean one: a bool is no number to sweep
-    raw = load_config("seirs_baseline.json")
+    raw = shipped("seirs_baseline").raw
     for parameter in ("params.nope", "analyses.threshold"):
         with pytest.raises(InvalidParameter) as err:
             sweep_scenario(raw, parameter, [1.0, 2.0], tmp_path / "out")
@@ -796,7 +776,7 @@ def test_sweep_bad_path_fails_fast(tmp_path):
 def test_sweep_latency_classifications(tmp_path):
     # the infected fraction dies out at both latencies: the population
     # outgrows the infected class even when the infected count itself grows
-    raw = load_config("seirs_baseline.json")
+    raw = shipped("seirs_baseline").raw
     del raw["analyses"]["integral_equivalence"]
     results = sweep_scenario(raw, "params.omega", [0.15, 30.0], tmp_path)
     kinds = [r["summary"]["classification"]["kind"] for r in results]
@@ -808,7 +788,7 @@ def test_analyze_of_a_long_trajectory_starts_no_child(tmp_path, monkeypatch,
     # the 40,001 rows of seirs_baseline are read and rebuilt in this
     # process; without a phase plane, whose CSV may be split, nothing forks
     _, trajectory = stored["seirs_baseline"]
-    raw = load_config("seirs_baseline.json")
+    raw = shipped("seirs_baseline").raw
     del raw["analyses"]["phase_plane"]
     no_plane = tmp_path / "config.json"
     no_plane.write_text(json.dumps(raw))
@@ -881,7 +861,7 @@ class TestCli:
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        raw = load_config("seirs_baseline.json")
+        raw = shipped("seirs_baseline").raw
         raw["params"]["p"] = 2.0
         bad.write_text(json.dumps(raw))
         code = main(["simulate", "--config", str(bad), "--out",
@@ -933,7 +913,7 @@ class TestCli:
     def test_damaged_file_wins_over_a_bad_network(self, tmp_path, stored):
         # m > m0 fails only when the graph is generated, after the file is
         # read and checked
-        raw = load_config("scale_free_5000.json")
+        raw = shipped("scale_free_5000").raw
         raw["network"]["m"] = raw["network"]["m0"] + 1
         config = tmp_path / "bad_network.json"
         config.write_text(json.dumps(raw))
@@ -976,7 +956,7 @@ class TestCli:
         # N grows about like exp((beta - mu)*t): with beta = 1 (and omega = 1
         # for a 14,000-step run) the baseline passes float64's range near
         # t = 708, where it would need t = 2177
-        raw = load_config("seirs_baseline.json")
+        raw = shipped("seirs_baseline").raw
         raw["params"].update(beta=1, omega=1)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
@@ -1048,7 +1028,7 @@ class TestCli:
             self, tmp_path, capsys, rows, message):
         # two stored rows of S = I = 1e308: N = inf, which used to give
         # phase-plane points (0.0, 0.0) and numpy's overflow warning
-        raw = load_config("sir_low_infectivity.json")
+        raw = shipped("sir_low_infectivity").raw
         raw["analyses"] = {"classify": {"tail_fraction": 0.5},
                            "phase_plane": [{"axes": ["S", "I"],
                                             "proportions": True}]}
@@ -1094,7 +1074,6 @@ class TestCli:
         # 40-long run analysed with --horizon 20 < kappa = 30 passes, and a
         # 20-long one analysed with the config's 300 fails
         from pseirs import simulate_pseirs
-        from pseirs.presets import baseline_history, baseline_pseirs
         config = str(CONFIG_DIR / "seirs_baseline.json")
         assert main(["simulate", "--config", config, "--horizon", "40",
                      "--out", str(tmp_path / "run")]) == 0
@@ -1175,9 +1154,9 @@ class TestCli:
 
         monkeypatch.setattr(scenario, "simulate_pseirs", no_solve)
         monkeypatch.setattr(scenario, "simulate_sir", no_solve)
-        raw = load_config("seirs_baseline.json")
+        raw = shipped("seirs_baseline").raw
         if isinstance(config, str) and config.endswith(".json"):
-            raw = load_config(config)
+            raw = shipped(config).raw
         elif isinstance(config, dict):
             raw.update(config)
         elif config is not None:
@@ -1204,7 +1183,7 @@ class TestCli:
             raise AssertionError("simulate_sir was called")
 
         monkeypatch.setattr(scenario, "simulate_sir", no_solve)
-        raw = load_config("sir_low_infectivity.json")
+        raw = shipped("sir_low_infectivity").raw
         raw["init"] = init
         config = tmp_path / "config.json"
         config.write_text(json.dumps(raw))
@@ -1219,7 +1198,7 @@ class TestCli:
     def test_classify_refuses_zero_population(self, tmp_path, capsys):
         # as a phase plane in proportions does: no division by zero, no
         # "undetermined" class
-        raw = load_config("sir_low_infectivity.json")
+        raw = shipped("sir_low_infectivity").raw
         raw["init"] = {"s": 0, "i": 0, "r": 0}
         raw["analyses"]["classify"] = True
         config = tmp_path / "config.json"
@@ -1245,7 +1224,7 @@ class TestCli:
             raise AssertionError("simulate_pseirs was called")
 
         monkeypatch.setattr(scenario, "simulate_pseirs", no_solve)
-        raw = load_config("seirs_baseline.json")
+        raw = shipped("seirs_baseline").raw
         set_path(raw, field, value)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
@@ -1296,7 +1275,7 @@ class TestCli:
     ], ids=["config_seed", "simulate_seed", "generate_network_seed"])
     def test_negative_network_seed_is_an_error_record(self, tmp_path, capsys,
                                                       monkeypatch, argv):
-        raw = load_config("scale_free_5000.json")
+        raw = shipped("scale_free_5000").raw
         raw["network"]["seed"] = -1
         (tmp_path / "negative_seed.json").write_text(json.dumps(raw))
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,4 @@
-import json
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +6,12 @@ import pytest
 from pseirs import (NoPeak, NotEndemic, SirParams, SirState, StepTooLarge,
                     simulate_sir, sir_derivatives, sir_disease_free_prediction,
                     sir_endemic_prediction, sir_peak_oracle, sir_r0)
-from pseirs.presets import (sir_high_infectivity, sir_low_infectivity,
-                            sir_twelve_node_init)
-from pseirs.scenario import ScenarioConfig, _rebuilt, write_trajectory_csv
+from pseirs.scenario import _rebuilt, write_trajectory_csv
 
 import reference_sir
+from shipped import (shipped, sir_high_infectivity, sir_low_infectivity,
+                     sir_twelve_node_init)
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SIR_CONFIGS = ("sir_high_infectivity.json", "sir_low_infectivity.json")
 
 # frozen oracle values from the first-integral formula
@@ -41,16 +38,12 @@ class TestDerivatives:
         assert d.dr == pytest.approx(1.0, rel=1e-12)
 
 
-def _shipped(name):
-    return ScenarioConfig.from_dict(json.loads((CONFIG_DIR / name).read_text()))
-
-
 class TestStatesOnly:
     @pytest.mark.parametrize("name", SIR_CONFIGS)
     def test_no_derivative_rows(self, name, tmp_path):
         # no delayed lookup reads an SIR trajectory: neither a solve nor the
         # trajectory analyze reads back from its CSV holds derivative rows
-        config = _shipped(name)
+        config = shipped(name)
         traj = simulate_sir(config.params, config.init, config.horizon,
                             config.step)
         assert traj.derivs is None
@@ -173,8 +166,7 @@ class TestReferenceLoop:
         ("sir_high_infectivity.json", 0.07),
     ])
     def test_states_bit_identical(self, name, step):
-        config = ScenarioConfig.from_dict(
-            json.loads((CONFIG_DIR / name).read_text()))
+        config = shipped(name)
         args = (config.params, config.init, config.horizon,
                 config.step if step is None else step)
         got, want = simulate_sir(*args), reference_sir.simulate_sir(*args)

@@ -5,8 +5,9 @@ from pseirs import (EmptyWindow, InvalidParameter, Overflow, Trajectory,
                     ZeroPopulation,
                     compartment_stats, phase_plane, simulate_pseirs,
                     simulate_sir)
-from pseirs.presets import (sir_high_infectivity, sir_low_infectivity,
-                            sir_twelve_node_init)
+
+from shipped import (sir_high_infectivity, sir_low_infectivity,
+                     sir_twelve_node_init)
 
 
 def _constant_traj(value=5.0, n=11):

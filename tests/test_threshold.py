@@ -1,8 +1,6 @@
 import dataclasses
-import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +10,10 @@ from pseirs import (ConstantHistory, EquilibriumKind, InvalidParameter,
                     TrajectoryTooShort, classify_equilibrium, r0_linearized,
                     r0_nominal, simulate_pseirs, stability_probe)
 from pseirs.core import _require
-from pseirs.presets import baseline_pseirs
-from pseirs.scenario import ScenarioConfig, _prepare_network
+from pseirs.scenario import _prepare_network
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from conftest import PSEIRS_CONFIGS
+from shipped import baseline_pseirs, shipped
 
 # frozen plug-in evaluations at the baseline parameters
 R0_NOMINAL = 0.6816864853628612
@@ -89,7 +87,8 @@ class TestStabilityProbe:
         points = [baseline_pseirs(gamma=g, omega=w)
                   for g in (0.02, 0.06, 0.09, 0.15, 0.308)
                   for w in (0.15, 2.0, 10.0, 30.0)]
-        points += _shipped_pseirs_params()
+        # with the gamma each scenario runs with
+        points += [_prepare_network(shipped(name))[1] for name in PSEIRS_CONFIGS]
         points += [baseline_pseirs(gamma=g) for g in (0.02, 0.1061, 0.308)]
         points += _random_params(48, seed=2026)
         edges = _band_edge_params()
@@ -199,19 +198,6 @@ def _gamma_for_root(base, lam):
     lam + b = gamma*exp(-mu*omega)*exp(-lam*omega)."""
     b = base.mu + base.epsilon + base.alpha
     return (lam + b) * math.exp((lam + base.mu) * base.omega)
-
-
-def _shipped_pseirs_params():
-    out = []
-    for name in ("scale_free_5000", "seirs_baseline", "seirs_long_latency",
-                 "seirs_low_immunity"):
-        config = ScenarioConfig.from_dict(
-            json.loads((CONFIG_DIR / f"{name}.json").read_text()))
-        params = config.params
-        if config.network is not None:  # the gamma the scenario runs with
-            _, params, _ = _prepare_network(config)
-        out.append(params)
-    return out
 
 
 def _random_params(count, seed):

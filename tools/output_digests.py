@@ -1,8 +1,8 @@
 """SHA-256 of every file the ``pseirs`` CLI writes for the shipped configs.
 
 Runs 22 commands against the package and configs of one checkout:
-``simulate`` on each of the six configs, ``analyze`` of each stored
-trajectory with its own config, a 2-value ``params.p`` sweep of
+``simulate`` on each of the six ``configs/*.json``, ``analyze`` of each
+stored trajectory with its own config, a 2-value ``params.p`` sweep of
 ``seirs_low_immunity``, a 3-value ``params.gamma`` sweep of
 ``seirs_baseline`` whose threshold probe gives ``decaying``, ``marginal``
 and ``growing`` (the shipped configs all give ``growing``), and three
@@ -39,8 +39,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-CONFIGS = ("scale_free_5000", "seirs_baseline", "seirs_long_latency",
-           "seirs_low_immunity", "sir_high_infectivity", "sir_low_infectivity")
 SWEEPS = (("seirs_low_immunity", "params.p", "0.5,1"),
           ("seirs_baseline", "params.gamma", "0.02,0.1061,0.308"))
 EDGE_STEPS = (("seirs_baseline", "0.0375"), ("seirs_long_latency", "0.0071"),
@@ -52,8 +50,8 @@ NETWORKS = ((300, 1, 1, 3), (2000, 5, 5, 0))
 def commands(configs: Path, out: Path) -> list:
     """(output directory, CLI argv) for each of the 22 commands, in order."""
     cmds = []
-    for name in CONFIGS:
-        config = str(configs / f"{name}.json")
+    for path in sorted(configs.glob("*.json")):
+        config, name = str(path), path.stem
         sim = out / "simulate" / name
         cmds.append((sim, ["simulate", "--config", config]))
         cmds.append((out / "analyze" / name,
