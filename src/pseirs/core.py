@@ -73,7 +73,7 @@ class SirState:
 
     def __post_init__(self):
         for name in ("s", "i", "r"):
-            value = _finite(name, getattr(self, name))
+            value = _finite(f"init.{name}", getattr(self, name))
             _require(value >= 0, f"init.{name}", value,
                      "compartment sizes must be non-negative")
             object.__setattr__(self, name, value)

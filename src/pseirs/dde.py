@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import (HistoryFunction, PseirsParams, Trajectory, _require,
                    kappa, negativity_floor, step_count, undershoot)
-from .errors import InvalidParameter, OutOfDomain, Overflow, ZeroPopulation
+from .errors import InvalidParameter, Overflow, ZeroPopulation
 from .quadrature import adaptive_simpson
 
 PSEIRS_LABELS = ("S", "E", "I", "R")
@@ -127,33 +127,23 @@ def _weights(th, h: float) -> tuple:
 
 
 def _eval_raw(traj: Trajectory, x: np.ndarray) -> np.ndarray:
-    """(S, E, I, R) rows at an array of times in [-kappa, horizon], for the
-    integral forms: row 0 within 1e-9*h of t = 0, the history left of it,
-    and right of it cell ``int(x/h)``, clamped to the last cell, read as
-    ``((h00*S[j] + h01*S[j+1]) + h10*dS[j]) + h11*dS[j+1]`` or the stored
-    row itself at fraction 0.  Not exact at grid points: ``int(t / h)`` can
-    pick the cell left of one, off the stored row by rounding (770 of the
-    40,001 grid points of the baseline run)."""
+    """(S, E, I, R) rows at an array of times in [0, horizon], which the
+    callers check: row 0 within 1e-9*h of t = 0, else cell ``int(x/h)``,
+    clamped to the last cell, read as ``((h00*S[j] + h01*S[j+1]) +
+    h10*dS[j]) + h11*dS[j+1]`` or the stored row itself at fraction 0.
+    Not exact at grid points: ``int(t / h)`` can pick the cell left of
+    one, off the stored row by rounding (770 of the 40,001 grid points of
+    the baseline run)."""
     x = np.asarray(x, dtype=float)
     h, states, derivs = traj.step, traj.states, traj.derivs
-    if len(x):
-        lo, hi = float(x.min()), float(x.max())
-        if lo < -1e-9 * h and (traj.history is None or lo < -traj.kappa):
-            raise OutOfDomain(f"t={lo} outside [-{traj.kappa}, {traj.horizon}]")
-        if not hi <= traj.times[-1] + 1e-9 * h:  # NaN fails too
-            raise OutOfDomain(f"t={hi} beyond the last computed sample "
-                              f"{traj.times[-1]}")
     snap = 1e-9 * h  # times t-lag can miss t=0 by ~1 ulp
-    xs = np.where(x < snap, 0.0, x)  # history lookups get j = 0, th = 0
+    xs = np.where(x < snap, 0.0, x)
     j = np.minimum((xs / h).astype(np.int64), len(traj.times) - 2)  # xs >= 0
     th = ((xs - j * h) / h)[:, None]  # one weight per (S, E, I, R)
     h00, h01, h10, h11 = _weights(th, h)
     v = (((h00 * states[j] + h01 * states[j + 1]) + h10 * derivs[j])
          + h11 * derivs[j + 1])
     np.copyto(v, states[j], where=th == 0.0)
-    hist = x < -snap
-    if hist.any():
-        v[hist] = traj.history.rows_at(x[hist])
     return v
 
 

@@ -9,8 +9,8 @@ For a consistently initialized run the solution satisfies
 at every t >= 0.  The integrands are the ones the dde module integrates at
 t = 0 for consistent initialization: each maps an array of nodes to the
 array of its values, reading the states of all the nodes of a quadrature
-level in one ``_eval_raw`` call; a window across t = 0 is integrated in
-two pieces, over the history and over the samples.
+level in one call; a window that starts before t = 0, t = 0 included, is
+integrated in two pieces, over the history and over the samples.
 verify_integral_equivalence evaluates both integrals by adaptive Simpson
 quadrature at evenly spaced checkpoints and reports the relative residuals
 against the trajectory's own E and R.
@@ -44,49 +44,44 @@ class EquivalenceReport:
 
 
 def _window_integral(traj: Trajectory, t: float, lag: float, integrand,
-                     params: PseirsParams) -> float:
-    """The integral of ``integrand`` over [t - lag, t].  A window across
-    the breaking point x = 0, where N jumps under consistent init (E(0) and
-    R(0) are integrals the history's E and R need not match), is split
-    there: [t - lag, 0] over the history, as consistent init integrates
-    it, and [0, t] over the samples.  Across the jump Simpson would double
-    to 2^18-2^19 panels and still miss E(t) by about 1e-7 relative."""
+                     params: PseirsParams, name: str) -> float:
+    """The integral form of ``name`` at t: ``integrand`` over [t - lag, t].
+    A window that starts before the breaking point x = 0, where N jumps
+    under consistent init (E(0) and R(0) are integrals the history's E and
+    R need not match), is split there: [t - lag, 0] over the history, as
+    consistent init integrates it, and [0, t] over the samples (``_eval_raw``;
+    0.0 at t = 0).  Across the jump Simpson would double to 2^18-2^19
+    panels and still miss E(t) by about 1e-7 relative.  An Overflow names
+    ``name``, t and the largest stored I of the cells the window reads."""
     if not 0.0 <= t <= traj.horizon + 1e-9 * traj.step:  # NaN fails too
         raise OutOfDomain(f"t={t} outside [0, {traj.horizon}]")
     a = t - lag
     if a < -traj.kappa - 1e-12 or (a < 0.0 and traj.history is None):
         raise OutOfDomain(f"trajectory does not cover [{a}, {t}]")
     f = integrand(partial(_eval_raw, traj), t, params)
-    if not a < 0.0 < t:
-        return adaptive_simpson(f, a, t)
-    return (adaptive_simpson(integrand(traj.history.rows_at, t, params), a, 0.0)
-            + adaptive_simpson(f, 0.0, t))
+    try:
+        if a >= 0.0:
+            return adaptive_simpson(f, a, t)
+        return (adaptive_simpson(integrand(traj.history.rows_at, t, params), a, 0.0)
+                + adaptive_simpson(f, 0.0, t))
+    except Overflow as exc:
+        times, infected = traj.times, traj.column("I")
+        j0 = max(int(np.searchsorted(times, a, side="right")) - 1, 0)
+        k = j0 + int(np.argmax(infected[j0:int(np.searchsorted(times, t)) + 1]))
+        raise Overflow(f"the integral form of {name} at t={t} exceeded float64's range; the "
+                       f"largest stored I in its window is {float(infected[k])!r} at "
+                       f"t={float(times[k])}") from exc
 
 
 def exposed_integral(traj: Trajectory, t: float, params: PseirsParams) -> float:
     """Windowed incidence integral equal to E(t) on consistent runs."""
-    return _window_integral(traj, t, params.omega, _exposed_integrand, params)
+    return _window_integral(traj, t, params.omega, _exposed_integrand, params, "E")
 
 
 def recovered_integral(traj: Trajectory, t: float,
                        params: PseirsParams) -> float:
     """Windowed recovery integral equal to R(t) on consistent runs."""
-    return _window_integral(traj, t, params.tau, _recovered_integrand, params)
-
-
-def _checked_integral(integral, name: str, lag: float, traj: Trajectory, t: float,
-                      params: PseirsParams) -> float:
-    """``integral(traj, t, params)``; an Overflow names ``name``, t and the
-    largest stored I of the cells the window [t - lag, t] reads."""
-    try:
-        return integral(traj, t, params)
-    except Overflow as exc:
-        times, infected = traj.times, traj.column("I")
-        j0 = max(int(np.searchsorted(times, t - lag, side="right")) - 1, 0)
-        k = j0 + int(np.argmax(infected[j0:int(np.searchsorted(times, t)) + 1]))
-        raise Overflow(f"the integral form of {name} at t={t} exceeded float64's range; the "
-                       f"largest stored I in its window is {float(infected[k])!r} at "
-                       f"t={float(times[k])}") from exc
+    return _window_integral(traj, t, params.tau, _recovered_integrand, params, "R")
 
 
 def _relative_residual(a: float, b: float) -> float:
@@ -120,10 +115,10 @@ def verify_integral_equivalence(traj: Trajectory, params: PseirsParams,
     e_res = np.empty(n_checkpoints)
     r_res = np.empty(n_checkpoints)
     for idx, t in enumerate(times.tolist()):
-        e_res[idx] = _relative_residual(_checked_integral(
-            exposed_integral, "E", params.omega, traj, t, params), states[idx][1])
-        r_res[idx] = _relative_residual(_checked_integral(
-            recovered_integral, "R", params.tau, traj, t, params), states[idx][3])
+        e_res[idx] = _relative_residual(exposed_integral(traj, t, params),
+                                        states[idx][1])
+        r_res[idx] = _relative_residual(recovered_integral(traj, t, params),
+                                        states[idx][3])
     return EquivalenceReport(times=times, e_residuals=e_res, r_residuals=r_res,
                              max_residual=float(np.maximum(e_res.max(), r_res.max())),
                              consistent_init=not traj.init_override)

@@ -27,8 +27,8 @@ import numpy as np
 from . import _fork
 from .core import (ConstantHistory, HistoryFunction, PseirsParams, SirParams,
                    SirState, Trajectory, _require, negativity_floor, step_count)
-from .dde import (_checked_kappa, default_step, reconstruct_trajectory,
-                  simulate_pseirs)
+from .dde import (PSEIRS_LABELS, _checked_kappa, default_step,
+                  reconstruct_trajectory, simulate_pseirs)
 from .errors import (InvalidParameter, Overflow, PseirsError, TrajectoryTooShort,
                      WorkerDied)
 from .integro import verify_integral_equivalence
@@ -36,7 +36,7 @@ from .netgen import (degree_histogram, edge_list_text, gamma_from_graph,
                      generate_ba, graph_json_text, graph_to_dict, mean_degree,
                      powerlaw_slope)
 # sir_derivatives stays importable here: bench/tracer.py wraps this name
-from .sir import simulate_sir, sir_derivatives, sir_r0
+from .sir import SIR_LABELS, simulate_sir, sir_derivatives, sir_r0
 from .stats import (TrajectoryStream, compartment_stats, csv_row_blocks,
                     phase_plane, trajectory_stream, trajectory_table)
 from .threshold import classify_equilibrium, r0_linearized, r0_nominal, stability_probe
@@ -166,17 +166,18 @@ def _window(entry: dict, name: str):
     window = entry.get("window")
     _require(window is None or (isinstance(window, list) and len(window) == 2
                                 and all(_is_number(v) and math.isfinite(v)
-                                        for v in window)),
-             f"{name}.window", window, "null or [start, end], both finite")
+                                        for v in window) and window[0] <= window[1]),
+             f"{name}.window", window, "null or [start, end], both finite, start <= end")
     return window
 
 
-def _plane(entry) -> dict:
+def _plane(entry, labels: tuple) -> dict:
     name = "analyses.phase_plane"
     entry = _entry(entry, name, {"axes", "proportions", "window"})
     axes = entry.get("axes")
-    _require(isinstance(axes, list) and all(isinstance(a, str) for a in axes),
-             f"{name}.axes", axes, "a list of compartment labels")
+    _require(isinstance(axes, list) and all(a in labels for a in axes)
+             and 2 <= len(axes) <= 3 and len(set(axes)) == len(axes),
+             f"{name}.axes", axes, f"2 or 3 distinct labels of {', '.join(labels)}")
     proportions = entry.get("proportions", False)
     _require(isinstance(proportions, bool), f"{name}.proportions", proportions,
              "true or false")
@@ -195,7 +196,8 @@ def _parse_analyses(block, model: str) -> dict:
     if block.get("phase_plane"):
         planes = block["phase_plane"]
         _require(isinstance(planes, list), "analyses.phase_plane", planes, "a list")
-        out["phase_plane"] = [_plane(p) for p in planes]
+        labels = SIR_LABELS if model == "sir" else PSEIRS_LABELS
+        out["phase_plane"] = [_plane(p, labels) for p in planes]
     if block.get("integral_equivalence"):
         name = "analyses.integral_equivalence"
         _require(model == "pseirs", name, model,
@@ -432,7 +434,7 @@ def _rebuilt(config: ScenarioConfig, path):
     and a pSEIRS trajectory's derivative rows are rebuilt by one
     ``reconstruct_trajectory`` call."""
     times, states, labels = read_trajectory_csv(path)
-    want = ("S", "I", "R") if config.model == "sir" else ("S", "E", "I", "R")
+    want = SIR_LABELS if config.model == "sir" else PSEIRS_LABELS
     _require(labels == want, "trajectory", labels,
              f"{', '.join(want)} columns for a {config.model} config")
     low = states < negativity_floor(states[0].tolist())

@@ -166,15 +166,12 @@ class TestVerifyIntegralEquivalence:
 # reference for the bits of exposed_integral and recovered_integral.
 
 def reference_lookup(traj):
-    """The scalar _eval_raw of trajectory times: Python floats give the
-    bits of numpy scalars, faster."""
+    """The scalar _eval_raw of trajectory times in [0, horizon]: Python
+    floats give the bits of numpy scalars, faster."""
     h, last = traj.step, len(traj.times) - 2
     columns = traj.states.T.tolist() + traj.derivs.T.tolist()
-    hist_raw = history_reader(traj.history)
 
     def at(t):
-        if t < 0.0:
-            return hist_raw(t)
         j = int(t / h)
         if j > last:
             j = last
@@ -186,22 +183,22 @@ def reference_lookup(traj):
 @pytest.mark.parametrize("name", ["p_1", "sampled_history",
                                   "signed_zero_history"])
 def test_eval_raw_bits_match_scalar_lookup(name):
-    # grid times (the exact-row branch keeps I(0) = -0.0), cell midpoints,
-    # the horizon (the last cell, clamped) and history times
+    # grid times (the exact-row branch keeps I(0) = -0.0), cell midpoints
+    # and the horizon (the last cell, clamped)
     params, hist, step, init, horizon = PINNED_RUNS[name]
     traj = simulate_pseirs(params, hist, horizon, step, **init)
     at = reference_lookup(traj)
     x = np.concatenate([traj.times, traj.times[:-1] + 0.5 * traj.step,
-                        [traj.horizon], np.linspace(-kappa(params), 0.0, 7)])
+                        [traj.horizon]])
     want = np.array([at(t) for t in x.tolist()])
     assert _same_bits(_eval_raw(traj, x), want)
 
 
 def _reference_window(integrand, traj, t, lag):
-    # a window across x = 0 is split there, the part left of it read from
-    # the history
+    # a window that starts before x = 0 is split there, the part left of
+    # it read from the history
     f = integrand(reference_lookup(traj))
-    if not t - lag < 0.0 < t:
+    if t - lag >= 0.0:
         return adaptive_simpson(f, t - lag, t)
     past = integrand(history_reader(traj.history))
     return adaptive_simpson(past, t - lag, 0.0) + adaptive_simpson(f, 0.0, t)
@@ -254,8 +251,22 @@ def test_integral_bits_match_scalar_reference(name):
 @pytest.mark.parametrize("name", ["p_1", "sampled_history"])
 def test_integral_bits_match_scalar_reference_in_the_history(name):
     # before kappa, the nodes of one or both integrals fall in the history
-    # (at t = 0 all but the last one)
+    # (at t = 0 all of them)
     _assert_bits_match_reference(name, lambda params, traj: [0.0, 0.07, 10.0])
+
+
+@pytest.mark.parametrize("name", ["p_1", "sampled_history"])
+def test_integrals_at_zero_are_the_stored_initial_values(name):
+    # at t = 0 the window [-lag, 0] is the history's alone, integrated as
+    # consistent init integrates it, so both forms give the stored E(0)
+    # and R(0) bit for bit (p_1 is seirs_baseline's run); no node may read
+    # row 0, whose E(0) is not the history's E
+    params, hist, step, init, horizon = PINNED_RUNS[name]
+    traj = simulate_pseirs(params, hist, horizon, step, **init)
+    assert _same_bits(np.float64(exposed_integral(traj, 0.0, params)),
+                      traj.states[0, 1])
+    assert _same_bits(np.float64(recovered_integral(traj, 0.0, params)),
+                      traj.states[0, 3])
 
 
 def test_exposed_integral_across_the_breaking_point():

@@ -396,6 +396,11 @@ def test_unknown_keys_rejected():
     # summary.json echoes the window, and JSON holds finite numbers only
     ("analyses.stats", {"window": [0, math.inf]}),
     ("analyses.phase_plane.0.window", [-math.inf, 10]),
+    # entries that could never run: refused before the network and the solve
+    ("analyses.stats", {"window": [5, 1]}),
+    ("analyses.phase_plane.0.window", [5, 1]),
+    ("analyses.phase_plane.0.axes", ["S", "Q"]),
+    ("analyses.phase_plane.0.axes", ["S", "E", "I", "R"]),
 ])
 def test_config_types_checked_at_parse(path, value):
     raw = shipped("seirs_baseline").raw
@@ -1175,7 +1180,9 @@ class TestCli:
     @pytest.mark.parametrize("init, name", [
         ({"s": -1, "i": 1, "r": 0}, "init.s"),
         ({"s": 11, "i": 1, "r": -3}, "init.r"),
-    ], ids=["negative_s", "negative_r"])
+        # json.load reads NaN; it is named in its block too
+        ({"s": math.nan, "i": 1, "r": 0}, "init.s"),
+    ], ids=["negative_s", "negative_r", "nan_s"])
     def test_negative_sir_init_is_refused_before_the_solve(
             self, tmp_path, capsys, monkeypatch, init, name):
         # as a pSEIRS history is: no solve that ends in StepTooLarge
